@@ -6,6 +6,10 @@ Algorithm:
       and count the cells holding at least one point
     - regress log2(count) on k; the slope estimates the box dimension
 
+A cloud is either held in memory (``NormalizedCloud``) or read block by
+block (``StreamedCloud``, used for attractor samples too large to hold);
+both are quantized and counted by the same code.
+
 Levels where the sample is too sparse to fill its cells (more occupied
 boxes than points / min_points_per_box) are excluded from the regression,
 since a finite sample of a curve under-covers at fine scales.
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -30,6 +34,10 @@ DEFAULT_K_MIN = 2
 DEFAULT_K_MAX = 8
 DEFAULT_MIN_POINTS_PER_BOX = 25
 MAX_LEVEL = 30
+# occupancy is a dense bitmap up to max(points, DENSE_CELLS) cells (1 MB)
+DENSE_CELLS = 1 << 20
+
+Blocks = Iterable[tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,6 +64,45 @@ class NormalizedCloud:
 
     def __len__(self) -> int:
         return len(self.x)
+
+    def normalized_blocks(self) -> Blocks:
+        """The coordinates as a single block; they are normalized already."""
+        return ((self.x, self.y),)
+
+
+class StreamedCloud:
+    """A cloud read block by block, normalized as ``normalize_to_unit_square``
+    would normalize all its blocks concatenated, and never held whole.
+
+    ``blocks`` yields equal-shape (x, y) array pairs, the same ones on every
+    iteration. The constructor reads it once for the point count and the
+    bounds; every box count reads it again, so memory stays at one block.
+    """
+
+    def __init__(self, blocks: Blocks) -> None:
+        self._blocks = blocks
+        n = 0
+        x_min = y_min = math.inf
+        x_max = y_max = -math.inf
+        for x, y in blocks:
+            n += x.size
+            x_min, x_max = min(x_min, float(x.min())), max(x_max, float(x.max()))
+            y_min, y_max = min(y_min, float(y.min())), max(y_max, float(y.max()))
+        if n < 2:
+            raise InputError("cloud must retain at least 2 points")
+        self._n = n
+        self.original_bounds = (x_min, x_max, y_min, y_max)
+        self.degenerate_y = _is_y_degenerate(self.original_bounds)
+
+    def __len__(self) -> int:
+        return self._n
+
+    def normalized_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Each block rescaled by the bounds of the whole cloud."""
+        x_min, x_max, y_min, y_max = self.original_bounds
+        for x, y in self._blocks:
+            xn = _to_unit(x, x_min, x_max)
+            yield xn, np.full_like(xn, 0.5) if self.degenerate_y else _to_unit(y, y_min, y_max)
 
 
 class BoxCountLevel(NamedTuple):
@@ -96,6 +143,25 @@ class DimensionEstimate:
     warnings: tuple[str, ...] = ()
 
 
+def _is_y_degenerate(bounds: tuple[float, float, float, float]) -> bool:
+    """Refuse bounds that cannot be normalized; True for a constant-y cloud."""
+    if not all(math.isfinite(b) for b in bounds):
+        raise InputError("cloud coordinates must be finite")
+    x_min, x_max, y_min, y_max = bounds
+    if x_min == x_max and y_min == y_max:
+        raise ComputationError("all points are identical: nothing to normalize")
+    if x_min == x_max:
+        raise ComputationError("degenerate x-range: cloud is a vertical segment")
+    return y_min == y_max
+
+
+def _to_unit(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """clip((v - lo) / (hi - lo), 0, 1), computed in place."""
+    out = v - lo
+    out /= hi - lo
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
 def normalize_to_unit_square(x: np.ndarray, y: np.ndarray) -> NormalizedCloud:
     """Affine per-axis rescale onto [0, 1] x [0, 1].
 
@@ -106,56 +172,69 @@ def normalize_to_unit_square(x: np.ndarray, y: np.ndarray) -> NormalizedCloud:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or len(x) < 2:
         raise InputError("need two matching 1-D coordinate arrays with >= 2 points")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise InputError("cloud coordinates must be finite")
-    x_min, x_max = float(x.min()), float(x.max())
-    y_min, y_max = float(y.min()), float(y.max())
-    if x_min == x_max and y_min == y_max:
-        raise ComputationError("all points are identical: nothing to normalize")
-    if x_min == x_max:
-        raise ComputationError("degenerate x-range: cloud is a vertical segment")
-    xn = np.clip((x - x_min) / (x_max - x_min), 0.0, 1.0)
-    if y_min == y_max:
-        return NormalizedCloud(
-            xn, np.full_like(xn, 0.5), (x_min, x_max, y_min, y_max), degenerate_y=True
-        )
-    yn = np.clip((y - y_min) / (y_max - y_min), 0.0, 1.0)
-    return NormalizedCloud(xn, yn, (x_min, x_max, y_min, y_max))
+    bounds = (float(x.min()), float(x.max()), float(y.min()), float(y.max()))
+    x_min, x_max, y_min, y_max = bounds
+    degenerate_y = _is_y_degenerate(bounds)
+    xn = _to_unit(x, x_min, x_max)
+    if degenerate_y:
+        return NormalizedCloud(xn, np.full_like(xn, 0.5), bounds, degenerate_y=True)
+    return NormalizedCloud(xn, _to_unit(y, y_min, y_max), bounds)
 
 
-def _cell_keys(cloud: NormalizedCloud, k: int) -> np.ndarray:
-    """Flattened cell index per point at level k (points at 1.0 go to the last cell)."""
-    m = 1 << k
-    xi = np.minimum((cloud.x * m).astype(np.int64), m - 1)
-    yi = np.minimum((cloud.y * m).astype(np.int64), m - 1)
-    return xi * m + yi
+Cloud = NormalizedCloud | StreamedCloud
 
 
-def count_boxes(cloud: NormalizedCloud, k: int) -> int:
-    """Number of occupied cells in the 2^k x 2^k half-open grid."""
-    if not 0 <= k <= MAX_LEVEL:
-        raise InputError(f"level k must be in [0, {MAX_LEVEL}], got {k}")
-    return int(np.unique(_cell_keys(cloud, k)).size)
+def _cell_index(v: np.ndarray, m: int) -> np.ndarray:
+    """Half-open cell index of unit coordinates on an m-cell axis (1.0 goes to the last)."""
+    index = (v * m).astype(np.int64)
+    return np.minimum(index, m - 1, out=index)
 
 
-def _counts_for_levels(cloud: NormalizedCloud, k_min: int, k_max: int) -> dict[int, int]:
-    # One quantization at the finest level; coarser cells are bit-shifted
-    # parents, which yields exactly the per-level counts of count_boxes.
+def _level_counts(cloud: Cloud, k_min: int, k_max: int) -> dict[int, int]:
+    """Occupied cells per level from one quantization at ``k_max``.
+
+    Coarser levels merge each 2x2 block of cells. Occupancy is a dense
+    2^k x 2^k bitmap while that has no more cells than max(points,
+    DENSE_CELLS), and sorted unique cell keys xi * 2^k + yi above that.
+    """
     m = 1 << k_max
-    xi = np.minimum((cloud.x * m).astype(np.int64), m - 1)
-    yi = np.minimum((cloud.y * m).astype(np.int64), m - 1)
-    finest = np.unique(xi * m + yi)
-    fx, fy = finest // m, finest % m
-    counts = {k_max: int(finest.size)}
-    for k in range(k_max - 1, k_min - 1, -1):
-        shift = k_max - k
-        keys = ((fx >> shift) << k) + (fy >> shift)
-        counts[k] = int(np.unique(keys).size)
+    dense = 4**k_max <= max(len(cloud), DENSE_CELLS)
+    bitmap = np.zeros((m, m), dtype=bool) if dense else None
+    keys = []
+    for xn, yn in cloud.normalized_blocks():
+        cell = _cell_index(xn, m)
+        cell *= m
+        cell += _cell_index(yn, m)
+        if bitmap is not None:
+            bitmap.reshape(-1)[cell] = True
+        else:
+            keys.append(np.unique(cell))
+    counts = {}
+    if bitmap is not None:
+        for k in range(k_max, k_min - 1, -1):
+            counts[k] = int(np.count_nonzero(bitmap))
+            if k > k_min:
+                half = 1 << (k - 1)
+                bitmap = bitmap.reshape(half, 2, half, 2).any(axis=(1, 3))
+        return counts
+    cells = np.unique(np.concatenate(keys))
+    for k in range(k_max, k_min - 1, -1):
+        counts[k] = int(cells.size)
+        if k > k_min:
+            xi, yi = cells >> k, cells & ((1 << k) - 1)
+            cells = np.unique(((xi >> 1) << (k - 1)) + (yi >> 1))
     return counts
 
 
+def count_boxes(cloud: Cloud, k: int) -> int:
+    """Number of occupied cells in the 2^k x 2^k half-open grid."""
+    if not 0 <= k <= MAX_LEVEL:
+        raise InputError(f"level k must be in [0, {MAX_LEVEL}], got {k}")
+    return _level_counts(cloud, k, k)[k]
+
+
 def estimate_dimension(
-    cloud: NormalizedCloud,
+    cloud: Cloud,
     k_min: int = DEFAULT_K_MIN,
     k_max: int = DEFAULT_K_MAX,
     min_points_per_box: int = DEFAULT_MIN_POINTS_PER_BOX,
@@ -192,7 +271,7 @@ def estimate_dimension(
             f"{n} points < {min_points_per_box} * 4^{requested_k_max}"
         )
 
-    counts = _counts_for_levels(cloud, k_min, k_max)
+    counts = _level_counts(cloud, k_min, k_max)
     levels = tuple(
         BoxCountLevel(k, 2.0 ** (-k), counts[k]) for k in range(k_min, k_max + 1)
     )
@@ -246,6 +325,14 @@ def affine_fif_dimension_oracle(
     if collinear or total <= 1.0:
         return 1.0
     return 1.0 + math.log(total) / math.log(intervals)
+
+
+def loglog_csv(estimate: DimensionEstimate) -> str:
+    """The ``k,epsilon,log2_count`` table of every counted level."""
+    lines = ["k,epsilon,log2_count"] + [
+        f"{lv.k},{lv.epsilon!r},{float(np.log2(lv.count))!r}" for lv in estimate.curve.levels
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def report_dict(estimate: DimensionEstimate, normalized: bool = True) -> dict:

@@ -328,10 +328,7 @@ def cmd_boxdim(args: argparse.Namespace) -> int:
     else:
         print(text, end="")
     if args.loglog:
-        lines = ["k,epsilon,log2_count"]
-        for lv in estimate.curve.levels:
-            lines.append(f"{lv.k},{lv.epsilon!r},{float(np.log2(lv.count))!r}")
-        Path(args.loglog).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        Path(args.loglog).write_text(boxdim.loglog_csv(estimate), encoding="utf-8")
         print(f"wrote {args.loglog}")
     return 0
 

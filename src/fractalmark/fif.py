@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,14 +33,13 @@ from .event_study import InterpolationData
 ENDPOINT_TOL = 1e-12
 NODE_TOL = 1e-10
 CONTINUITY_TOL = 1e-10
-# Distinct attractor abscissae are never closer than ~min_width^depth; FP
-# duplicates at interval seams differ by a few ulps, so this separates them.
-DEDUP_TOL = 1e-13
 
 DEFAULT_GRID_SIZE = 6401
 DEFAULT_TOL = 1e-9
 DEFAULT_ITERATION_CAP = 200
 DEFAULT_MAX_POINTS = 30_000_000
+# points per piece of an attractor block (about 0.5 MB per coordinate array)
+PIECE_POINTS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,12 +180,13 @@ class PiecewiseLinear:
 @dataclass(frozen=True, eq=False)
 class FifModel:
     """Everything needed to evaluate one fractal interpolant: the data, the
-    domain maps, the scaling vector, and the germ/base function handles."""
+    domain maps, the scaling vector, the germ (piecewise linear with one
+    segment per data interval) and the base function handle."""
 
     data: InterpolationData
     maps: AffineMaps
     alpha: ScalingVector
-    germ: Callable[[np.ndarray], np.ndarray]
+    germ: PiecewiseLinear
     base: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self) -> None:
@@ -198,6 +198,9 @@ class FifModel:
         nodal = np.max(np.abs(np.asarray(self.germ(self.data.x)) - self.data.y))
         if nodal > NODE_TOL:
             raise InputError(f"germ must interpolate the data nodes (residual {nodal:.2e})")
+        # the attractor generator evaluates the germ per interval, one line each
+        if not np.array_equal(self.germ.breakpoints, self.data.x):
+            raise InputError("germ must break exactly at the data abscissae")
         ends = self.base(np.array([self.data.x[0], self.data.x[-1]]))
         if abs(ends[0] - self.data.y[0]) > NODE_TOL or abs(ends[1] - self.data.y[-1]) > NODE_TOL:
             raise InputError("base function must match the data at both endpoints")
@@ -395,6 +398,115 @@ def evaluate_fif_fixed_point(
     )
 
 
+def _branch_image(
+    model: FifModel, p: int, xs: np.ndarray, ys: np.ndarray, base_vals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Branch p of one IFS round: (l_p(x), alpha_p y + q_p(x)) for every input point.
+
+    ``xs`` is a raw IFS level or a slice of one, so at most its first and
+    last points sit at x_0 and x_P; every other image lies strictly inside
+    germ segment p, where the germ is ``slope_p x + intercept_p``. The two
+    end images may land on knots, and there the germ's own lookup picks the
+    side.
+    """
+    germ = model.germ
+    alpha = model.alpha.alpha[p]
+    # in-place steps, same operations and rounding as
+    # lx = a_p x + b_p; ly = alpha_p y + germ(lx) - alpha_p base(x)
+    lx = model.maps.a[p] * xs
+    lx += model.maps.b[p]
+    g = germ.slopes[p] * lx
+    g += germ.intercepts[p]
+    g[[0, -1]] = germ(lx[[0, -1]])
+    ly = alpha * ys
+    ly += g
+    ly -= np.multiply(alpha, base_vals, out=g)
+    return lx, ly
+
+
+def _drop_seam_twins(
+    grid_x: np.ndarray, grid_y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Drop one point of each seam twin between consecutive rows of a run grid.
+
+    Row r + 1 starts where row r ends: the two points are one attractor point
+    reached along two paths, a few ulps apart and possibly inverted. The
+    smaller x is kept, the earlier point on a tie: the point a stable sort
+    followed by dropping near-equal neighbours keeps. The kept twin is
+    written to the start of the later row, and the rows are returned without
+    their last points (as views); the last row's last point is the caller's.
+    """
+    take_left = grid_x[:-1, -1] <= grid_x[1:, 0]
+    np.copyto(grid_x[1:, 0], grid_x[:-1, -1], where=take_left)
+    np.copyto(grid_y[1:, 0], grid_y[:-1, -1], where=take_left)
+    return grid_x[:, :-1], grid_y[:, :-1]
+
+
+class AttractorBlocks:
+    """The points of ``generate_attractor_points``, one branch block at a time.
+
+    The IFS is expanded to depth - 1 once (the inner level, seam twins
+    included). Each iteration then yields, for every branch p in order, the
+    branch-p image of that level with its seam twins dropped, in pieces of
+    about ``PIECE_POINTS`` points. A piece is a pair of equal-shape arrays
+    whose points, in C order, are sorted by x. Pieces come in x order and
+    the blocks join at the data nodes, which are included exactly: block p
+    starts at node p, and a last one-point piece holds node P. Only the
+    inner level, (P + 1) * P^(depth - 1) points, is held.
+    """
+
+    def __init__(
+        self, model: FifModel, depth: int, max_points: int = DEFAULT_MAX_POINTS
+    ) -> None:
+        if depth < 0:
+            raise InputError("depth must be non-negative")
+        p_count = model.data.intervals
+        expected = (p_count + 1) * p_count**depth
+        if expected > max_points:
+            raise InputError(
+                f"depth {depth} would generate ~{expected} points, over the "
+                f"budget of {max_points}"
+            )
+        self.model = model
+        self.depth = depth
+        xs, ys = model.data.x, model.data.y
+        for _ in range(depth - 1):
+            base_vals = np.asarray(model.base(xs))
+            n = len(xs)
+            new_x, new_y = np.empty(n * p_count), np.empty(n * p_count)
+            for p in range(p_count):
+                new_x[p * n : (p + 1) * n], new_y[p * n : (p + 1) * n] = _branch_image(
+                    model, p, xs, ys, base_vals
+                )
+            xs, ys = new_x, new_y
+        self._inner = (xs, ys, np.asarray(model.base(xs)))
+
+    def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        data = self.model.data
+        if self.depth == 0:
+            yield data.x, data.y
+            return
+        xs, ys, base_vals = self._inner
+        # the inner level is P^(depth - 1) runs of P + 1 points; a block goes
+        # out in pieces of whole runs, small enough to keep temporaries in cache
+        run = data.intervals + 1
+        rows = len(xs) // run
+        step = max(1, PIECE_POINTS // run)
+        for p in range(data.intervals):
+            for start in range(0, rows, step):
+                piece = slice(start * run, min(start + step, rows) * run)
+                lx, ly = _branch_image(self.model, p, xs[piece], ys[piece], base_vals[piece])
+                grid_x, grid_y = lx.reshape(-1, run), ly.reshape(-1, run)
+                if start == 0:
+                    # the block starts at node p; its end twins node p + 1
+                    grid_x[0, 0], grid_y[0, 0] = data.x[p], data.y[p]
+                elif last_x <= grid_x[0, 0]:
+                    grid_x[0, 0], grid_y[0, 0] = last_x, last_y
+                last_x, last_y = grid_x[-1, -1], grid_y[-1, -1]
+                yield _drop_seam_twins(grid_x, grid_y)
+        yield data.x[-1:], data.y[-1:]
+
+
 def generate_attractor_points(
     model: FifModel, depth: int, max_points: int = DEFAULT_MAX_POINTS
 ) -> GraphSample:
@@ -405,51 +517,13 @@ def generate_attractor_points(
     points to graph points. Output is sorted by x with coincident interval
     endpoints deduplicated; the P+1 data nodes are included exactly.
     """
-    if depth < 0:
-        raise InputError("depth must be non-negative")
-    data = model.data
-    p_count = data.intervals
-    expected = (p_count + 1) * p_count**depth
-    if expected > max_points:
-        raise InputError(
-            f"depth {depth} would generate ~{expected} points, over the "
-            f"budget of {max_points}"
-        )
-    alpha = model.alpha.as_array()
-    a, b = model.maps.a, model.maps.b
-    xs = data.x.copy()
-    ys = data.y.copy()
-    for _ in range(depth):
-        new_x = np.empty(len(xs) * p_count)
-        new_y = np.empty_like(new_x)
-        base_vals = np.asarray(model.base(xs))
-        n = len(xs)
-        for p in range(p_count):
-            lx = a[p] * xs + b[p]
-            new_x[p * n : (p + 1) * n] = lx
-            new_y[p * n : (p + 1) * n] = (
-                alpha[p] * ys + np.asarray(model.germ(lx)) - alpha[p] * base_vals
-            )
-        xs, ys = new_x, new_y
-
-    # canonical order plus dedup of seam points reached from both sides;
-    # exact nodes go first so dedup keeps them
-    xs = np.concatenate([data.x, xs])
-    ys = np.concatenate([data.y, ys])
-    order = np.argsort(xs, kind="stable")
-    xs, ys = xs[order], ys[order]
-    keep = np.ones(len(xs), dtype=bool)
-    keep[1:] = np.diff(xs) > DEDUP_TOL
-    xs, ys = xs[keep], ys[keep]
-    # pin the node coordinates exactly (a seam twin may have sorted first)
-    idx = np.searchsorted(xs, data.x)
-    idx = np.clip(idx, 0, len(xs) - 1)
-    left = np.clip(idx - 1, 0, len(xs) - 1)
-    nearer_left = np.abs(xs[left] - data.x) < np.abs(xs[idx] - data.x)
-    idx = np.where(nearer_left, left, idx)
-    xs[idx] = data.x
-    ys[idx] = data.y
-    return GraphSample(x=xs, y=ys, generation=depth, max_error_bound=0.0)
+    blocks = list(AttractorBlocks(model, depth, max_points))
+    return GraphSample(
+        x=np.concatenate([x.ravel() for x, _ in blocks]),
+        y=np.concatenate([y.ravel() for _, y in blocks]),
+        generation=depth,
+        max_error_bound=0.0,
+    )
 
 
 def verify_interpolation(sample: GraphSample, data: InterpolationData) -> float:

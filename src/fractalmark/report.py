@@ -150,8 +150,7 @@ def write_series_outputs(
     results: dict[float, dict] = {}
     for alpha in DIMENSION_ALPHAS:
         model = fif.build_fif_model(data, alpha)
-        cloud_sample = fif.generate_attractor_points(model, dimension_depth)
-        cloud = boxdim.normalize_to_unit_square(cloud_sample.x, cloud_sample.y)
+        cloud = boxdim.StreamedCloud(fif.AttractorBlocks(model, dimension_depth))
         estimate = boxdim.estimate_dimension(cloud, k_min, k_max, min_points_per_box)
         tag = f"a{str(alpha).replace('.', '')}"
         payload = boxdim.report_dict(estimate)
@@ -167,11 +166,8 @@ def write_series_outputs(
         (outdir / f"dimension_{series_name}_{tag}.json").write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
-        loglog_lines = ["k,epsilon,log2_count"]
-        for lv in estimate.curve.levels:
-            loglog_lines.append(f"{lv.k},{lv.epsilon!r},{float(np.log2(lv.count))!r}")
         (outdir / f"loglog_{series_name}_{tag}.csv").write_text(
-            "\n".join(loglog_lines) + "\n", encoding="utf-8"
+            boxdim.loglog_csv(estimate), encoding="utf-8"
         )
         results[alpha] = payload
     return results

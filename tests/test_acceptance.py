@@ -5,9 +5,13 @@ lines as they complete.
 """
 
 import filecmp
+import hashlib
 import math
+import sys
+import tempfile
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,10 +42,21 @@ from fractalmark.report import run_report
 GRIDS = {name: nifty50_2024_grid(name) for name in ("aar", "caar")}
 ALPHA_SET = (0.0, 0.3, 0.5, MIXED_ALPHA)
 DELTA_TARGET = 0.15
+# sha256 of every file of the default ``report`` bundle; regenerate with
+# ``PYTHONPATH=src python tests/test_acceptance.py`` when output changes on purpose
+GOLDEN_MANIFEST = Path(__file__).parent / "data" / "report_2024.sha256"
 
 
 def _announce(number: int, text: str) -> None:
     print(f"ACCEPTANCE {number}: {text} ... PASS")
+
+
+def bundle_manifest(outdir: Path) -> str:
+    """``sha256sum``-style lines for every file under ``outdir``, by relative path."""
+    names = sorted(p.relative_to(outdir).as_posix() for p in outdir.rglob("*") if p.is_file())
+    return "".join(
+        f"{hashlib.sha256((outdir / name).read_bytes()).hexdigest()}  {name}\n" for name in names
+    )
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +263,23 @@ def test_criterion_9_report_determinism(tmp_path):
         assert filecmp.cmp(path, twin, shallow=False), f"{path.name} differs between runs"
         compared += 1
     assert compared >= 20
+    golden = GOLDEN_MANIFEST.read_text(encoding="utf-8").splitlines()
+    produced = bundle_manifest(dirs[0]).splitlines()
+    drifted = sorted(set(golden) ^ set(produced))
+    assert not drifted, f"bundle differs from {GOLDEN_MANIFEST.name}: {drifted}"
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
-    _announce(9, f"two report runs byte-identical across {compared} CSV/JSON files")
+    _announce(
+        9,
+        f"two report runs byte-identical across {compared} CSV/JSON files; "
+        f"all {len(golden)} bundle files match the golden manifest",
+    )
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        run_report(tmp)
+        manifest = bundle_manifest(Path(tmp))
+    GOLDEN_MANIFEST.parent.mkdir(exist_ok=True)
+    GOLDEN_MANIFEST.write_text(manifest, encoding="utf-8")
+    print(f"wrote {GOLDEN_MANIFEST} ({manifest.count(chr(10))} files)", file=sys.stderr)

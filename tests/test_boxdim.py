@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from fractalmark.boxdim import (
+    DENSE_CELLS,
     NormalizedCloud,
+    StreamedCloud,
     affine_fif_dimension_oracle,
     count_boxes,
     estimate_dimension,
@@ -59,6 +61,22 @@ class TestNormalize:
         with pytest.raises(ComputationError, match="x-range"):
             normalize_to_unit_square(np.full(3, 2.0), np.array([1.0, 2.0, 3.0]))
 
+    def test_streamed_blocks_normalize_like_their_concatenation(self):
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(size=2_000), rng.normal(size=2_000)
+        cloud = StreamedCloud([(x[i : i + 300], y[i : i + 300]) for i in range(0, 2_000, 300)])
+        whole = normalize_to_unit_square(x, y)
+        assert len(cloud) == len(whole)
+        assert cloud.original_bounds == whole.original_bounds
+        for k in (0, 3, 6, 11, 20):
+            assert count_boxes(cloud, k) == count_boxes(whole, k)
+
+    def test_streamed_blocks_refused_like_arrays(self):
+        with pytest.raises(ComputationError, match="identical"):
+            StreamedCloud([(np.full(2, 2.0), np.full(2, 3.0)), (np.full(3, 2.0), np.full(3, 3.0))])
+        with pytest.raises(InputError, match="finite"):
+            StreamedCloud([(np.array([0.0, 1.0]), np.array([0.0, np.nan]))])
+
 
 class TestCountBoxes:
     def test_single_location_counts_one(self):
@@ -90,6 +108,15 @@ class TestCountBoxes:
         cloud = normalize_to_unit_square(pts[:, 0], pts[:, 1])
         for k in range(0, 7):
             assert count_boxes(cloud, k) == brute_force_count(cloud, k)
+
+    def test_matches_brute_force_above_the_dense_limit(self):
+        # 4^20 cells is far above max(points, DENSE_CELLS): counted from sorted keys
+        rng = np.random.default_rng(9)
+        pts = rng.random((1_000, 2))
+        cloud = normalize_to_unit_square(pts[:, 0], pts[:, 1])
+        assert 4**20 > max(len(cloud), DENSE_CELLS)
+        assert count_boxes(cloud, 20) == brute_force_count(cloud, 20)
+        assert count_boxes(cloud, 30) == brute_force_count(cloud, 30)
 
     def test_boundary_points_assigned_to_last_cell(self):
         cloud = NormalizedCloud(
@@ -127,6 +154,18 @@ class TestEstimateDimension:
         estimate = estimate_dimension(cloud, 1, 5, min_points_per_box=1)
         for level in estimate.curve.levels:
             assert level.count == count_boxes(cloud, level.k)
+
+    def test_pooled_sparse_levels_agree_with_brute_force(self):
+        # the k_min + 2 floor stops k_max at 14, whose 4^14 cells are counted
+        # sparse; points closer than a cell make the coarser levels merge cells
+        x = np.linspace(0.0, 1.0, 20_000)
+        cloud = normalize_to_unit_square(x, x * x)
+        estimate = estimate_dimension(cloud, 12, 20, min_points_per_box=1)
+        assert estimate.levels_used == (12, 14)
+        assert 4**14 > max(len(cloud), DENSE_CELLS)
+        counts = [level.count for level in estimate.curve.levels]
+        assert counts == [brute_force_count(cloud, k) for k in (12, 13, 14)]
+        assert counts[0] < counts[1] < counts[2] < len(cloud)
 
     def test_monotone_and_bounded_growth(self):
         model = build_fif_model(AAR, 0.5)

@@ -156,6 +156,19 @@ class TestModelValidation:
                 base=wrong_germ,
             )
 
+    def test_germ_must_break_at_the_nodes(self):
+        # interpolates every node, but with an extra breakpoint inside interval 0
+        x = np.insert(AAR.x, 1, 0.05)
+        finer = PiecewiseLinear.interpolating(x, np.interp(x, AAR.x, AAR.y))
+        with pytest.raises(InputError, match="break exactly"):
+            FifModel(
+                data=AAR,
+                maps=build_affine_maps(AAR),
+                alpha=ScalingVector.from_spec(0.3, 10),
+                germ=finer,
+                base=finer,
+            )
+
     def test_base_endpoints_checked(self):
         bad_base = PiecewiseLinear.interpolating([0.0, 1.0], [5.0, 5.0])
         with pytest.raises(InputError, match="endpoint"):
