@@ -21,6 +21,7 @@ counting estimator.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
@@ -333,6 +334,11 @@ def loglog_csv(estimate: DimensionEstimate) -> str:
         f"{lv.k},{lv.epsilon!r},{float(np.log2(lv.count))!r}" for lv in estimate.curve.levels
     ]
     return "\n".join(lines) + "\n"
+
+
+def report_json(payload: dict) -> str:
+    """A :func:`report_dict` payload as written to disk: sorted keys, indent 2."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def report_dict(estimate: DimensionEstimate, normalized: bool = True) -> dict:

@@ -8,7 +8,6 @@ usage or input error. Every flag can also be supplied through a flat
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from datetime import date as Date
 from pathlib import Path
@@ -187,10 +186,16 @@ def _read_ar_csv(path: Path) -> tuple[np.ndarray, tuple[int, ...], list[str]]:
                 f"{path}: row {row_no}: expected {len(header)} fields, got {len(row)}"
             )
         try:
-            days.append(int(row[0]))
+            day = int(row[0])
             values.append([float(f) for f in row[1:]])
         except ValueError:
             raise InputError(f"{path}: row {row_no}: malformed abnormal-return row") from None
+        if days and day != days[-1] + 1:
+            raise InputError(
+                f"{path}: row {row_no}: relative_day {day} does not follow {days[-1]}; "
+                "days must increase by 1"
+            )
+        days.append(day)
     if not values:
         raise InputError(f"{path}: no abnormal-return rows")
     matrix = np.asarray(values, dtype=float).T
@@ -320,8 +325,7 @@ def cmd_boxdim(args: argparse.Namespace) -> int:
             boxdim.DEFAULT_MIN_POINTS_PER_BOX, int,
         ),
     )
-    payload = boxdim.report_dict(estimate, normalized=normalize)
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = boxdim.report_json(boxdim.report_dict(estimate, normalized=normalize))
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out}")

@@ -174,11 +174,15 @@ def parse_price_csv(raw: bytes | str | BinaryIO | TextIO, instrument_id: str = "
 
 
 def extra_columns(raw: bytes | str | BinaryIO | TextIO) -> tuple[str, ...]:
-    """Names of header columns beyond the required schema (used for warnings)."""
-    rows = _split_rows(_read_text(raw))
-    if not rows:
-        return ()
-    return tuple(name.strip() for name in rows[0] if name.strip() not in REQUIRED_COLUMNS)
+    """Names of header columns beyond the required schema (used for warnings).
+
+    Only the first CSV record is parsed.
+    """
+    import csv
+    import io
+
+    header = next(csv.reader(io.StringIO(_read_text(raw), newline="")), [])
+    return tuple(name.strip() for name in header if name.strip() not in REQUIRED_COLUMNS)
 
 
 def serialize_price_csv(series: PriceSeries) -> str:

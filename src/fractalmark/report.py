@@ -164,7 +164,7 @@ def write_series_outputs(
                 "a non-degenerate graph"
             )
         (outdir / f"dimension_{series_name}_{tag}.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            boxdim.report_json(payload), encoding="utf-8"
         )
         (outdir / f"loglog_{series_name}_{tag}.csv").write_text(
             boxdim.loglog_csv(estimate), encoding="utf-8"

@@ -105,6 +105,29 @@ class TestEventStudy:
             assert np.max(np.abs(gy - published.y)) <= 5e-5
             np.testing.assert_array_equal(gx, published.x)
 
+    @pytest.mark.parametrize("order", ["shuffled", "gap", "repeat"])
+    def test_unordered_ar_csv_exit_2(self, tmp_path, capsys, order):
+        table = nifty50_2024_panel()
+        rows = [
+            f"{int(day)},{float(value)!r}"
+            for day, value in zip(table["relative_day"], table["aar"])
+        ]
+        if order == "shuffled":
+            rows = [rows[i] for i in np.random.default_rng(5).permutation(len(rows))]
+        elif order == "gap":
+            del rows[10]
+        else:
+            rows.insert(10, rows[9])
+        days = [int(row.split(",")[0]) for row in rows]
+        bad = next(i for i in range(1, len(days)) if days[i] != days[i - 1] + 1)
+        ar_csv = tmp_path / "ar.csv"
+        ar_csv.write_text("\n".join(["relative_day,NIFTY50"] + rows) + "\n")
+        out = tmp_path / "out"
+        code = main(["event-study", "--ar-csv", str(ar_csv), "--out", str(out)])
+        assert code == 2
+        assert f"row {bad + 2}: relative_day {days[bad]} does not follow" in capsys.readouterr().err
+        assert not (out / "panel.csv").exists()
+
     def test_asset_equals_market_gives_zero_ar(self, tmp_path):
         prices = tmp_path / "idx.csv"
         days = synthetic_prices(prices, n=170)
