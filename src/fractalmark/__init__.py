@@ -5,10 +5,8 @@ __version__ = "0.1.0"
 
 from .errors import ComputationError, FractalmarkError, InputError
 from .market_data import (
-    PriceBar,
     PriceSeries,
     ReturnSeries,
-    align_on_common_dates,
     daily_returns,
     parse_price_csv,
 )
@@ -17,10 +15,8 @@ from .event_study import (
     CapmParams,
     EventWindow,
     InterpolationData,
-    abnormal_return,
     build_panel,
     estimate_capm,
-    expected_return,
     extract_event_window,
     subsample_to_grid,
 )
@@ -56,19 +52,15 @@ __all__ = [
     "FractalmarkError",
     "InputError",
     "ComputationError",
-    "PriceBar",
     "PriceSeries",
     "ReturnSeries",
     "parse_price_csv",
     "daily_returns",
-    "align_on_common_dates",
     "CapmParams",
     "EventWindow",
     "AbnormalReturnPanel",
     "InterpolationData",
     "estimate_capm",
-    "expected_return",
-    "abnormal_return",
     "build_panel",
     "extract_event_window",
     "subsample_to_grid",

@@ -18,7 +18,9 @@ from . import __version__, boxdim, fif
 from .config import load_config, resolve
 from .csvio import read_xy_csv, write_xy_csv
 from .errors import ComputationError, InputError
-from .event_study import InterpolationData, build_panel, panel_csv, subsample_to_grid
+from .event_study import (
+    InterpolationData, build_panel, compute_abnormal_panel, panel_csv, subsample_to_grid,
+)
 from .market_data import (
     daily_returns,
     extra_columns,
@@ -26,7 +28,7 @@ from .market_data import (
     parse_returns_csv,
     serialize_returns_csv,
 )
-from .report import DEFAULT_REPORT_DEPTH, DEFAULT_SAMPLE_DEPTH, compute_abnormal_panel, run_report
+from .report import DEFAULT_REPORT_DEPTH, DEFAULT_SAMPLE_DEPTH, run_report
 from .svgplot import line_plot_svg
 
 

@@ -6,6 +6,9 @@ actual return to get the abnormal return, average across securities per
 event-window day (AAR) and accumulate over the window (CAAR). A 31-day
 window centred on the event can be subsampled onto an 11-point unit grid,
 which is the input format for fractal interpolation downstream.
+
+For a panel the chain runs on whole matrices: every security is gathered
+onto the market's trading calendar, and all betas are fitted in one call.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ComputationError, InputError
-from .market_data import ReturnSeries, align_on_common_dates
+from .market_data import ReturnSeries, align_on_calendar
 
 DEFAULT_PRE_DAYS = 15
 DEFAULT_POST_DAYS = 15
@@ -39,29 +42,32 @@ class CapmParams:
                 raise InputError(f"{name} must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventWindow:
     """Trading dates covering relative days -pre..+post around an event.
 
-    Relative day 0 is the first trading day on or after ``event_date``.
+    Relative day 0 is the first trading day on or after ``event_date``;
+    ``dates`` is a read-only ``datetime64[D]`` array.
     """
 
     event_date: Date
     pre_days: int
     post_days: int
     relative_days: tuple[int, ...]
-    dates: tuple[Date, ...]
+    dates: np.ndarray
 
     def __post_init__(self) -> None:
+        dates = np.array(self.dates, dtype="datetime64[D]")
+        dates.flags.writeable = False
+        object.__setattr__(self, "dates", dates)
         expected = self.pre_days + self.post_days + 1
-        if len(self.relative_days) != expected or len(self.dates) != expected:
+        if len(self.relative_days) != expected or len(dates) != expected:
             raise InputError(
-                f"window must cover {expected} days, got {len(self.dates)} dates"
+                f"window must cover {expected} days, got {len(dates)} dates"
             )
-        for prev, cur in zip(self.dates, self.dates[1:]):
-            if cur <= prev:
-                raise InputError("window dates must be strictly increasing")
-        if self.dates[self.pre_days] < self.event_date:
+        if not np.all(dates[1:] > dates[:-1]):
+            raise InputError("window dates must be strictly increasing")
+        if dates[self.pre_days] < np.datetime64(self.event_date, "D"):
             raise InputError("relative day 0 must be on or after the event date")
 
     def __len__(self) -> int:
@@ -138,45 +144,76 @@ class InterpolationData:
         return len(self.x) - 1
 
 
+def fit_market_model(
+    asset: np.ndarray, market: np.ndarray, risk_free_daily: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise OLS of asset excess returns on market excess returns.
+
+    ``asset`` and ``market`` are N x E matrices of paired daily returns, one
+    security per row and E >= 1 observations each. Returns the N slopes
+    (beta) and the N intercepts (alpha).
+
+    Raises
+    ------
+    ComputationError
+        If a row's market excess returns are constant (degenerate regression).
+    """
+    y = np.asarray(asset, dtype=float) - risk_free_daily
+    x = np.asarray(market, dtype=float) - risk_free_daily
+    if np.any(np.ptp(x, axis=1) == 0.0):
+        raise ComputationError("market excess returns are constant: degenerate regression")
+    x_mean = x.mean(axis=1, keepdims=True)
+    y_mean = y.mean(axis=1, keepdims=True)
+    x -= x_mean  # x and y are this function's own arrays: centre them in place
+    y -= y_mean
+    beta = np.sum(x * y, axis=1) / np.sum(x * x, axis=1)
+    intercept = y_mean[:, 0] - beta * x_mean[:, 0]
+    return beta, intercept
+
+
 def estimate_capm(
     asset: ReturnSeries, market: ReturnSeries, risk_free_daily: float = 0.0
 ) -> CapmParams:
     """OLS of asset excess returns on market excess returns.
 
-    Series are aligned on their common dates first; at least 3 paired
+    Series are paired on their common dates first; at least 3 paired
     observations are required. The slope is beta, the intercept is alpha.
 
     Raises
     ------
     ComputationError
-        If fewer than 3 paired observations exist or the market excess
-        returns have zero variance (degenerate regression).
+        If the series share no dates, fewer than 3 paired observations exist
+        or the market excess returns have zero variance (degenerate
+        regression).
     """
-    if asset.dates != market.dates:
-        asset, market = align_on_common_dates(asset, market)
-    if len(asset) < 3:
+    values, present = align_on_calendar([asset], market.dates)
+    shared = present[0]
+    if not shared.any():
         raise ComputationError(
-            f"beta estimation needs >= 3 paired observations, got {len(asset)}"
+            f"series {asset.instrument_id!r} and {market.instrument_id!r} share no dates"
         )
-    y = np.asarray(asset.values, dtype=float) - risk_free_daily
-    x = np.asarray(market.values, dtype=float) - risk_free_daily
-    if np.ptp(x) == 0.0:
-        raise ComputationError("market excess returns are constant: degenerate regression")
-    x_mean = x.mean()
-    y_mean = y.mean()
-    beta = float(np.sum((x - x_mean) * (y - y_mean)) / np.sum((x - x_mean) ** 2))
-    intercept = float(y_mean - beta * x_mean)
-    return CapmParams(beta=beta, intercept=intercept, risk_free_daily=risk_free_daily)
+    if shared.sum() < 3:
+        raise ComputationError(
+            f"beta estimation needs >= 3 paired observations, got {shared.sum()}"
+        )
+    beta, intercept = fit_market_model(
+        values[:1, shared], market.values[None, shared], risk_free_daily
+    )
+    return CapmParams(float(beta[0]), float(intercept[0]), risk_free_daily)
 
 
-def expected_return(params: CapmParams, market_return: float) -> float:
-    """Market-model expected return: r_f + beta * (r_m - r_f)."""
-    return params.risk_free_daily + params.beta * (market_return - params.risk_free_daily)
+def abnormal_returns(
+    actual: np.ndarray, market: np.ndarray, beta: np.ndarray, risk_free_daily: float = 0.0
+) -> np.ndarray:
+    """Actual minus market-model expected returns: r - (r_f + beta * (r_m - r_f)).
 
-
-def abnormal_return(actual: float, expected: float) -> float:
-    """Actual minus expected return."""
-    return actual - expected
+    ``actual`` is N x T, ``market`` holds the T market returns and ``beta``
+    the N slopes.
+    """
+    beta = np.asarray(beta, dtype=float)[:, None]
+    return np.asarray(actual, dtype=float) - (
+        risk_free_daily + beta * (np.asarray(market, dtype=float) - risk_free_daily)
+    )
 
 
 def build_panel(
@@ -225,8 +262,8 @@ def extract_event_window(
     if pre_days < 0 or post_days < 0:
         raise InputError("pre_days and post_days must be non-negative")
     dates = series.dates
-    day0 = next((i for i, d in enumerate(dates) if d >= event_date), None)
-    if day0 is None:
+    day0 = int(np.searchsorted(dates, np.datetime64(event_date, "D")))
+    if day0 == len(dates):
         raise ComputationError(
             f"no trading day on or after {event_date} in series {series.instrument_id!r}"
         )
@@ -243,7 +280,7 @@ def extract_event_window(
         )
     window_dates = dates[day0 - pre_days : day0 + post_days + 1]
     relative = tuple(range(-pre_days, post_days + 1))
-    return EventWindow(event_date, pre_days, post_days, relative, tuple(window_dates))
+    return EventWindow(event_date, pre_days, post_days, relative, window_dates)
 
 
 def subsample_to_grid(window_values: Sequence[float]) -> InterpolationData:
@@ -260,15 +297,85 @@ def subsample_to_grid(window_values: Sequence[float]) -> InterpolationData:
     return InterpolationData(x, picked)
 
 
-def estimation_sample(
-    aligned_dates: Sequence[Date],
-    window_start: Date,
+def compute_abnormal_panel(
+    assets: Sequence[ReturnSeries],
+    market: ReturnSeries,
+    event_date: Date,
+    pre_days: int = DEFAULT_PRE_DAYS,
+    post_days: int = DEFAULT_POST_DAYS,
+    risk_free_daily: float = 0.0,
+    beta_override: float | None = None,
     estimation_window_days: int = DEFAULT_ESTIMATION_WINDOW_DAYS,
-) -> list[Date]:
-    """Trading dates used for beta estimation: the last ``estimation_window_days``
-    dates strictly before the event window opens (fewer if history is short)."""
-    before = [d for d in aligned_dates if d < window_start]
-    return before[-estimation_window_days:]
+) -> tuple[AbnormalReturnPanel, tuple[int, ...], list[str]]:
+    """Full market-model chain for N securities against one market series.
+
+    Everything runs on the market's trading calendar. The event window is
+    taken on the market's dates, and an asset without a return on any of
+    them is refused. Each beta is estimated on the last
+    ``estimation_window_days`` dates before the window that the asset shares
+    with the market.
+
+    Returns the panel, the relative-day axis, and any notes (for example a
+    shorter-than-requested beta-estimation sample).
+
+    Raises
+    ------
+    ComputationError
+        If the market's history does not cover the window, an asset misses a
+        window date (naming the asset and the dates), or an asset shares
+        fewer than 3 dates with the market before the window.
+    """
+    window = extract_event_window(market, event_date, pre_days, post_days)
+    start = int(np.searchsorted(market.dates, window.dates[0]))
+    stop = start + len(window)
+    values, present = align_on_calendar(assets, market.dates)
+    covered = present[:, start:stop]
+    if not covered.all():
+        i = int(np.argmin(covered.all(axis=1)))
+        missing = ", ".join(str(d) for d in window.dates[~covered[i]])
+        raise ComputationError(
+            f"asset {assets[i].instrument_id!r} has no return on {missing}, inside the "
+            f"event window on the trading calendar of {market.instrument_id!r}"
+        )
+
+    notes: list[str] = []
+    if beta_override is not None:
+        CapmParams(beta_override, 0.0, risk_free_daily)  # refuses a non-finite value
+        beta = np.full(len(assets), float(beta_override))
+    else:
+        if estimation_window_days < 1:
+            raise InputError(
+                f"estimation_window_days must be >= 1, got {estimation_window_days}"
+            )
+        before = present[:, :start]
+        # the last estimation_window_days of them, counted back from the window
+        taken = before & (np.cumsum(before[:, ::-1], axis=1)[:, ::-1] <= estimation_window_days)
+        counts = taken.sum(axis=1)
+        if np.any(counts < 3):
+            i = int(np.argmax(counts < 3))
+            raise ComputationError(
+                f"asset {assets[i].instrument_id!r}: only {counts[i]} trading days "
+                f"available for beta estimation; supply beta explicitly"
+            )
+        notes = [
+            f"asset {asset.instrument_id!r}: beta estimated on {n} days "
+            f"(requested {estimation_window_days})"
+            for asset, n in zip(assets, counts.tolist())
+            if n < estimation_window_days
+        ]
+        beta = np.empty(len(assets))
+        # one fit per sample length: a single call when every asset has full history
+        for n in np.unique(counts):
+            rows = np.flatnonzero(counts == n)
+            cols = np.nonzero(taken[rows])[1].reshape(len(rows), n)
+            beta[rows], _ = fit_market_model(
+                values[rows[:, None], cols], market.values[cols], risk_free_daily
+            )
+        if not np.all(np.isfinite(beta)):
+            raise InputError("beta must be finite")
+    ar = abnormal_returns(values[:, start:stop], market.values[start:stop], beta, risk_free_daily)
+    panel = build_panel(ar, [asset.instrument_id for asset in assets])
+    return panel, window.relative_days, notes
 
 
 def panel_csv(panel: AbnormalReturnPanel, relative_days: Sequence[int]) -> str:

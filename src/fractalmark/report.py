@@ -13,32 +13,14 @@ import json
 from datetime import date as Date
 from pathlib import Path
 
-import numpy as np
-
 from . import boxdim, fif, fixtures
 from .config import load_config
 from .csvio import write_xy_csv
-from .errors import ComputationError, InputError
+from .errors import InputError
 from .event_study import (
-    AbnormalReturnPanel,
-    CapmParams,
-    InterpolationData,
-    abnormal_return,
-    build_panel,
-    estimate_capm,
-    estimation_sample,
-    expected_return,
-    extract_event_window,
-    panel_csv,
-    subsample_to_grid,
+    InterpolationData, build_panel, compute_abnormal_panel, panel_csv, subsample_to_grid,
 )
-from .market_data import (
-    ReturnSeries,
-    align_on_common_dates,
-    daily_returns,
-    parse_price_csv,
-    window_values,
-)
+from .market_data import ReturnSeries, daily_returns, parse_price_csv
 from .svgplot import grouped_bar_svg, line_plot_svg
 
 # (file tag, human label, scaling spec) for the four panels drawn per series
@@ -53,65 +35,6 @@ DIMENSION_ALPHAS = (0.3, 0.5)
 
 DEFAULT_REPORT_DEPTH = 6
 DEFAULT_SAMPLE_DEPTH = 3
-
-
-def compute_abnormal_panel(
-    assets: list[ReturnSeries],
-    market: ReturnSeries,
-    event_date: Date,
-    pre_days: int = 15,
-    post_days: int = 15,
-    risk_free_daily: float = 0.0,
-    beta_override: float | None = None,
-    estimation_window_days: int = 120,
-) -> tuple[AbnormalReturnPanel, tuple[int, ...], list[str]]:
-    """Full market-model chain for N securities against one market series.
-
-    Returns the panel, the relative-day axis, and any notes (for example a
-    shorter-than-requested beta-estimation sample).
-    """
-    notes: list[str] = []
-    rows = []
-    labels = []
-    relative_days: tuple[int, ...] | None = None
-    for asset in assets:
-        a, m = align_on_common_dates(asset, market)
-        window = extract_event_window(a, event_date, pre_days, post_days)
-        if relative_days is None:
-            relative_days = window.relative_days
-        if beta_override is not None:
-            params = CapmParams(beta_override, 0.0, risk_free_daily)
-        else:
-            est_dates = estimation_sample(a.dates, window.dates[0], estimation_window_days)
-            if len(est_dates) < 3:
-                raise ComputationError(
-                    f"asset {asset.instrument_id!r}: only {len(est_dates)} trading days "
-                    f"available for beta estimation; supply beta explicitly"
-                )
-            if len(est_dates) < estimation_window_days:
-                notes.append(
-                    f"asset {asset.instrument_id!r}: beta estimated on {len(est_dates)} "
-                    f"days (requested {estimation_window_days})"
-                )
-            est_asset = ReturnSeries(
-                a.instrument_id, tuple(est_dates), tuple(window_values(a, est_dates))
-            )
-            est_market = ReturnSeries(
-                m.instrument_id, tuple(est_dates), tuple(window_values(m, est_dates))
-            )
-            params = estimate_capm(est_asset, est_market, risk_free_daily)
-        actuals = window_values(a, window.dates)
-        market_rets = window_values(m, window.dates)
-        rows.append(
-            [
-                abnormal_return(actual, expected_return(params, rm))
-                for actual, rm in zip(actuals, market_rets)
-            ]
-        )
-        labels.append(asset.instrument_id)
-    panel = build_panel(np.asarray(rows), labels)
-    assert relative_days is not None
-    return panel, relative_days, notes
 
 
 def write_series_outputs(

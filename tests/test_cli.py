@@ -169,6 +169,29 @@ class TestEventStudy:
         err = capsys.readouterr().err
         assert "need 15" in err and "have 10" in err
 
+    def test_asset_missing_a_window_day_exit_1(self, tmp_path, capsys):
+        market = tmp_path / "idx.csv"
+        days = synthetic_prices(market, n=170)
+        lines = market.read_text().splitlines()
+        asset = tmp_path / "stock.csv"
+        asset.write_text("\n".join(lines[:146] + lines[147:]) + "\n")  # drops days[145]
+        ret = tmp_path / "r"
+        for path in (market, asset):
+            assert main(["ingest", "--input", str(path), "--out", str(ret)]) == 0
+        code = main(
+            [
+                "event-study",
+                "--asset", str(ret / "stock_returns.csv"),
+                "--market", str(ret / "idx_returns.csv"),
+                "--event-date", days[150].isoformat(),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "asset 'stock_returns' has no return on " + days[145].isoformat() in err
+        assert not (tmp_path / "out" / "panel.csv").exists()
+
     def test_non_default_window_skips_grids(self, tmp_path, capsys):
         prices = tmp_path / "idx.csv"
         days = synthetic_prices(prices, n=60)
@@ -362,6 +385,24 @@ class TestReport:
         assert (out / "2023" / "panel.csv").is_file()
         deltas = (out / "dimension_deltas.csv").read_text()
         assert "2023" in deltas
+
+
+    def test_year_config_asset_missing_a_window_day_exit_1(self, tmp_path, capsys):
+        market = tmp_path / "idx2023.csv"
+        days = synthetic_prices(market, n=170, seed=9)
+        lines = market.read_text().splitlines()
+        (tmp_path / "stock.csv").write_text("\n".join(lines[:156] + lines[157:]) + "\n")
+        cfg = tmp_path / "2023.cfg"
+        cfg.write_text(
+            f"prices = {market.name},stock.csv\nmarket = {market.name}\n"
+            f"event_date = {days[150].isoformat()}\n"
+        )
+        code = main(
+            ["report", "--outdir", str(tmp_path / "rep"), "--depth", "4", "--sample-depth", "2",
+             "--k-max", "6", "--year-config", f"2023={cfg}"]
+        )
+        assert code == 1
+        assert f"asset 'stock' has no return on {days[155].isoformat()}" in capsys.readouterr().err
 
 
 class TestUsageErrors:

@@ -190,6 +190,13 @@ def test_write_read_round_trip_is_bit_exact(xy, chunk):
     assert bits(gy) == bits(np.where(np.isnan(y), np.nan, y))
 
 
+def test_writer_refuses_unequal_lengths(tmp_path):
+    path = tmp_path / "xy.csv"
+    with pytest.raises(InputError, match=r"^x and y must have equal length, got 3 and 1$"):
+        write_xy_csv(path, [1, 2, 3], [1])
+    assert not path.exists()
+
+
 def test_writer_accepts_lists_and_empty_input(tmp_path):
     path = tmp_path / "xy.csv"
     write_xy_csv(path, [1, 2.5], [3, -0.0])
@@ -254,8 +261,12 @@ def test_float_only_tokens_take_the_row_loop():
 def test_plain_files_skip_the_row_loop(tmp_path):
     path = tmp_path / "xy.csv"
     write_xy_csv(path, np.linspace(0, 1, 1000), np.cos(np.arange(1000.0)))
+    with open(path, "a", encoding="utf-8", newline="") as handle:
+        handle.write(" \n\t\r\n")
     with mock.patch.object(csvio, "_read_rows", side_effect=AssertionError("row loop")):
         x, y = read_xy_csv(path)
         read_text('x,y,z\r\n"1",2,"a,b"\r\n\r\n3,4,5\r\n')
+        bx, by = read_text("x,y\n \n1,2\n\t\n  \r\n3,4\n\u2028\n")
     assert len(x) == len(y) == 1000
     assert x.base is None and y.base is None
+    assert (bx.tolist(), by.tolist()) == ([1.0, 3.0], [2.0, 4.0])

@@ -2,16 +2,18 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import oracle_v010 as oracle
 from fractalmark.errors import ComputationError, InputError
 from fractalmark.event_study import (
-    CapmParams,
     InterpolationData,
-    abnormal_return,
+    abnormal_returns,
     build_panel,
+    compute_abnormal_panel,
     estimate_capm,
-    expected_return,
     extract_event_window,
+    fit_market_model,
     panel_csv,
     subsample_to_grid,
 )
@@ -73,29 +75,43 @@ class TestEstimateCapm:
         assert params.beta == pytest.approx(1.0, abs=1e-12)
 
 
+def expected_return(beta, risk_free_daily, market_return):
+    """The market-model expected return, read off the kernel as -AR of a zero return."""
+    return -abnormal_returns([[0.0]], [market_return], [beta], risk_free_daily)[0, 0]
+
+
 class TestExpectedAndAbnormal:
     def test_market_mirroring(self):
-        assert expected_return(CapmParams(1.0, 0.0, 0.0), 0.01) == pytest.approx(0.01)
+        assert expected_return(1.0, 0.0, 0.01) == pytest.approx(0.01)
 
     def test_zero_beta(self):
-        params = CapmParams(0.0, 0.0, 0.0002)
-        assert expected_return(params, 0.37) == pytest.approx(0.0002)
+        assert expected_return(0.0, 0.0002, 0.37) == pytest.approx(0.0002)
 
     def test_hand_arithmetic(self):
-        params = CapmParams(1.2, 0.0, 0.0002)
-        assert expected_return(params, 0.01) == pytest.approx(0.01196, abs=1e-15)
+        assert expected_return(1.2, 0.0002, 0.01) == pytest.approx(0.01196, abs=1e-15)
 
     @pytest.mark.parametrize(
         "actual,expected,result",
         [(0.01, 0.01, 0.0), (0.02, 0.005, 0.015), (-0.01, 0.004, -0.014)],
     )
     def test_abnormal_return(self, actual, expected, result):
-        assert abnormal_return(actual, expected) == pytest.approx(result, abs=1e-15)
+        # beta 1 and r_f 0: the expected return is the market return
+        ar = abnormal_returns([[actual]], [expected], [1.0])
+        assert ar[0, 0] == pytest.approx(result, abs=1e-15)
 
     def test_abnormal_return_of_self_is_zero(self):
         rng = np.random.default_rng(23)
-        for value in rng.normal(0, 0.05, 25):
-            assert abnormal_return(value, value) == 0.0
+        values = rng.normal(0, 0.05, 25)
+        assert np.all(abnormal_returns(values[None, :], values, [1.0]) == 0.0)
+
+    def test_rows_and_columns(self):
+        actual = np.array([[0.01, 0.02, -0.03], [0.0, 0.005, 0.01]])
+        market = np.array([0.004, -0.002, 0.01])
+        ar = abnormal_returns(actual, market, [1.2, 0.0], 0.0002)
+        for i, beta in enumerate((1.2, 0.0)):
+            for t in range(3):
+                want = actual[i, t] - (0.0002 + beta * (market[t] - 0.0002))
+                assert ar[i, t] == want
 
 
 class TestBuildPanel:
@@ -147,15 +163,16 @@ class TestExtractEventWindow:
     def test_full_31_day_series(self):
         series = self._trading_series(31)
         window = extract_event_window(series, series.dates[15], 15, 15)
-        assert window.dates == series.dates
+        assert np.array_equal(window.dates, series.dates)
         assert window.relative_days == tuple(range(-15, 16))
         assert window.dates[window.pre_days] == series.dates[15]
 
     def test_event_on_non_trading_day_rolls_forward(self):
         series = self._trading_series(40)
-        saturday = next(d for d in (series.dates[20] + dt.timedelta(days=i) for i in range(7)) if d.weekday() == 5)
+        start = series.dates[20].item()
+        saturday = next(d for d in (start + dt.timedelta(days=i) for i in range(7)) if d.weekday() == 5)
         window = extract_event_window(series, saturday, 5, 5)
-        day0 = window.dates[5]
+        day0 = window.dates[5].item()
         assert day0 >= saturday
         assert day0.weekday() == 0  # next session after a Saturday
 
@@ -214,3 +231,172 @@ class TestPanelCsv:
         last = lines[3].split(",")
         assert float(last[1]) == 1.0
         assert float(last[3]) == pytest.approx(0.05, abs=1e-16)
+
+
+# --- the market-model panel against the 0.1.0 per-asset loop ---------------
+
+
+def weekdays(n, start=dt.date(2023, 1, 2)):
+    out, day = [], start
+    while len(out) < n:
+        if day.weekday() < 5:
+            out.append(day)
+        day += dt.timedelta(days=1)
+    return out
+
+
+def both_series(name, dates, values):
+    """The same returns as a columnar series and as a 0.1.0 series."""
+    values = [float(v) for v in values]
+    return ReturnSeries(name, dates, values), oracle.ReturnSeries(name, tuple(dates), tuple(values))
+
+
+def panel_outcome(compute, assets, market, event_date, **kwargs):
+    try:
+        panel, days, notes = compute(assets, market, event_date, **kwargs)
+    except (InputError, ComputationError) as exc:
+        return ("refused", type(exc).__name__, str(exc))
+    return (
+        "ok",
+        panel.securities,
+        np.asarray(panel.ar).view(np.int64).tolist(),
+        panel.aar.view(np.int64).tolist(),
+        panel.caar.view(np.int64).tolist(),
+        tuple(days),
+        notes,
+    )
+
+
+@st.composite
+def panel_inputs(draw, gaps_outside_window: bool):
+    """N assets and a market; assets share the market's dates inside the window."""
+    pre, post = draw(st.integers(0, 15)), draw(st.integers(0, 15))
+    k = pre + draw(st.integers(0, 140))  # trading days before the window, then the window
+    n_days = k + post + 1 + draw(st.integers(0, 20))
+    days = weekdays(n_days)
+    gap = (days[k] - days[k - 1]).days if k else 3
+    event = days[k] - dt.timedelta(days=draw(st.integers(0, gap - 1)))  # rolls forward to k
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    market = rng.normal(0.0003, 0.01, n_days)
+    assets = []
+    for i in range(draw(st.integers(1, 5))):
+        values = rng.uniform(0.3, 1.7) * market + rng.normal(0.0, 0.015, n_days)
+        keep = np.ones(n_days, dtype=bool)
+        extra = []
+        if gaps_outside_window:
+            keep = rng.random(n_days) > draw(st.sampled_from([0.0, 0.2, 0.6, 0.97]))
+            keep[k - pre : k + post + 1] = True
+            extra = [d + dt.timedelta(days=5 - d.weekday()) for d in days if rng.random() < 0.05]
+        dated = sorted(
+            [(d, v) for d, v, kept in zip(days, values, keep) if kept]
+            + [(d, rng.normal(0.0, 0.01)) for d in sorted(set(extra))]
+        )
+        assets.append(both_series(f"asset{i}", [d for d, _ in dated], [v for _, v in dated]))
+    kwargs = {
+        "pre_days": pre,
+        "post_days": post,
+        "risk_free_daily": draw(st.sampled_from([0.0, 0.0002, -0.001])),
+        "estimation_window_days": draw(st.sampled_from([1, 3, 10, 120, 120, 500])),
+    }
+    if draw(st.integers(0, 4)) == 0:
+        kwargs["beta_override"] = draw(st.floats(-3.0, 3.0))
+    return assets, both_series("market", days, market), event, kwargs
+
+
+def assert_matches_oracle(inputs):
+    assets, market, event, kwargs = inputs
+    got = panel_outcome(compute_abnormal_panel, [a for a, _ in assets], market[0], event, **kwargs)
+    want = panel_outcome(oracle.compute_abnormal_panel, [o for _, o in assets], market[1], event, **kwargs)
+    assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(inputs=panel_inputs(gaps_outside_window=False))
+def test_one_calendar_panel_matches_oracle(inputs):
+    assert_matches_oracle(inputs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inputs=panel_inputs(gaps_outside_window=True))
+def test_gaps_outside_the_window_match_oracle(inputs):
+    assert_matches_oracle(inputs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(inputs=panel_inputs(gaps_outside_window=True), data=st.data())
+def test_aar_caar_invariant_under_security_permutation(inputs, data):
+    assets, market, event, kwargs = inputs
+    assets = [a for a, _ in assets]
+    kwargs["estimation_window_days"] = 120
+    order = data.draw(st.permutations(range(len(assets))))
+    try:
+        panel, _, _ = compute_abnormal_panel(assets, market[0], event, **kwargs)
+    except ComputationError:
+        assume(False)  # too little history before the window
+    shuffled, _, _ = compute_abnormal_panel([assets[i] for i in order], market[0], event, **kwargs)
+    assert shuffled.securities == tuple(panel.securities[i] for i in order)
+    np.testing.assert_array_equal(shuffled.ar, panel.ar[list(order)])
+    np.testing.assert_allclose(shuffled.aar, panel.aar, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(shuffled.caar, panel.caar, rtol=0.0, atol=1e-15)
+
+
+class TestMarketCalendar:
+    def _inputs(self, drop):
+        days = weekdays(200)
+        rng = np.random.default_rng(4)
+        market = rng.normal(0.0, 0.01, 200)
+        a = ReturnSeries("a", days, 0.8 * market + rng.normal(0.0, 0.01, 200))
+        keep = [i for i in range(200) if i not in drop]
+        b = ReturnSeries("b", [days[i] for i in keep], (1.1 * market + rng.normal(0.0, 0.01, 200))[keep])
+        return [a, b], ReturnSeries("idx", days, market), days
+
+    def test_missing_window_day_is_refused(self):
+        assets, market, days = self._inputs(drop={170})
+        with pytest.raises(ComputationError) as info:
+            compute_abnormal_panel(assets, market, days[160])
+        message = str(info.value)
+        assert "'b'" in message and days[170].isoformat() in message and "'a'" not in message
+        # 0.1.0 stacked b's window one day out of step with a's and returned
+        old = [oracle.ReturnSeries(s.instrument_id, tuple(s.dates.tolist()), tuple(s.values)) for s in assets]
+        oracle_market = oracle.ReturnSeries("idx", tuple(days), tuple(market.values))
+        panel, _, _ = oracle.compute_abnormal_panel(old, oracle_market, days[160])
+        assert panel.n_days == 31
+
+    def test_every_missing_window_day_is_named(self):
+        assets, market, days = self._inputs(drop={145, 150, 175, 176})
+        with pytest.raises(ComputationError) as info:
+            compute_abnormal_panel(assets, market, days[160])
+        message = str(info.value)
+        for i in (145, 150, 175):
+            assert days[i].isoformat() in message
+        assert days[176].isoformat() not in message  # outside the window
+
+    def test_missing_days_outside_the_window_are_bit_identical(self):
+        assets, market, days = self._inputs(drop={3, 40, 41, 100, 144, 176, 199})
+        old = [oracle.ReturnSeries(s.instrument_id, tuple(s.dates.tolist()), tuple(s.values)) for s in assets]
+        oracle_market = oracle.ReturnSeries("idx", tuple(days), tuple(market.values))
+        panel, rel, notes = compute_abnormal_panel(assets, market, days[160])
+        want, want_rel, want_notes = oracle.compute_abnormal_panel(old, oracle_market, days[160])
+        assert panel.ar.tobytes() == want.ar.tobytes()
+        assert panel.aar.tobytes() == want.aar.tobytes()
+        assert panel.caar.tobytes() == want.caar.tobytes()
+        assert (rel, notes) == (want_rel, want_notes)
+
+    def test_empty_estimation_window_refused(self):
+        assets, market, days = self._inputs(drop=set())
+        with pytest.raises(InputError, match="estimation_window_days must be >= 1, got 0"):
+            compute_abnormal_panel(assets, market, days[160], estimation_window_days=0)
+
+    def test_betas_fit_in_one_call(self, monkeypatch):
+        import fractalmark.event_study as es
+
+        calls = []
+
+        def spy(asset, market, risk_free_daily=0.0):
+            calls.append(asset.shape)
+            return fit_market_model(asset, market, risk_free_daily)
+
+        monkeypatch.setattr(es, "fit_market_model", spy)
+        assets, market, days = self._inputs(drop={3})
+        compute_abnormal_panel(assets, market, days[160])
+        assert calls == [(2, 120)]
