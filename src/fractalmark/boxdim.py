@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Protocol
 
 import numpy as np
 
@@ -71,28 +71,33 @@ class NormalizedCloud:
         return ((self.x, self.y),)
 
 
+class BoundedBlocks(Protocol):
+    """Equal-shape (x, y) array pairs, the same ones on every iteration, that
+    know their total point count and (x_min, x_max, y_min, y_max) bounds."""
+
+    bounds: tuple[float, float, float, float]
+
+    def __len__(self) -> int: ...
+
+    def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]: ...
+
+
 class StreamedCloud:
     """A cloud read block by block, normalized as ``normalize_to_unit_square``
     would normalize all its blocks concatenated, and never held whole.
 
-    ``blocks`` yields equal-shape (x, y) array pairs, the same ones on every
-    iteration. The constructor reads it once for the point count and the
-    bounds; every box count reads it again, so memory stays at one block.
+    The point count and the bounds come from ``len(blocks)`` and
+    ``blocks.bounds``; every box count reads the blocks, so memory stays at
+    one block.
     """
 
-    def __init__(self, blocks: Blocks) -> None:
-        self._blocks = blocks
-        n = 0
-        x_min = y_min = math.inf
-        x_max = y_max = -math.inf
-        for x, y in blocks:
-            n += x.size
-            x_min, x_max = min(x_min, float(x.min())), max(x_max, float(x.max()))
-            y_min, y_max = min(y_min, float(y.min())), max(y_max, float(y.max()))
+    def __init__(self, blocks: BoundedBlocks) -> None:
+        n = len(blocks)
         if n < 2:
             raise InputError("cloud must retain at least 2 points")
+        self._blocks = blocks
         self._n = n
-        self.original_bounds = (x_min, x_max, y_min, y_max)
+        self.original_bounds = tuple(float(v) for v in blocks.bounds)
         self.degenerate_y = _is_y_degenerate(self.original_bounds)
 
     def __len__(self) -> int:

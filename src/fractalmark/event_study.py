@@ -227,8 +227,12 @@ def build_panel(
     InputError
         If the matrix is ragged, empty or non-finite.
     """
-    ar = np.asarray(ar_matrix, dtype=object)
-    if ar.ndim != 2:
+    # an ndarray cannot be ragged; nested lists with ragged rows give a 1-D
+    # object array
+    shaped = ar_matrix
+    if not isinstance(shaped, np.ndarray):
+        shaped = np.asarray(ar_matrix, dtype=object)
+    if shaped.ndim != 2:
         raise InputError("abnormal-return matrix must be rectangular (ragged input?)")
     ar = np.asarray(ar_matrix, dtype=float)
     if ar.size == 0:

@@ -40,6 +40,8 @@ DEFAULT_ITERATION_CAP = 200
 DEFAULT_MAX_POINTS = 30_000_000
 # points per piece of an attractor block (about 0.5 MB per coordinate array)
 PIECE_POINTS = 1 << 16
+# runs of the inner attractor level per group when bounding its y-range
+BOUND_GROUP_RUNS = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,6 +325,41 @@ def build_eval_grid(data: InterpolationData, grid_size: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def _operator_terms(
+    grid_x: np.ndarray, model: FifModel
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The h-independent terms of T on a grid: l_p^{-1}(x), alpha_p, germ(x)
+    and alpha_p * base(l_p^{-1}(x)), with p the interval of each grid point."""
+    if np.any(np.diff(grid_x) <= 0.0):
+        raise InputError("grid abscissae must be strictly increasing")
+    data = model.data
+    if abs(grid_x[0] - data.x[0]) > 1e-9 or abs(grid_x[-1] - data.x[-1]) > 1e-9:
+        raise InputError("grid must cover [x_0, x_P]")
+    # every interval needs a grid point, otherwise some branch is never sampled
+    per_interval = np.diff(np.searchsorted(grid_x, model.maps.knots))
+    if np.any(per_interval < 1):
+        raise InputError("grid too coarse: an interval contains no grid point")
+    p = model.maps.interval_of(grid_x)
+    inv = model.maps.invert(grid_x, p)
+    scale = model.alpha.as_array()[p]
+    # q_p(l_p^{-1}(x)) = germ(x) - alpha_p * base(l_p^{-1}(x)), since l_p(l_p^{-1}(x)) = x
+    return inv, scale, np.asarray(model.germ(grid_x)), scale * np.asarray(model.base(inv))
+
+
+def _operator_step(
+    grid_x: np.ndarray,
+    h_y: np.ndarray,
+    terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """T(h) on the grid from its h-independent terms, summed in the order
+    (alpha_p h(l_p^{-1}(x)) + germ(x)) - alpha_p base(l_p^{-1}(x))."""
+    inv, scale, germ_vals, base_term = terms
+    out = scale * np.interp(inv, grid_x, h_y)
+    out += germ_vals
+    out -= base_term
+    return out
+
+
 def rb_operator_apply(
     grid_x: np.ndarray, h_y: np.ndarray, model: FifModel
 ) -> np.ndarray:
@@ -336,26 +373,11 @@ def rb_operator_apply(
     h_y = np.asarray(h_y, dtype=float)
     if grid_x.shape != h_y.shape:
         raise InputError("grid and values must have matching shapes")
-    if np.any(np.diff(grid_x) <= 0.0):
-        raise InputError("grid abscissae must be strictly increasing")
+    terms = _operator_terms(grid_x, model)
     data = model.data
-    if abs(grid_x[0] - data.x[0]) > 1e-9 or abs(grid_x[-1] - data.x[-1]) > 1e-9:
-        raise InputError("grid must cover [x_0, x_P]")
     if abs(h_y[0] - data.y[0]) > 1e-8 or abs(h_y[-1] - data.y[-1]) > 1e-8:
         raise InputError("h must satisfy h(x_0) = y_0 and h(x_P) = y_P")
-    # every interval needs a grid point, otherwise some branch is never sampled
-    per_interval = np.diff(np.searchsorted(grid_x, model.maps.knots))
-    if np.any(per_interval < 1):
-        raise InputError("grid too coarse: an interval contains no grid point")
-
-    alpha = model.alpha.as_array()
-    p = model.maps.interval_of(grid_x)
-    inv = model.maps.invert(grid_x, p)
-    h_at_inv = np.interp(inv, grid_x, h_y)
-    # q_p(l_p^{-1}(x)) = germ(x) - alpha_p * base(l_p^{-1}(x)), since l_p(l_p^{-1}(x)) = x
-    return alpha[p] * h_at_inv + np.asarray(model.germ(grid_x)) - alpha[p] * np.asarray(
-        model.base(inv)
-    )
+    return _operator_step(grid_x, h_y, terms)
 
 
 def evaluate_fif_fixed_point(
@@ -374,13 +396,14 @@ def evaluate_fif_fixed_point(
     if tol <= 0.0:
         raise InputError("tol must be positive")
     grid = build_eval_grid(model.data, grid_size)
+    terms = _operator_terms(grid, model)
     h = np.asarray(model.germ(grid), dtype=float)
     s = model.alpha.max_abs
     threshold = tol * (1.0 - s)
     changes: list[float] = []
     converged = False
     for _ in range(iteration_cap):
-        nxt = rb_operator_apply(grid, h, model)
+        nxt = _operator_step(grid, h, terms)
         delta = float(np.max(np.abs(nxt - h)))
         changes.append(delta)
         h = nxt
@@ -453,6 +476,8 @@ class AttractorBlocks:
     the blocks join at the data nodes, which are included exactly: block p
     starts at node p, and a last one-point piece holds node P. Only the
     inner level, (P + 1) * P^(depth - 1) points, is held.
+
+    ``len()`` and ``bounds`` describe the whole stream without generating it.
     """
 
     def __init__(
@@ -480,31 +505,116 @@ class AttractorBlocks:
                 )
             xs, ys = new_x, new_y
         self._inner = (xs, ys, np.asarray(model.base(xs)))
+        # the inner level is P^(depth - 1) runs of P + 1 points
+        self._run = p_count + 1
+        self._rows = len(xs) // self._run
+
+    def __len__(self) -> int:
+        p_count = self.model.data.intervals
+        if self.depth == 0:
+            return p_count + 1
+        # every run loses its last point to a seam twin; node P ends the stream
+        return p_count * self._rows * p_count + 1
+
+    def _step(self) -> int:
+        """Runs per piece: whole runs, few enough to keep temporaries in cache."""
+        return max(1, PIECE_POINTS // self._run)
+
+    def _piece(self, p: int, start: int) -> tuple[np.ndarray, np.ndarray]:
+        """Branch p's piece of the runs from ``start``, seam twins dropped."""
+        data = self.model.data
+        xs, ys, base_vals = self._inner
+        run = self._run
+        piece = slice(start * run, min(start + self._step(), self._rows) * run)
+        lx, ly = _branch_image(self.model, p, xs[piece], ys[piece], base_vals[piece])
+        grid_x, grid_y = lx.reshape(-1, run), ly.reshape(-1, run)
+        if start == 0:
+            # the block starts at node p; its end twins node p + 1
+            grid_x[0, 0], grid_y[0, 0] = data.x[p], data.y[p]
+        else:
+            # the previous piece's last point, with the same end lookup
+            twin = slice(piece.start - 1, piece.start)
+            last_x, last_y = _branch_image(self.model, p, xs[twin], ys[twin], base_vals[twin])
+            if last_x[0] <= grid_x[0, 0]:
+                grid_x[0, 0], grid_y[0, 0] = last_x[0], last_y[0]
+        return _drop_seam_twins(grid_x, grid_y)
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         data = self.model.data
         if self.depth == 0:
             yield data.x, data.y
             return
-        xs, ys, base_vals = self._inner
-        # the inner level is P^(depth - 1) runs of P + 1 points; a block goes
-        # out in pieces of whole runs, small enough to keep temporaries in cache
-        run = data.intervals + 1
-        rows = len(xs) // run
-        step = max(1, PIECE_POINTS // run)
         for p in range(data.intervals):
-            for start in range(0, rows, step):
-                piece = slice(start * run, min(start + step, rows) * run)
-                lx, ly = _branch_image(self.model, p, xs[piece], ys[piece], base_vals[piece])
-                grid_x, grid_y = lx.reshape(-1, run), ly.reshape(-1, run)
-                if start == 0:
-                    # the block starts at node p; its end twins node p + 1
-                    grid_x[0, 0], grid_y[0, 0] = data.x[p], data.y[p]
-                elif last_x <= grid_x[0, 0]:
-                    grid_x[0, 0], grid_y[0, 0] = last_x, last_y
-                last_x, last_y = grid_x[-1, -1], grid_y[-1, -1]
-                yield _drop_seam_twins(grid_x, grid_y)
+            for start in range(0, self._rows, self._step()):
+                yield self._piece(p, start)
         yield data.x[-1:], data.y[-1:]
+
+    @property
+    def bounds(self) -> tuple[float, float, float, float]:
+        """(x_min, x_max, y_min, y_max) of the stream, bit for bit, without
+        generating it.
+
+        The stream is sorted by x, so the x-bounds are nodes 0 and P. For y,
+        the inner level is cut into groups of ``BOUND_GROUP_RUNS`` runs, and
+        interval arithmetic on ly = alpha_p (y - base) + germ_p(l_p(x)) over
+        each group's x- and (y - base)-ranges bounds its branch-p image.
+        Every piece that meets a group able to hold an extreme is generated
+        exactly, with the piece after it, which may keep its last point as a
+        seam twin.
+        """
+        data = self.model.data
+        x_min, x_max = float(data.x[0]), float(data.x[-1])
+        if self.depth == 0:
+            return x_min, x_max, float(data.y.min()), float(data.y.max())
+        model = self.model
+        xs, ys, base_vals = self._inner
+        starts = np.arange(0, len(xs), BOUND_GROUP_RUNS * self._run)
+        gx_lo, gx_hi = np.minimum.reduceat(xs, starts), np.maximum.reduceat(xs, starts)
+        rest = ys - base_vals
+        gd_lo, gd_hi = np.minimum.reduceat(rest, starts), np.maximum.reduceat(rest, starts)
+        del rest
+        alpha, a, b = model.alpha.as_array(), model.maps.a, model.maps.b
+        slopes, intercepts = model.germ.slopes, model.germ.intercepts
+        # rounding, and a germ lookup landing on a neighbouring segment at a
+        # knot, move a computed point by far less than this
+        scale = (
+            np.abs(alpha) * (max(ys.max(), -ys.min()) + max(base_vals.max(), -base_vals.min()))
+            + np.abs(slopes).max() * (np.abs(a) * max(xs.max(), -xs.min()) + np.abs(b))
+            + np.abs(intercepts).max()
+        )
+        margin = 1e-9 * scale + CONTINUITY_TOL
+
+        def group_range(p: int) -> tuple[np.ndarray, np.ndarray]:
+            ends = (
+                slopes[p] * (a[p] * gx_lo + b[p]) + intercepts[p],
+                slopes[p] * (a[p] * gx_hi + b[p]) + intercepts[p],
+            )
+            terms = alpha[p] * gd_lo, alpha[p] * gd_hi
+            lo = np.minimum(*terms) + np.minimum(*ends) - margin[p]
+            hi = np.maximum(*terms) + np.maximum(*ends) + margin[p]
+            return lo, hi
+
+        # every group keeps points of its own, so the extremes are at least
+        # as far out as every group's inner bound and every node
+        y_floor, y_ceil = data.y.max(), data.y.min()
+        for p in range(data.intervals):
+            lo, hi = group_range(p)
+            y_floor = np.fmax(y_floor, np.fmax.reduce(lo))
+            y_ceil = np.fmin(y_ceil, np.fmin.reduce(hi))
+        step = self._step()
+        piece_starts = np.arange(0, self._rows, step)
+        y_lows, y_highs = [data.y.min()], [data.y.max()]
+        for p in range(data.intervals):
+            lo, hi = group_range(p)
+            wanted = (hi >= y_floor) | (lo <= y_ceil) | ~(np.isfinite(lo) & np.isfinite(hi))
+            runs = np.repeat(wanted, BOUND_GROUP_RUNS)[: self._rows]
+            pieces = np.logical_or.reduceat(runs, piece_starts)
+            pieces[1:] |= pieces[:-1]
+            for start in piece_starts[pieces]:
+                _, kept_y = self._piece(p, int(start))
+                y_lows.append(kept_y.min())
+                y_highs.append(kept_y.max())
+        return x_min, x_max, float(np.min(y_lows)), float(np.max(y_highs))
 
 
 def generate_attractor_points(

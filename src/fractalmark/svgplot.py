@@ -21,6 +21,8 @@ _AXIS_STYLE = 'stroke="#333333" stroke-width="1"'
 _GRID_STYLE = 'stroke="#dddddd" stroke-width="1"'
 _FONT = 'font-family="Helvetica, Arial, sans-serif"'
 BAR_COLORS = ("#34558b", "#7fa9d4", "#b5542d", "#e5a57c")
+# polyline points formatted per chunk
+POLYLINE_CHUNK = 512
 
 
 def _fmt(value: float) -> str:
@@ -56,10 +58,10 @@ def line_plot_svg(
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
-    def px(v: float) -> float:
+    def px(v: float | np.ndarray) -> float | np.ndarray:
         return MARGIN_LEFT + (v - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(v: float) -> float:
+    def py(v: float | np.ndarray) -> float | np.ndarray:
         return MARGIN_TOP + (y_hi - v) / (y_hi - y_lo) * plot_h
 
     parts = [
@@ -97,7 +99,18 @@ def line_plot_svg(
         f'<line x1="{MARGIN_LEFT}" y1="{MARGIN_TOP}" x2="{MARGIN_LEFT}" '
         f'y2="{HEIGHT - MARGIN_BOTTOM}" {_AXIS_STYLE}/>'
     )
-    coords = " ".join(f"{_fmt(px(a))},{_fmt(py(b))}" for a, b in zip(x, y))
+    # formatted from Python floats, a chunk at a time to bound the transient lists
+    plot_x, plot_y = px(x), py(y)
+    coords = " ".join(
+        " ".join(
+            map(
+                "{:.2f},{:.2f}".format,
+                plot_x[i : i + POLYLINE_CHUNK].tolist(),
+                plot_y[i : i + POLYLINE_CHUNK].tolist(),
+            )
+        )
+        for i in range(0, min(len(plot_x), len(plot_y)), POLYLINE_CHUNK)
+    )
     parts.append(
         f'<polyline points="{coords}" fill="none" stroke="#34558b" stroke-width="1"/>'
     )

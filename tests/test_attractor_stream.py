@@ -91,21 +91,54 @@ def generate_attractor_points(
     return GraphSample(x=xs, y=ys, generation=depth, max_error_bound=0.0)
 
 
-@st.composite
-def models(draw):
-    """Random partitions of [0, 1] (P 2..10, widths >= 1e-2) with signed scaling."""
-    p_count = draw(st.integers(2, 10))
+def _partition(draw, p_count):
+    """A random partition of [0, 1] into ``p_count`` intervals of width >= 1e-2."""
     weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=p_count, max_size=p_count)))
     weights = weights + 1e-3  # an all-zero draw gives the uniform partition
     widths = 1e-2 + (1.0 - 1e-2 * p_count) * weights / weights.sum()
     x = np.concatenate([[0.0], np.cumsum(widths)])
     x[-1] = 1.0
-    y = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=p_count + 1, max_size=p_count + 1)))
-    alpha = draw(
+    return x
+
+
+def _scaling(draw, p_count):
+    return draw(
         st.lists(st.floats(-0.95, 0.95, exclude_min=True, exclude_max=True),
                  min_size=p_count, max_size=p_count)
     )
-    return build_fif_model(InterpolationData(x, y), alpha)
+
+
+@st.composite
+def models(draw):
+    """Random partitions of [0, 1] (P 2..10, widths >= 1e-2) with signed scaling."""
+    p_count = draw(st.integers(2, 10))
+    x = _partition(draw, p_count)
+    y = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=p_count + 1, max_size=p_count + 1)))
+    return build_fif_model(InterpolationData(x, y), _scaling(draw, p_count))
+
+
+@st.composite
+def shallow_models(draw):
+    """A model and a depth (0..5) whose stream holds at most about 20,000
+    points. The data are random, collinear or flat, around 0 or 1, at unit
+    or 1e-12 scale; the scaling is signed, or zero."""
+    p_count = draw(st.integers(2, 10))
+    x = _partition(draw, p_count)
+    shape = draw(st.sampled_from(["random", "collinear", "flat"]))
+    if shape == "random":
+        u = np.array(
+            draw(st.lists(st.floats(-1.0, 1.0), min_size=p_count + 1, max_size=p_count + 1))
+        )
+    else:
+        slope = draw(st.floats(-1.0, 1.0)) if shape == "collinear" else 0.0
+        u = draw(st.floats(-1.0, 1.0)) + slope * x
+    y = draw(st.sampled_from([0.0, 1.0])) + draw(st.sampled_from([1.0, 1e-12])) * u
+    alpha = [0.0] * p_count if draw(st.booleans()) else _scaling(draw, p_count)
+    max_depth = 0
+    while max_depth < 5 and (p_count + 1) * p_count ** (max_depth + 1) <= 20_000:
+        max_depth += 1
+    depth = draw(st.integers(0, max_depth))
+    return build_fif_model(InterpolationData(x, y), alpha), depth
 
 
 # one run per piece puts every seam twin across two pieces
@@ -137,6 +170,40 @@ def test_streamed_cloud_counts_like_the_normalized_sample(model, depth, piece):
             curve = estimate_dimension(cloud, k_min, k_max, min_points_per_box=1).curve
             for level in curve.levels:
                 assert level.count == count_boxes(want, level.k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    model_depth=shallow_models(),
+    piece=st.sampled_from([1, 7, 50, fif.PIECE_POINTS]),
+    group=st.sampled_from([1, 3, fif.BOUND_GROUP_RUNS]),
+)
+def test_length_and_bounds_match_the_stream(model_depth, piece, group):
+    model, depth = model_depth
+    with mock.patch.object(fif, "PIECE_POINTS", piece), mock.patch.object(
+        fif, "BOUND_GROUP_RUNS", group
+    ):
+        blocks = AttractorBlocks(model, depth)
+        x = np.concatenate([x.ravel() for x, _ in blocks])
+        y = np.concatenate([y.ravel() for _, y in blocks])
+        assert len(blocks) == x.size
+        assert blocks.bounds == (x.min(), x.max(), y.min(), y.max())
+
+
+@pytest.mark.parametrize(
+    "level, alpha, depth",
+    [(2.09389959e-13, [0.3, 0.5], 4), (0.1, [0.0, 0.5, -0.8125, 0.75, 0.3], 2)],
+)
+def test_bounds_where_rounding_alone_sets_the_extremes(level, alpha, depth):
+    # on flat data every point is the level up to rounding, and the interval
+    # bounds round differently from the points they bound
+    p_count = len(alpha)
+    data = InterpolationData(np.linspace(0.0, 1.0, p_count + 1), np.full(p_count + 1, level))
+    with mock.patch.object(fif, "BOUND_GROUP_RUNS", 1):
+        blocks = AttractorBlocks(build_fif_model(data, alpha), depth)
+        y = np.concatenate([y.ravel() for _, y in blocks])
+        assert y.min() < y.max()
+        assert blocks.bounds[2:] == (y.min(), y.max())
 
 
 def _without_seam_twins(x, y, run):

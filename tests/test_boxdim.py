@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fractalmark.boxdim import (
     DENSE_CELLS,
@@ -28,6 +29,23 @@ def brute_force_count(cloud, k):
         yi = min(int(yv * m), m - 1)
         cells.add((xi, yi))
     return len(cells)
+
+
+class HeldBlocks:
+    """Blocks held in a list, reporting the length and bounds of their concatenation."""
+
+    def __init__(self, blocks):
+        self._blocks = list(blocks)
+        x = np.concatenate([x.ravel() for x, _ in self._blocks])
+        y = np.concatenate([y.ravel() for _, y in self._blocks])
+        self._n = x.size
+        self.bounds = (x.min(), x.max(), y.min(), y.max())
+
+    def __len__(self):
+        return self._n
+
+    def __iter__(self):
+        return iter(self._blocks)
 
 
 class TestNormalize:
@@ -64,7 +82,9 @@ class TestNormalize:
     def test_streamed_blocks_normalize_like_their_concatenation(self):
         rng = np.random.default_rng(5)
         x, y = rng.normal(size=2_000), rng.normal(size=2_000)
-        cloud = StreamedCloud([(x[i : i + 300], y[i : i + 300]) for i in range(0, 2_000, 300)])
+        cloud = StreamedCloud(
+            HeldBlocks((x[i : i + 300], y[i : i + 300]) for i in range(0, 2_000, 300))
+        )
         whole = normalize_to_unit_square(x, y)
         assert len(cloud) == len(whole)
         assert cloud.original_bounds == whole.original_bounds
@@ -73,9 +93,11 @@ class TestNormalize:
 
     def test_streamed_blocks_refused_like_arrays(self):
         with pytest.raises(ComputationError, match="identical"):
-            StreamedCloud([(np.full(2, 2.0), np.full(2, 3.0)), (np.full(3, 2.0), np.full(3, 3.0))])
+            StreamedCloud(
+                HeldBlocks([(np.full(2, 2.0), np.full(2, 3.0)), (np.full(3, 2.0), np.full(3, 3.0))])
+            )
         with pytest.raises(InputError, match="finite"):
-            StreamedCloud([(np.array([0.0, 1.0]), np.array([0.0, np.nan]))])
+            StreamedCloud(HeldBlocks([(np.array([0.0, 1.0]), np.array([0.0, np.nan]))]))
 
 
 class TestCountBoxes:
@@ -173,6 +195,22 @@ class TestEstimateDimension:
         cloud = normalize_to_unit_square(sample.x, sample.y)
         estimate = estimate_dimension(cloud, 2, 7)
         counts = [lv.count for lv in estimate.curve.levels]
+        for before, after in zip(counts, counts[1:]):
+            assert before <= after <= 4 * before
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        points=st.lists(
+            st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=2, max_size=400
+        )
+    )
+    def test_random_clouds_grow_monotone_and_at_most_fourfold(self, points):
+        x, y = np.array(points).T
+        assume(x.min() < x.max())
+        cloud = normalize_to_unit_square(x, y)
+        # levels up to 10 count on a dense bitmap, 11 and 12 on sorted keys
+        counts = [count_boxes(cloud, k) for k in range(13)]
+        assert counts[0] == 1
         for before, after in zip(counts, counts[1:]):
             assert before <= after <= 4 * before
 

@@ -138,6 +138,26 @@ class TestBuildPanel:
         with pytest.raises(InputError, match="ragged|rectangular"):
             build_panel([[0.1, 0.2], [0.3]])
 
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ([[0.1, 0.2], [0.3]], "must be rectangular (ragged input?)"),
+            ([0.1, 0.2], "must be rectangular (ragged input?)"),
+            (np.array([0.1, 0.2]), "must be rectangular (ragged input?)"),
+            ([[[0.1, 0.2]]], "must be rectangular (ragged input?)"),
+            (np.zeros((2, 3, 1)), "must be rectangular (ragged input?)"),
+            ([], "must be rectangular (ragged input?)"),
+            ([[]], "must be non-empty"),
+            (np.empty((0, 3)), "must be non-empty"),
+            ([[0.1, float("nan")]], "abnormal returns must be finite"),
+            (np.array([[0.1], [np.inf]]), "abnormal returns must be finite"),
+        ],
+    )
+    def test_refusals_keep_their_wording(self, matrix, message):
+        with pytest.raises(InputError) as refused:
+            build_panel(matrix)
+        assert str(refused.value).endswith(message)
+
     def test_telescoping_exact(self):
         rng = np.random.default_rng(9)
         panel = build_panel(rng.normal(0, 0.01, (4, 40)))

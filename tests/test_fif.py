@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fractalmark.errors import ComputationError, InputError
 from fractalmark.event_study import InterpolationData
@@ -361,6 +362,27 @@ class TestVerifyInterpolation:
         )
         with pytest.raises(ComputationError, match="missing"):
             verify_interpolation(truncated, AAR)
+
+
+@st.composite
+def random_models(draw):
+    """Random partitions of [0, 1] (P 2..10, widths >= 1e-2), ordinates and signed scaling."""
+    p_count = draw(st.integers(2, 10))
+    weights = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=p_count, max_size=p_count)))
+    x = np.concatenate([[0.0], np.cumsum(1e-2 + (1.0 - 1e-2 * p_count) * weights / weights.sum())])
+    x[-1] = 1.0
+    y = draw(st.lists(st.floats(-1.0, 1.0), min_size=p_count + 1, max_size=p_count + 1))
+    alpha = draw(st.lists(st.floats(-0.9, 0.9), min_size=p_count, max_size=p_count))
+    return build_fif_model(InterpolationData(x, np.array(y)), alpha)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=random_models())
+def test_both_evaluators_interpolate_random_data(model):
+    attractor = generate_attractor_points(model, 3)
+    assert verify_interpolation(attractor, model.data) < 1e-7
+    fixed = evaluate_fif_fixed_point(model, grid_size=20 * model.data.intervals, iteration_cap=40)
+    assert verify_interpolation(fixed, model.data) < 1e-7
 
 
 class TestSelfReferentialIdentity:
