@@ -12,37 +12,26 @@ from .market_data import (
 )
 from .event_study import (
     AbnormalReturnPanel,
-    CapmParams,
-    EventWindow,
     InterpolationData,
     build_panel,
     estimate_capm,
-    extract_event_window,
     subsample_to_grid,
 )
 from .fif import (
-    AffineMaps,
     AttractorBlocks,
     FifModel,
     GraphSample,
-    PiecewiseLinear,
     ScalingVector,
-    base_from_germ,
-    build_affine_maps,
     build_fif_model,
     evaluate_fif_fixed_point,
     generate_attractor_points,
-    germ_piecewise_linear,
-    rb_operator_apply,
     verify_interpolation,
 )
 from .boxdim import (
     BoxCountCurve,
     DimensionEstimate,
-    NormalizedCloud,
     StreamedCloud,
     affine_fif_dimension_oracle,
-    count_boxes,
     estimate_dimension,
     normalize_to_unit_square,
 )
@@ -56,34 +45,23 @@ __all__ = [
     "ReturnSeries",
     "parse_price_csv",
     "daily_returns",
-    "CapmParams",
-    "EventWindow",
     "AbnormalReturnPanel",
     "InterpolationData",
     "estimate_capm",
     "build_panel",
-    "extract_event_window",
     "subsample_to_grid",
-    "AffineMaps",
     "ScalingVector",
-    "PiecewiseLinear",
     "FifModel",
     "GraphSample",
-    "build_affine_maps",
-    "germ_piecewise_linear",
-    "base_from_germ",
     "build_fif_model",
-    "rb_operator_apply",
     "evaluate_fif_fixed_point",
     "generate_attractor_points",
     "AttractorBlocks",
     "verify_interpolation",
-    "NormalizedCloud",
     "StreamedCloud",
     "BoxCountCurve",
     "DimensionEstimate",
     "normalize_to_unit_square",
-    "count_boxes",
     "estimate_dimension",
     "affine_fif_dimension_oracle",
 ]

@@ -6,9 +6,12 @@ Algorithm:
       and count the cells holding at least one point
     - regress log2(count) on k; the slope estimates the box dimension
 
-A cloud is either held in memory (``NormalizedCloud``) or read block by
-block (``StreamedCloud``, used for attractor samples too large to hold);
-both are quantized and counted by the same code.
+Every cloud is a ``StreamedCloud``: (x, y) blocks that report their point
+count and bounds up front, so the rescale needs no first pass. Blocks come
+from ``HeldBlocks`` for arrays in memory, or from a generator such as
+``fif.AttractorBlocks`` for attractor samples too large to hold. Each box
+count rescales and quantizes one block at a time. A y-range within
+``DEGENERATE_Y_ULPS`` ulps of max|y| is taken as constant y.
 
 Levels where the sample is too sparse to fill its cells (more occupied
 boxes than points / min_points_per_box) are excluded from the regression,
@@ -37,38 +40,8 @@ DEFAULT_MIN_POINTS_PER_BOX = 25
 MAX_LEVEL = 30
 # occupancy is a dense bitmap up to max(points, DENSE_CELLS) cells (1 MB)
 DENSE_CELLS = 1 << 20
-
-Blocks = Iterable[tuple[np.ndarray, np.ndarray]]
-
-
-@dataclass(frozen=True, eq=False)
-class NormalizedCloud:
-    """Points rescaled into the unit square, keeping the original bounds.
-
-    ``degenerate_y`` marks a constant-y input, whose points were mapped to
-    y = 0.5 by convention.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    original_bounds: tuple[float, float, float, float]
-    degenerate_y: bool = False
-
-    def __post_init__(self) -> None:
-        if self.x.shape != self.y.shape or self.x.ndim != 1:
-            raise InputError("cloud must hold matching 1-D x and y arrays")
-        if len(self.x) < 2:
-            raise InputError("cloud must retain at least 2 points")
-        for arr, name in ((self.x, "x"), (self.y, "y")):
-            if arr.min() < 0.0 or arr.max() > 1.0:
-                raise InputError(f"normalized {name} coordinates must lie in [0, 1]")
-
-    def __len__(self) -> int:
-        return len(self.x)
-
-    def normalized_blocks(self) -> Blocks:
-        """The coordinates as a single block; they are normalized already."""
-        return ((self.x, self.y),)
+# y-ranges within this many ulps of max|y| are rounding noise: constant y
+DEGENERATE_Y_ULPS = 32
 
 
 class BoundedBlocks(Protocol):
@@ -82,13 +55,53 @@ class BoundedBlocks(Protocol):
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]: ...
 
 
+class HeldBlocks:
+    """(x, y) array pairs held in memory, whose ``len()`` and ``bounds`` are
+    those of their concatenation.
+
+    ``bounds`` may declare the frame instead, such as the unit square for
+    coordinates normalized already; every point must then be finite and
+    inside it.
+    """
+
+    def __init__(
+        self,
+        blocks: Iterable[tuple[np.ndarray, np.ndarray]],
+        bounds: tuple[float, float, float, float] | None = None,
+    ) -> None:
+        pairs = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float)) for x, y in blocks]
+        if any(x.shape != y.shape or x.ndim != 1 for x, y in pairs):
+            raise InputError("cloud must hold matching 1-D x and y arrays")
+        self._blocks = [(x, y) for x, y in pairs if x.size]
+        if not self._blocks:
+            raise InputError("cloud must retain at least 2 points")
+        self._n = sum(x.size for x, _ in self._blocks)
+        # numpy's min/max propagate nan, so a non-finite point shows in the bounds
+        lo = np.array([(x.min(), y.min()) for x, y in self._blocks]).min(axis=0)
+        hi = np.array([(x.max(), y.max()) for x, y in self._blocks]).max(axis=0)
+        data = (float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]))
+        if not all(math.isfinite(b) for b in data):
+            raise InputError("cloud coordinates must be finite")
+        if bounds is not None:
+            x_min, x_max, y_min, y_max = bounds
+            if data[0] < x_min or data[1] > x_max or data[2] < y_min or data[3] > y_max:
+                raise InputError(f"cloud coordinates must lie within the declared bounds {bounds}")
+        self.bounds = data if bounds is None else bounds
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        return iter(self._blocks)
+
+
 class StreamedCloud:
-    """A cloud read block by block, normalized as ``normalize_to_unit_square``
-    would normalize all its blocks concatenated, and never held whole.
+    """A cloud read block by block, each block rescaled onto the unit square
+    by the bounds of the whole cloud.
 
     The point count and the bounds come from ``len(blocks)`` and
-    ``blocks.bounds``; every box count reads the blocks, so memory stays at
-    one block.
+    ``blocks.bounds``; every box count reads the blocks, so a streamed
+    source stays at one block in memory.
     """
 
     def __init__(self, blocks: BoundedBlocks) -> None:
@@ -150,7 +163,8 @@ class DimensionEstimate:
 
 
 def _is_y_degenerate(bounds: tuple[float, float, float, float]) -> bool:
-    """Refuse bounds that cannot be normalized; True for a constant-y cloud."""
+    """Refuse bounds that cannot be normalized; True for a constant-y cloud,
+    one whose y-range is at most ``DEGENERATE_Y_ULPS`` ulps of max|y|."""
     if not all(math.isfinite(b) for b in bounds):
         raise InputError("cloud coordinates must be finite")
     x_min, x_max, y_min, y_max = bounds
@@ -158,7 +172,7 @@ def _is_y_degenerate(bounds: tuple[float, float, float, float]) -> bool:
         raise ComputationError("all points are identical: nothing to normalize")
     if x_min == x_max:
         raise ComputationError("degenerate x-range: cloud is a vertical segment")
-    return y_min == y_max
+    return y_max - y_min <= DEGENERATE_Y_ULPS * math.ulp(max(abs(y_min), abs(y_max)))
 
 
 def _to_unit(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -168,8 +182,9 @@ def _to_unit(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.clip(out, 0.0, 1.0, out=out)
 
 
-def normalize_to_unit_square(x: np.ndarray, y: np.ndarray) -> NormalizedCloud:
-    """Affine per-axis rescale onto [0, 1] x [0, 1].
+def normalize_to_unit_square(x: np.ndarray, y: np.ndarray) -> StreamedCloud:
+    """The two arrays as a one-block cloud, rescaled per axis onto
+    [0, 1] x [0, 1] whenever a count reads it.
 
     A constant-y input maps to y = 0.5 everywhere and is flagged; constant
     x (or a single repeated point) cannot be normalized.
@@ -178,16 +193,7 @@ def normalize_to_unit_square(x: np.ndarray, y: np.ndarray) -> NormalizedCloud:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or len(x) < 2:
         raise InputError("need two matching 1-D coordinate arrays with >= 2 points")
-    bounds = (float(x.min()), float(x.max()), float(y.min()), float(y.max()))
-    x_min, x_max, y_min, y_max = bounds
-    degenerate_y = _is_y_degenerate(bounds)
-    xn = _to_unit(x, x_min, x_max)
-    if degenerate_y:
-        return NormalizedCloud(xn, np.full_like(xn, 0.5), bounds, degenerate_y=True)
-    return NormalizedCloud(xn, _to_unit(y, y_min, y_max), bounds)
-
-
-Cloud = NormalizedCloud | StreamedCloud
+    return StreamedCloud(HeldBlocks([(x, y)]))
 
 
 def _cell_index(v: np.ndarray, m: int) -> np.ndarray:
@@ -196,7 +202,7 @@ def _cell_index(v: np.ndarray, m: int) -> np.ndarray:
     return np.minimum(index, m - 1, out=index)
 
 
-def _level_counts(cloud: Cloud, k_min: int, k_max: int) -> dict[int, int]:
+def _level_counts(cloud: StreamedCloud, k_min: int, k_max: int) -> dict[int, int]:
     """Occupied cells per level from one quantization at ``k_max``.
 
     Coarser levels merge each 2x2 block of cells. Occupancy is a dense
@@ -232,7 +238,7 @@ def _level_counts(cloud: Cloud, k_min: int, k_max: int) -> dict[int, int]:
     return counts
 
 
-def count_boxes(cloud: Cloud, k: int) -> int:
+def count_boxes(cloud: StreamedCloud, k: int) -> int:
     """Number of occupied cells in the 2^k x 2^k half-open grid."""
     if not 0 <= k <= MAX_LEVEL:
         raise InputError(f"level k must be in [0, {MAX_LEVEL}], got {k}")
@@ -240,7 +246,7 @@ def count_boxes(cloud: Cloud, k: int) -> int:
 
 
 def estimate_dimension(
-    cloud: Cloud,
+    cloud: StreamedCloud,
     k_min: int = DEFAULT_K_MIN,
     k_max: int = DEFAULT_K_MAX,
     min_points_per_box: int = DEFAULT_MIN_POINTS_PER_BOX,

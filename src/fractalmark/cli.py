@@ -313,11 +313,7 @@ def cmd_boxdim(args: argparse.Namespace) -> int:
     if normalize:
         cloud = boxdim.normalize_to_unit_square(x, y)
     else:
-        if x.min() < 0 or x.max() > 1 or y.min() < 0 or y.max() > 1:
-            raise InputError("--no-normalize requires coordinates already within [0, 1]")
-        cloud = boxdim.NormalizedCloud(
-            x, y, (float(x.min()), float(x.max()), float(y.min()), float(y.max()))
-        )
+        cloud = boxdim.StreamedCloud(boxdim.HeldBlocks([(x, y)], bounds=(0.0, 1.0, 0.0, 1.0)))
     estimate = boxdim.estimate_dimension(
         cloud,
         k_min=resolve(args.k_min, cfg, "k_min", boxdim.DEFAULT_K_MIN, int),

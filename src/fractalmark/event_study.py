@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ComputationError, InputError
-from .market_data import ReturnSeries, align_on_calendar
+from .market_data import ReturnSeries, _frozen, align_on_calendar
 
 DEFAULT_PRE_DAYS = 15
 DEFAULT_POST_DAYS = 15
@@ -117,14 +117,15 @@ class InterpolationData:
 
     Requires x[0] = 0, x[-1] = 1 and at least 3 points. Collinearity is not
     rejected here; the interpolation module checks it where it matters.
+    Both arrays are held as read-only copies.
     """
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
+        object.__setattr__(self, "x", _frozen(self.x, np.float64))
+        object.__setattr__(self, "y", _frozen(self.y, np.float64))
         if self.x.ndim != 1 or self.x.shape != self.y.shape:
             raise InputError("x and y must be 1-D arrays of equal length")
         if len(self.x) < 3:

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fractalmark.boxdim import (
     DENSE_CELLS,
-    NormalizedCloud,
+    HeldBlocks,
     StreamedCloud,
     affine_fif_dimension_oracle,
     count_boxes,
@@ -14,38 +14,34 @@ from fractalmark.boxdim import (
     normalize_to_unit_square,
 )
 from fractalmark.errors import ComputationError, InputError
-from fractalmark.fif import ScalingVector, build_fif_model, generate_attractor_points
+from fractalmark.event_study import InterpolationData
+from fractalmark.fif import AttractorBlocks, ScalingVector, build_fif_model, generate_attractor_points
 from fractalmark.fixtures import nifty50_2024_grid
 
 AAR = nifty50_2024_grid("aar")
+UNIT_SQUARE = (0.0, 1.0, 0.0, 1.0)
+
+
+def unit_cloud(x, y):
+    """Coordinates already in the unit square, counted as they are."""
+    return StreamedCloud(HeldBlocks([(np.array(x), np.array(y))], bounds=UNIT_SQUARE))
+
+
+def normalized(cloud):
+    """The cloud's normalized coordinates, concatenated over its blocks."""
+    xs, ys = zip(*cloud.normalized_blocks())
+    return np.concatenate(xs), np.concatenate(ys)
 
 
 def brute_force_count(cloud, k):
     """Independent oracle: enumerate occupied cells with plain Python sets."""
     m = 2**k
     cells = set()
-    for xv, yv in zip(cloud.x, cloud.y):
+    for xv, yv in zip(*normalized(cloud)):
         xi = min(int(xv * m), m - 1)
         yi = min(int(yv * m), m - 1)
         cells.add((xi, yi))
     return len(cells)
-
-
-class HeldBlocks:
-    """Blocks held in a list, reporting the length and bounds of their concatenation."""
-
-    def __init__(self, blocks):
-        self._blocks = list(blocks)
-        x = np.concatenate([x.ravel() for x, _ in self._blocks])
-        y = np.concatenate([y.ravel() for _, y in self._blocks])
-        self._n = x.size
-        self.bounds = (x.min(), x.max(), y.min(), y.max())
-
-    def __len__(self):
-        return self._n
-
-    def __iter__(self):
-        return iter(self._blocks)
 
 
 class TestNormalize:
@@ -53,9 +49,10 @@ class TestNormalize:
         x = np.array([0.0, 0.5, 1.0])
         y = np.array([-0.01, 0.0, 0.01])
         cloud = normalize_to_unit_square(x, y)
-        np.testing.assert_allclose(cloud.x, [0.0, 0.5, 1.0], atol=1e-15)
+        xn, yn = normalized(cloud)
+        np.testing.assert_allclose(xn, [0.0, 0.5, 1.0], atol=1e-15)
         # y spans 0.02, so the middle value lands at 0.5 after a 50x stretch
-        np.testing.assert_allclose(cloud.y, [0.0, 0.5, 1.0], atol=1e-15)
+        np.testing.assert_allclose(yn, [0.0, 0.5, 1.0], atol=1e-15)
         assert cloud.original_bounds == (0.0, 1.0, -0.01, 0.01)
 
     def test_unit_square_unchanged(self):
@@ -63,13 +60,14 @@ class TestNormalize:
         x = np.concatenate([[0.0], rng.random(50), [1.0]])
         y = np.concatenate([[0.0], rng.random(50), [1.0]])
         cloud = normalize_to_unit_square(x, y)
-        np.testing.assert_allclose(cloud.x, x, atol=1e-15)
-        np.testing.assert_allclose(cloud.y, y, atol=1e-15)
+        xn, yn = normalized(cloud)
+        np.testing.assert_allclose(xn, x, atol=1e-15)
+        np.testing.assert_allclose(yn, y, atol=1e-15)
 
     def test_constant_y_flagged(self):
         cloud = normalize_to_unit_square(np.array([0.0, 1.0, 2.0]), np.full(3, 7.0))
         assert cloud.degenerate_y
-        assert np.all(cloud.y == 0.5)
+        assert np.all(normalized(cloud)[1] == 0.5)
 
     def test_identical_points_rejected(self):
         with pytest.raises(ComputationError, match="identical"):
@@ -99,21 +97,72 @@ class TestNormalize:
         with pytest.raises(InputError, match="finite"):
             StreamedCloud(HeldBlocks([(np.array([0.0, 1.0]), np.array([0.0, np.nan]))]))
 
+    def test_held_blocks_bounds_come_from_every_block(self):
+        blocks = HeldBlocks([(np.array([0.2, 0.5]), np.array([3.0, -1.0])), (np.zeros(0), np.zeros(0)),
+                             (np.array([-4.0]), np.array([2.0]))])
+        assert len(blocks) == 3
+        assert blocks.bounds == (-4.0, 0.5, -1.0, 3.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_declared_frame_refuses_non_finite_points(self, bad):
+        for x, y in (([0.0, bad, 1.0], [0.5, 0.5, 0.5]), ([0.0, 0.5, 1.0], [0.5, bad, 0.5])):
+            with pytest.raises(InputError, match="finite"):
+                HeldBlocks([(np.array(x), np.array(y))], bounds=UNIT_SQUARE)
+
+    def test_declared_frame_refuses_points_outside_it(self):
+        for x, y in (([0.0, 1.5], [0.0, 1.0]), ([0.0, 1.0], [-0.1, 1.0])):
+            with pytest.raises(InputError, match="declared bounds"):
+                HeldBlocks([(np.array(x), np.array(y))], bounds=UNIT_SQUARE)
+        cloud = unit_cloud([0.25, 0.75], [0.5, 0.5])
+        assert cloud.original_bounds == UNIT_SQUARE
+        assert not cloud.degenerate_y
+
+
+def flat_attractor(level, alpha, depth, intervals=10, base="square"):
+    data = InterpolationData(np.linspace(0.0, 1.0, intervals + 1), np.full(intervals + 1, level))
+    return StreamedCloud(AttractorBlocks(build_fif_model(data, alpha, base=base), depth))
+
+
+class TestDegenerateY:
+    def test_flat_data_with_scaling_is_flagged(self):
+        # the attractor's y-range is one ulp of rounding noise, not a curve
+        cloud = flat_attractor(0.1, 0.5, 4)
+        assert cloud.original_bounds[2:] == (0.1, 0.10000000000000002)
+        assert cloud.degenerate_y
+        estimate = estimate_dimension(cloud, 2, 6, 1)
+        assert estimate.dimension == 1.0
+        assert any("degenerate y-range" in w for w in estimate.warnings)
+
+    def test_small_but_real_y_range_is_not_flagged(self):
+        x = np.linspace(0.0, 1.0, 5)
+        assert not normalize_to_unit_square(x, 1.0 + 1e-12 * x).degenerate_y
+        assert normalize_to_unit_square(x, 1.0 + 1e-15 * x).degenerate_y
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        intervals=st.integers(2, 12),
+        level=st.floats(1e-15, 1e10),
+        sign=st.sampled_from([-1.0, 1.0]),
+        alpha=st.data(),
+        depth=st.integers(0, 5),
+        base=st.sampled_from(["square", "chord"]),
+    )
+    def test_flat_data_always_flagged(self, intervals, level, sign, alpha, depth, base):
+        assume(intervals**depth <= 20_000)
+        scaling = alpha.draw(
+            st.lists(st.floats(-0.99, 0.99), min_size=intervals, max_size=intervals)
+        )
+        assert flat_attractor(sign * level, scaling, depth, intervals, base).degenerate_y
+
 
 class TestCountBoxes:
     def test_single_location_counts_one(self):
-        cloud = NormalizedCloud(
-            np.array([0.3, 0.3]), np.array([0.4, 0.4]), (0.0, 1.0, 0.0, 1.0)
-        )
+        cloud = unit_cloud([0.3, 0.3], [0.4, 0.4])
         for k in (0, 1, 3, 8):
             assert count_boxes(cloud, k) == 1
 
     def test_four_corners_at_k1(self):
-        cloud = NormalizedCloud(
-            np.array([0.0, 0.0, 1.0, 1.0]),
-            np.array([0.0, 1.0, 0.0, 1.0]),
-            (0.0, 1.0, 0.0, 1.0),
-        )
+        cloud = unit_cloud([0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0])
         assert count_boxes(cloud, 1) == 4
         assert count_boxes(cloud, 0) == 1
 
@@ -141,13 +190,11 @@ class TestCountBoxes:
         assert count_boxes(cloud, 30) == brute_force_count(cloud, 30)
 
     def test_boundary_points_assigned_to_last_cell(self):
-        cloud = NormalizedCloud(
-            np.array([1.0, 0.999999]), np.array([1.0, 1.0]), (0.0, 1.0, 0.0, 1.0)
-        )
+        cloud = unit_cloud([1.0, 0.999999], [1.0, 1.0])
         assert count_boxes(cloud, 1) == 1
 
     def test_level_bounds(self):
-        cloud = NormalizedCloud(np.array([0.0, 1.0]), np.array([0.0, 1.0]), (0, 1, 0, 1))
+        cloud = unit_cloud([0.0, 1.0], [0.0, 1.0])
         with pytest.raises(InputError):
             count_boxes(cloud, -1)
         with pytest.raises(InputError):
@@ -273,7 +320,7 @@ class TestEstimateDimension:
             estimate_dimension(cloud, 2, 6, min_points_per_box=30)
 
     def test_level_validation(self):
-        cloud = NormalizedCloud(np.array([0.0, 1.0]), np.array([0.0, 1.0]), (0, 1, 0, 1))
+        cloud = unit_cloud([0.0, 1.0], [0.0, 1.0])
         with pytest.raises(InputError):
             estimate_dimension(cloud, 5, 5)
         with pytest.raises(InputError):

@@ -315,6 +315,15 @@ class TestBoxdim:
         path.write_text("x,y\n0.0,0.0\n5.0,5.0\n")
         assert main(["boxdim", "--sample", str(path), "--no-normalize"]) == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_no_normalize_refuses_non_finite_rows(self, tmp_path, capsys, bad):
+        path = tmp_path / "odd.csv"
+        path.write_text(f"x,y\n0.0,0.0\n0.5,{bad}\n1.0,1.0\n")
+        assert main(["boxdim", "--sample", str(path), "--no-normalize"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
+        assert "Traceback" not in err
+
 
 @pytest.fixture(scope="module")
 def report_dir(tmp_path_factory):

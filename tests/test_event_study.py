@@ -238,6 +238,16 @@ class TestInterpolationData:
         with pytest.raises(InputError, match="normalized"):
             InterpolationData(np.array([0.1, 0.5, 1.0]), np.zeros(3))
 
+    def test_holds_read_only_copies(self):
+        x, y = np.linspace(0.0, 1.0, 11), np.sin(np.arange(11.0))
+        data = InterpolationData(x, y)
+        y[3] = 5.0
+        assert data.y[3] == np.sin(3.0)
+        with pytest.raises(ValueError, match="read-only"):
+            data.x[1] = 0.2
+        with pytest.raises(ValueError, match="read-only"):
+            data.y[1] = 0.2
+
 
 class TestPanelCsv:
     def test_schema_and_values(self):

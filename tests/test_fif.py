@@ -385,6 +385,37 @@ def test_both_evaluators_interpolate_random_data(model):
     assert verify_interpolation(fixed, model.data) < 1e-7
 
 
+@st.composite
+def grid_invariant_models(draw):
+    """Uniform partitions with a fixed-point grid that every l_p^{-1} maps
+    onto itself (grid_size - 1 a multiple of P^(depth+1)), so that linear
+    interpolation on the grid adds no error; with the attractor depth."""
+    p_count = draw(st.sampled_from([2, 3, 4, 5, 8, 10]))
+    depth = draw(st.integers(0, 2))
+    cells = p_count ** (depth + 1)
+    least = -(-(10 * p_count - 1) // cells)
+    grid_size = cells * draw(st.integers(least, least + 3)) + 1
+    y = draw(st.lists(st.floats(-1.0, 1.0), min_size=p_count + 1, max_size=p_count + 1))
+    alpha = draw(st.lists(st.floats(-0.95, 0.95), min_size=p_count, max_size=p_count))
+    base = draw(st.sampled_from(["square", "chord"]))
+    return build_fif_model(uniform_data(y), alpha, base=base), depth, grid_size
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=grid_invariant_models())
+def test_attractor_agrees_with_fixed_point_within_its_bound(case):
+    # the iteration cap may be hit for |alpha| near 0.95; the bound still holds
+    model, depth, grid_size = case
+    attractor = generate_attractor_points(model, depth)
+    fixed = evaluate_fif_fixed_point(model, grid_size=grid_size)
+    twin = np.clip(np.searchsorted(fixed.x, attractor.x), 1, len(fixed) - 1)
+    nearer_left = np.abs(fixed.x[twin - 1] - attractor.x) < np.abs(fixed.x[twin] - attractor.x)
+    twin = np.where(nearer_left, twin - 1, twin)
+    assert np.max(np.abs(fixed.x[twin] - attractor.x)) <= 1e-12
+    gap = np.max(np.abs(fixed.y[twin] - attractor.y))
+    assert gap <= fixed.max_error_bound + 1e-12 * np.max(np.abs(attractor.y))
+
+
 class TestSelfReferentialIdentity:
     @pytest.mark.parametrize("alpha", [0.3, 0.5, MIXED_ALPHA])
     def test_identity_at_sample_points(self, alpha):
