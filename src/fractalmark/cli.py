@@ -1,8 +1,9 @@
 """Command-line interface: ingest, event-study, fif, boxdim, report.
 
 Exit status contract: 0 on success, 1 on a computation failure, 2 on a
-usage or input error. Every flag can also be supplied through a flat
-``key=value`` file via ``--config``; explicit flags win.
+usage or input error. Each subcommand's options are declared once, in
+``COMMANDS``; every option can also be supplied through a flat ``key=value``
+file via ``--config``, keyed by its name. Explicit flags win.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ import argparse
 import sys
 from datetime import date as Date
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from . import __version__, boxdim, fif
-from .config import load_config, resolve
+from . import __version__, boxdim, event_study, fif
+from .config import items, load_config, switch
 from .csvio import read_xy_csv, write_xy_csv
 from .errors import ComputationError, InputError
 from .event_study import (
@@ -32,103 +34,6 @@ from .report import DEFAULT_REPORT_DEPTH, DEFAULT_SAMPLE_DEPTH, run_report
 from .svgplot import line_plot_svg
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fractalmark",
-        description=(
-            "Event-study abnormal returns on daily index data, fractal "
-            "interpolation of the resulting series, and box-counting "
-            "dimension analysis."
-        ),
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_ingest = sub.add_parser("ingest", help="parse a price CSV and write daily returns")
-    p_ingest.add_argument("--input", help="price CSV with date,open,close columns")
-    p_ingest.add_argument("--instrument", help="instrument label (default: input file stem)")
-    p_ingest.add_argument("--out", help="output directory (default: .)")
-    p_ingest.add_argument("--config", help="flat key=value config file")
-
-    p_event = sub.add_parser(
-        "event-study", help="abnormal returns, AAR and CAAR around an event date"
-    )
-    p_event.add_argument(
-        "--asset", action="append", help="asset returns CSV (repeat for several securities)"
-    )
-    p_event.add_argument("--market", help="market returns CSV")
-    p_event.add_argument("--event-date", help="event date, YYYY-MM-DD")
-    p_event.add_argument("--pre-days", type=int, help="trading days before the event (default 15)")
-    p_event.add_argument("--post-days", type=int, help="trading days after the event (default 15)")
-    p_event.add_argument("--risk-free-daily", type=float, help="daily risk-free rate (default 0)")
-    p_event.add_argument("--beta", type=float, help="skip estimation and use this beta")
-    p_event.add_argument(
-        "--estimation-window-days", type=int, help="beta estimation window (default 120)"
-    )
-    p_event.add_argument(
-        "--ar-csv",
-        help="bypass the market model: CSV of precomputed abnormal returns "
-        "(columns: relative_day, then one column per security)",
-    )
-    p_event.add_argument("--out", help="output directory (default: .)")
-    p_event.add_argument("--config", help="flat key=value config file")
-
-    p_fif = sub.add_parser("fif", help="fractal interpolant sample and plot for one data set")
-    p_fif.add_argument("--data", help="interpolation data CSV with columns x,y")
-    p_fif.add_argument(
-        "--alpha", help="vertical scaling: scalar or comma-separated per-interval list"
-    )
-    p_fif.add_argument("--depth", type=int, help="attractor refinement depth (default 4)")
-    p_fif.add_argument("--grid-size", type=int, help="fixed-point grid size (default 6401)")
-    p_fif.add_argument("--tol", type=float, help="fixed-point sup-norm tolerance (default 1e-9)")
-    p_fif.add_argument("--prefix", help="output file prefix (default: fif)")
-    p_fif.add_argument("--out", help="output directory (default: .)")
-    p_fif.add_argument("--config", help="flat key=value config file")
-
-    p_box = sub.add_parser("boxdim", help="box-counting dimension of a point-cloud CSV")
-    p_box.add_argument("--sample", help="point cloud CSV with columns x,y")
-    p_box.add_argument("--k-min", type=int, help="coarsest dyadic level (default 2)")
-    p_box.add_argument("--k-max", type=int, help="finest dyadic level (default 8)")
-    p_box.add_argument(
-        "--min-points-per-box", type=int, help="sparsity guard threshold (default 25)"
-    )
-    p_box.add_argument(
-        "--no-normalize",
-        action="store_true",
-        default=None,
-        help="count on raw coordinates instead of rescaling to the unit square",
-    )
-    p_box.add_argument("--out", help="write the JSON report here (default: stdout)")
-    p_box.add_argument("--loglog", help="optionally write the log-log pairs CSV here")
-    p_box.add_argument("--config", help="flat key=value config file")
-
-    p_rep = sub.add_parser("report", help="full reproduction bundle for the case study")
-    p_rep.add_argument("--outdir", help="bundle directory (default: report_out)")
-    p_rep.add_argument(
-        "--depth", type=int, help="attractor depth for dimension estimation (default 6)"
-    )
-    p_rep.add_argument(
-        "--sample-depth", type=int, help="attractor depth for exported samples (default 3)"
-    )
-    p_rep.add_argument("--grid-size", type=int, help="fixed-point grid size (default 6401)")
-    p_rep.add_argument("--tol", type=float, help="fixed-point tolerance (default 1e-9)")
-    p_rep.add_argument("--k-min", type=int, help="coarsest counting level (default 2)")
-    p_rep.add_argument("--k-max", type=int, help="finest counting level (default 8)")
-    p_rep.add_argument("--min-points-per-box", type=int, help="sparsity guard (default 25)")
-    p_rep.add_argument(
-        "--year-config",
-        action="append",
-        metavar="YEAR=PATH",
-        help="per-year data config (repeatable), e.g. 2023=data/2023.cfg",
-    )
-    p_rep.add_argument("--config", help="flat key=value config file")
-    return parser
-
-
-def _config_of(args: argparse.Namespace) -> dict[str, str]:
-    return load_config(args.config) if getattr(args, "config", None) else {}
-
-
 def _require_file(path_text: str, what: str) -> Path:
     path = Path(path_text)
     if not path.is_file():
@@ -136,20 +41,18 @@ def _require_file(path_text: str, what: str) -> Path:
     return path
 
 
-def _outdir(args: argparse.Namespace, cfg: dict[str, str]) -> Path:
-    out = Path(resolve(args.out, cfg, "out", ".", str))
+def _outdir(args: argparse.Namespace) -> Path:
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    cfg = _config_of(args)
-    input_text = resolve(args.input, cfg, "input", None, str)
-    if not input_text:
+    if not args.input:
         raise InputError("ingest requires --input (or config key 'input')")
-    path = _require_file(input_text, "price CSV")
-    instrument = resolve(args.instrument, cfg, "instrument", path.stem, str)
-    out = _outdir(args, cfg)
+    path = _require_file(args.input, "price CSV")
+    instrument = args.instrument or path.stem
+    out = _outdir(args)
     raw = path.read_bytes()
     ignored = extra_columns(raw)
     if ignored:
@@ -205,42 +108,33 @@ def _read_ar_csv(path: Path) -> tuple[np.ndarray, tuple[int, ...], list[str]]:
 
 
 def cmd_event_study(args: argparse.Namespace) -> int:
-    cfg = _config_of(args)
-    out = _outdir(args, cfg)
-    ar_csv = resolve(args.ar_csv, cfg, "ar_csv", None, str)
-    if ar_csv:
-        matrix, days, labels = _read_ar_csv(_require_file(ar_csv, "abnormal-return CSV"))
+    out = _outdir(args)
+    if args.ar_csv:
+        matrix, days, labels = _read_ar_csv(_require_file(args.ar_csv, "abnormal-return CSV"))
         panel = build_panel(matrix, labels)
         relative_days = days
         notes: list[str] = []
     else:
-        asset_paths = args.asset or (
-            cfg["asset"].split(",") if "asset" in cfg else None
-        )
-        market_path = resolve(args.market, cfg, "market", None, str)
-        event_text = resolve(args.event_date, cfg, "event_date", None, str)
-        if not asset_paths or not market_path or not event_text:
+        if not args.asset or not args.market or not args.event_date:
             raise InputError(
                 "event-study requires --asset, --market and --event-date "
                 "(or the matching config keys), unless --ar-csv is given"
             )
         try:
-            event_date = Date.fromisoformat(event_text)
+            event_date = Date.fromisoformat(args.event_date)
         except ValueError:
-            raise InputError(f"unparseable event date {event_text!r}") from None
-        assets = [_load_returns(p, "asset returns CSV") for p in asset_paths]
-        market = _load_returns(market_path, "market returns CSV")
+            raise InputError(f"unparseable event date {args.event_date!r}") from None
+        assets = [_load_returns(p, "asset returns CSV") for p in args.asset]
+        market = _load_returns(args.market, "market returns CSV")
         panel, relative_days, notes = compute_abnormal_panel(
             assets,
             market,
             event_date,
-            pre_days=resolve(args.pre_days, cfg, "pre_days", 15, int),
-            post_days=resolve(args.post_days, cfg, "post_days", 15, int),
-            risk_free_daily=resolve(args.risk_free_daily, cfg, "risk_free_daily", 0.0, float),
-            beta_override=resolve(args.beta, cfg, "beta", None, float),
-            estimation_window_days=resolve(
-                args.estimation_window_days, cfg, "estimation_window_days", 120, int
-            ),
+            pre_days=args.pre_days,
+            post_days=args.post_days,
+            risk_free_daily=args.risk_free_daily,
+            beta_override=args.beta,
+            estimation_window_days=args.estimation_window_days,
         )
     for note in notes:
         print(f"note: {note}", file=sys.stderr)
@@ -260,27 +154,20 @@ def cmd_event_study(args: argparse.Namespace) -> int:
 
 
 def cmd_fif(args: argparse.Namespace) -> int:
-    cfg = _config_of(args)
-    data_text = resolve(args.data, cfg, "data", None, str)
-    alpha_text = resolve(args.alpha, cfg, "alpha", None, str)
-    if not data_text or alpha_text is None:
+    if not args.data or args.alpha is None:
         raise InputError("fif requires --data and --alpha (or config keys 'data', 'alpha')")
-    x, y = read_xy_csv(_require_file(data_text, "interpolation data CSV"))
+    x, y = read_xy_csv(_require_file(args.data, "interpolation data CSV"))
     data = InterpolationData(x, y)
-    alpha = fif.ScalingVector.from_spec(alpha_text, data.intervals)
-    depth = resolve(args.depth, cfg, "depth", 4, int)
-    grid_size = resolve(args.grid_size, cfg, "grid_size", fif.DEFAULT_GRID_SIZE, int)
-    tol = resolve(args.tol, cfg, "tol", fif.DEFAULT_TOL, float)
-    prefix = resolve(args.prefix, cfg, "prefix", "fif", str)
-    out = _outdir(args, cfg)
+    alpha = fif.ScalingVector.from_spec(args.alpha, data.intervals)
+    out = _outdir(args)
 
     model = fif.build_fif_model(data, alpha)
-    sample = fif.generate_attractor_points(model, depth)
-    sample_path = out / f"{prefix}_sample.csv"
+    sample = fif.generate_attractor_points(model, args.depth)
+    sample_path = out / f"{args.prefix}_sample.csv"
     write_xy_csv(sample_path, sample.x, sample.y)
     print(f"wrote {sample_path} ({len(sample)} points)")
 
-    plot = fif.evaluate_fif_fixed_point(model, grid_size=grid_size, tol=tol)
+    plot = fif.evaluate_fif_fixed_point(model, grid_size=args.grid_size, tol=args.tol)
     if not plot.converged:
         print(
             f"note: fixed-point iteration hit the cap; error bound "
@@ -297,32 +184,22 @@ def cmd_fif(args: argparse.Namespace) -> int:
         xlabel="x",
         ylabel="value",
     )
-    plot_path = out / f"{prefix}_plot.svg"
+    plot_path = out / f"{args.prefix}_plot.svg"
     plot_path.write_text(svg, encoding="utf-8")
     print(f"wrote {plot_path}")
     return 0
 
 
 def cmd_boxdim(args: argparse.Namespace) -> int:
-    cfg = _config_of(args)
-    sample_text = resolve(args.sample, cfg, "sample", None, str)
-    if not sample_text:
+    if not args.sample:
         raise InputError("boxdim requires --sample (or config key 'sample')")
-    x, y = read_xy_csv(_require_file(sample_text, "point cloud CSV"))
-    normalize = not resolve(args.no_normalize, cfg, "no_normalize", False, lambda s: s == "true")
+    x, y = read_xy_csv(_require_file(args.sample, "point cloud CSV"))
+    normalize = not args.no_normalize
     if normalize:
         cloud = boxdim.normalize_to_unit_square(x, y)
     else:
         cloud = boxdim.StreamedCloud(boxdim.HeldBlocks([(x, y)], bounds=(0.0, 1.0, 0.0, 1.0)))
-    estimate = boxdim.estimate_dimension(
-        cloud,
-        k_min=resolve(args.k_min, cfg, "k_min", boxdim.DEFAULT_K_MIN, int),
-        k_max=resolve(args.k_max, cfg, "k_max", boxdim.DEFAULT_K_MAX, int),
-        min_points_per_box=resolve(
-            args.min_points_per_box, cfg, "min_points_per_box",
-            boxdim.DEFAULT_MIN_POINTS_PER_BOX, int,
-        ),
-    )
+    estimate = boxdim.estimate_dimension(cloud, args.k_min, args.k_max, args.min_points_per_box)
     text = boxdim.report_json(boxdim.report_dict(estimate, normalized=normalize))
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -336,7 +213,6 @@ def cmd_boxdim(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    cfg = _config_of(args)
     year_configs: dict[int, Path] = {}
     for item in args.year_config or []:
         if "=" not in item:
@@ -346,20 +222,19 @@ def cmd_report(args: argparse.Namespace) -> int:
             year = int(year_text)
         except ValueError:
             raise InputError(f"--year-config expects a numeric year, got {year_text!r}") from None
+        if year in year_configs:
+            raise InputError(f"--year-config gives year {year} twice")
         year_configs[year] = _require_file(path_text, f"year {year} config")
-    outdir = Path(resolve(args.outdir, cfg, "outdir", "report_out", str))
+    outdir = Path(args.outdir)
     summary = run_report(
         outdir,
-        dimension_depth=resolve(args.depth, cfg, "depth", DEFAULT_REPORT_DEPTH, int),
-        sample_depth=resolve(args.sample_depth, cfg, "sample_depth", DEFAULT_SAMPLE_DEPTH, int),
-        grid_size=resolve(args.grid_size, cfg, "grid_size", fif.DEFAULT_GRID_SIZE, int),
-        tol=resolve(args.tol, cfg, "tol", fif.DEFAULT_TOL, float),
-        k_min=resolve(args.k_min, cfg, "k_min", boxdim.DEFAULT_K_MIN, int),
-        k_max=resolve(args.k_max, cfg, "k_max", boxdim.DEFAULT_K_MAX, int),
-        min_points_per_box=resolve(
-            args.min_points_per_box, cfg, "min_points_per_box",
-            boxdim.DEFAULT_MIN_POINTS_PER_BOX, int,
-        ),
+        dimension_depth=args.depth,
+        sample_depth=args.sample_depth,
+        grid_size=args.grid_size,
+        tol=args.tol,
+        k_min=args.k_min,
+        k_max=args.k_max,
+        min_points_per_box=args.min_points_per_box,
         year_configs=year_configs,
     )
     for warning in summary["warnings"]:
@@ -370,29 +245,123 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {
-    "ingest": cmd_ingest,
-    "event-study": cmd_event_study,
-    "fif": cmd_fif,
-    "boxdim": cmd_boxdim,
-    "report": cmd_report,
+# One row per option: (name, kind, default, help). The flag is --name with
+# dashes for underscores and the --config key is name; kind is str, int,
+# float, config.switch (an on/off flag) or config.items (a repeatable flag).
+_OUT = ("out", str, ".", "output directory")
+_FIXED_POINT = (
+    ("grid_size", int, fif.DEFAULT_GRID_SIZE, "fixed-point grid size"),
+    ("tol", float, fif.DEFAULT_TOL, "fixed-point sup-norm tolerance"),
+)
+_COUNTING = (
+    ("k_min", int, boxdim.DEFAULT_K_MIN, "coarsest dyadic level"),
+    ("k_max", int, boxdim.DEFAULT_K_MAX, "finest dyadic level"),
+    ("min_points_per_box", int, boxdim.DEFAULT_MIN_POINTS_PER_BOX, "sparsity guard threshold"),
+)
+# command -> (handler, help, option rows)
+COMMANDS: dict[str, tuple[Callable, str, tuple[tuple[str, Callable, object, str], ...]]] = {
+    "ingest": (cmd_ingest, "parse a price CSV and write daily returns", (
+        ("input", str, None, "price CSV with date,open,close columns"),
+        ("instrument", str, None, "instrument label (default: input file stem)"),
+        _OUT,
+    )),
+    "event-study": (cmd_event_study, "abnormal returns, AAR and CAAR around an event date", (
+        ("asset", items, None, "asset returns CSV (repeat for several securities)"),
+        ("market", str, None, "market returns CSV"),
+        ("event_date", str, None, "event date, YYYY-MM-DD"),
+        ("pre_days", int, event_study.DEFAULT_PRE_DAYS, "trading days before the event"),
+        ("post_days", int, event_study.DEFAULT_POST_DAYS, "trading days after the event"),
+        ("risk_free_daily", float, 0.0, "daily risk-free rate"),
+        ("beta", float, None, "skip estimation and use this beta"),
+        ("estimation_window_days", int, event_study.DEFAULT_ESTIMATION_WINDOW_DAYS,
+         "beta estimation window"),
+        ("ar_csv", str, None, "bypass the market model: CSV of precomputed abnormal returns "
+         "(columns: relative_day, then one column per security)"),
+        _OUT,
+    )),
+    "fif": (cmd_fif, "fractal interpolant sample and plot for one data set", (
+        ("data", str, None, "interpolation data CSV with columns x,y"),
+        ("alpha", str, None, "vertical scaling: scalar or comma-separated per-interval list"),
+        ("depth", int, 4, "attractor refinement depth"),
+        *_FIXED_POINT,
+        ("prefix", str, "fif", "output file prefix"),
+        _OUT,
+    )),
+    "boxdim": (cmd_boxdim, "box-counting dimension of a point-cloud CSV", (
+        ("sample", str, None, "point cloud CSV with columns x,y"),
+        *_COUNTING,
+        ("no_normalize", switch, False,
+         "count on raw coordinates instead of rescaling to the unit square"),
+        ("out", str, None, "write the JSON report here (default: stdout)"),
+        ("loglog", str, None, "optionally write the log-log pairs CSV here"),
+    )),
+    "report": (cmd_report, "full reproduction bundle for the case study", (
+        ("outdir", str, "report_out", "bundle directory"),
+        ("depth", int, DEFAULT_REPORT_DEPTH, "attractor depth for dimension estimation"),
+        ("sample_depth", int, DEFAULT_SAMPLE_DEPTH, "attractor depth for exported samples"),
+        *_FIXED_POINT,
+        *_COUNTING,
+        ("year_config", items, None,
+         "per-year data config YEAR=PATH (repeatable), e.g. 2023=data/2023.cfg"),
+    )),
 }
 
 
+class _Repeat(argparse.Action):
+    """A repeatable flag whose values replace the default list instead of extending it."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        given = getattr(namespace, self.dest)
+        setattr(namespace, self.dest, (given if given is not self.default else []) + [value])
+
+
+def build_parser(file_values: dict[str, dict] | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; ``file_values[command]`` replaces that command's table defaults."""
+    parser = argparse.ArgumentParser(
+        prog="fractalmark",
+        description=(
+            "Event-study abnormal returns on daily index data, fractal "
+            "interpolation of the resulting series, and box-counting "
+            "dimension analysis."
+        ),
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, command_help, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
+        for name, kind, default, text in options:
+            if default is not None and kind is not switch:
+                text += f" (default {default})"
+            if kind is switch:
+                how = {"action": "store_true"}
+            else:
+                how = {"action": _Repeat} if kind is items else {"type": kind}
+            p.add_argument("--" + name.replace("_", "-"), default=default, help=text, **how)
+        p.add_argument("--config", help="flat key=value config file (explicit flags win)")
+        p.set_defaults(**(file_values or {}).get(command, {}))
+    return parser
+
+
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Explicit flags over the ``--config`` file's values over the table defaults."""
+    args = build_parser().parse_args(argv)
+    if args.config:
+        kinds = {name: kind for name, kind, _, _ in COMMANDS[args.command][2]}
+        file_values = {args.command: load_config(args.config, kinds)}
+        args = build_parser(file_values).parse_args(argv)
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except InputError as exc:
+        args = parse_args(argv)
+        return COMMANDS[args.command][0](args)
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ComputationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def entry() -> None:

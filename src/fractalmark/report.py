@@ -14,7 +14,7 @@ from datetime import date as Date
 from pathlib import Path
 
 from . import boxdim, fif, fixtures
-from .config import load_config
+from .config import items, load_config
 from .csvio import write_xy_csv
 from .errors import InputError
 from .event_study import (
@@ -35,6 +35,20 @@ DIMENSION_ALPHAS = (0.3, 0.5)
 
 DEFAULT_REPORT_DEPTH = 6
 DEFAULT_SAMPLE_DEPTH = 3
+# a computed dimension further than this from its reference value is warned about
+DELTA_TARGET = 0.15
+
+# per-year config keys: the event-study options, with ``prices`` for the assets
+YEAR_CONFIG_KINDS = {
+    "prices": items,
+    "market": str,
+    "event_date": Date.fromisoformat,
+    "pre_days": int,
+    "post_days": int,
+    "risk_free_daily": float,
+    "beta": float,
+    "estimation_window_days": int,
+}
 
 
 def write_series_outputs(
@@ -96,40 +110,47 @@ def write_series_outputs(
     return results
 
 
-def run_year_from_config(year: int, config_path: Path, outdir: Path, **series_kwargs) -> dict:
-    """Run the full pipeline for one user-supplied year.
+def read_year_config(year: int, config_path: Path) -> tuple[list[Path], Path, dict]:
+    """Asset price paths, market price path and event-study keywords of one year.
 
     The config file is flat key=value with keys: ``prices`` (comma-separated
     asset price CSVs), ``market`` (market price CSV), ``event_date``
     (YYYY-MM-DD) and optionally ``pre_days``, ``post_days``,
-    ``risk_free_daily``, ``beta``, ``estimation_window_days``.
+    ``risk_free_daily``, ``beta``, ``estimation_window_days``. Relative
+    price paths are taken from the config file's directory.
     """
-    cfg = load_config(config_path)
+    cfg = load_config(config_path, YEAR_CONFIG_KINDS)
     for key in ("prices", "market", "event_date"):
-        if key not in cfg:
+        if not cfg.get(key):
             raise InputError(f"{config_path}: year {year} config missing key {key!r}")
-    base = config_path.parent
 
-    def _price_series(path_text: str) -> ReturnSeries:
-        path = (base / path_text).resolve() if not Path(path_text).is_absolute() else Path(path_text)
+    def _price_path(path_text: str) -> Path:
+        path = Path(path_text)
+        path = path if path.is_absolute() else (config_path.parent / path).resolve()
         if not path.is_file():
             raise InputError(f"price file not found: {path}")
+        return path
+
+    assets = [_price_path(p) for p in cfg.pop("prices")]
+    market = _price_path(cfg.pop("market"))
+    if "beta" in cfg:
+        cfg["beta_override"] = cfg.pop("beta")
+    return assets, market, cfg
+
+
+def run_year_from_config(
+    asset_paths: list[Path], market_path: Path, panel_kwargs: dict, outdir: Path, **series_kwargs
+) -> dict:
+    """Run the full pipeline for one user-supplied year read by ``read_year_config``."""
+
+    def _price_series(path: Path) -> ReturnSeries:
         with open(path, "rb") as handle:
             series = parse_price_csv(handle, instrument_id=path.stem)
         return daily_returns(series)
 
-    assets = [_price_series(p) for p in cfg["prices"].split(",") if p.strip()]
-    market = _price_series(cfg["market"])
-    panel, relative_days, notes = compute_abnormal_panel(
-        assets,
-        market,
-        event_date=Date.fromisoformat(cfg["event_date"]),
-        pre_days=int(cfg.get("pre_days", "15")),
-        post_days=int(cfg.get("post_days", "15")),
-        risk_free_daily=float(cfg.get("risk_free_daily", "0")),
-        beta_override=float(cfg["beta"]) if "beta" in cfg else None,
-        estimation_window_days=int(cfg.get("estimation_window_days", "120")),
-    )
+    assets = [_price_series(p) for p in asset_paths]
+    market = _price_series(market_path)
+    panel, relative_days, notes = compute_abnormal_panel(assets, market, **panel_kwargs)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "panel.csv").write_text(panel_csv(panel, relative_days), encoding="utf-8")
     if panel.n_days != 31:
@@ -156,12 +177,21 @@ def run_report(
     k_max: int = boxdim.DEFAULT_K_MAX,
     min_points_per_box: int = boxdim.DEFAULT_MIN_POINTS_PER_BOX,
     year_configs: dict[int, Path] | None = None,
-    delta_target: float = 0.15,
 ) -> dict:
-    """Produce the reproduction bundle and return the summary dictionary."""
+    """Produce the reproduction bundle and return the summary dictionary.
+
+    ``year_configs`` maps each year other than the embedded reference year
+    to its ``read_year_config`` file.
+    """
+    year_configs = year_configs or {}
+    ref_year = fixtures.REFERENCE_YEAR
+    if ref_year in year_configs:
+        raise InputError(
+            f"year {ref_year} comes from the embedded reference data and takes no year config"
+        )
+    years = {year: read_year_config(year, path) for year, path in sorted(year_configs.items())}
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    year_configs = year_configs or {}
     series_kwargs = dict(
         grid_size=grid_size,
         tol=tol,
@@ -182,14 +212,13 @@ def run_report(
             "k_max": k_max,
             "min_points_per_box": min_points_per_box,
         },
-        "years": {},
+        "years": {str(year): {"status": "data not supplied"} for year in fixtures.OTHER_YEARS},
         "warnings": [],
     }
     delta_rows: list[tuple[int, str, float, float, float]] = []
 
     # reference year from the embedded tables: the published AAR column is
     # treated as a single-security abnormal-return panel
-    ref_year = fixtures.REFERENCE_YEAR
     ref_dir = outdir / str(ref_year)
     ref_dir.mkdir(parents=True, exist_ok=True)
     table = fixtures.nifty50_2024_panel()
@@ -209,18 +238,10 @@ def run_report(
         "dimensions": year_dims,
     }
 
-    for year in fixtures.OTHER_YEARS:
-        if year in year_configs:
-            year_dir = outdir / str(year)
-            result = run_year_from_config(year, year_configs[year], year_dir, **series_kwargs)
-            summary["years"][str(year)] = result
-        else:
-            summary["years"][str(year)] = {"status": "data not supplied"}
-    for year, path in year_configs.items():
-        if year not in fixtures.OTHER_YEARS and year != ref_year:
-            year_dir = outdir / str(year)
-            result = run_year_from_config(year, path, year_dir, **series_kwargs)
-            summary["years"][str(year)] = result
+    for year, config in years.items():
+        summary["years"][str(year)] = run_year_from_config(
+            *config, outdir / str(year), **series_kwargs
+        )
 
     # delta table and comparison chart over every populated year
     populated = [
@@ -238,12 +259,12 @@ def run_report(
                     continue
                 delta = computed - ref
                 delta_rows.append((year, series_name, alpha, ref, computed))
-                if abs(delta) > delta_target:
+                if abs(delta) > DELTA_TARGET:
                     tag = f"a{str(alpha).replace('.', '')}"
                     summary["warnings"].append(
                         f"{year} {series_name} alpha={alpha}: computed {computed:.4f} "
                         f"differs from reference {ref} by {delta:+.4f} "
-                        f"(target {delta_target}); see "
+                        f"(target {DELTA_TARGET}); see "
                         f"{year}/dimension_{series_name}_{tag}.json and "
                         f"{year}/loglog_{series_name}_{tag}.csv"
                     )

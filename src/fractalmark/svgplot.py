@@ -39,6 +39,22 @@ def _tick_label(value: float) -> str:
     return f"{value:.4g}"
 
 
+def _frame(title: str, ylabel: str, body: list[str]) -> str:
+    """The document: white canvas, centred title, ``body``, rotated y-label."""
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
+        f'<text x="{WIDTH / 2:.0f}" y="26" text-anchor="middle" {_FONT} '
+        f'font-size="16">{_escape(title)}</text>',
+        *body,
+        f'<text x="20" y="{HEIGHT / 2:.0f}" text-anchor="middle" {_FONT} font-size="13" '
+        f'transform="rotate(-90 20 {HEIGHT / 2:.0f})">{_escape(ylabel)}</text>',
+        "</svg>",
+    ]
+    return "\n".join(parts) + "\n"
+
+
 def line_plot_svg(
     x: np.ndarray,
     y: np.ndarray,
@@ -64,13 +80,7 @@ def line_plot_svg(
     def py(v: float | np.ndarray) -> float | np.ndarray:
         return MARGIN_TOP + (y_hi - v) / (y_hi - y_lo) * plot_h
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
-        f'<text x="{WIDTH / 2:.0f}" y="26" text-anchor="middle" {_FONT} '
-        f'font-size="16">{_escape(title)}</text>',
-    ]
+    parts: list[str] = []
     for tv in _tick_values(x_lo, x_hi):
         tx = px(tv)
         parts.append(
@@ -118,12 +128,7 @@ def line_plot_svg(
         f'<text x="{WIDTH / 2:.0f}" y="{HEIGHT - 12}" text-anchor="middle" {_FONT} '
         f'font-size="13">{_escape(xlabel)}</text>'
     )
-    parts.append(
-        f'<text x="20" y="{HEIGHT / 2:.0f}" text-anchor="middle" {_FONT} font-size="13" '
-        f'transform="rotate(-90 20 {HEIGHT / 2:.0f})">{_escape(ylabel)}</text>'
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _frame(title, ylabel, parts)
 
 
 def grouped_bar_svg(
@@ -146,13 +151,7 @@ def grouped_bar_svg(
     def py(v: float) -> float:
         return MARGIN_TOP + (top - v) / top * plot_h
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
-        f'<text x="{WIDTH / 2:.0f}" y="26" text-anchor="middle" {_FONT} '
-        f'font-size="16">{_escape(title)}</text>',
-    ]
+    parts: list[str] = []
     for tv in _tick_values(0.0, top):
         ty = py(tv)
         parts.append(
@@ -198,12 +197,7 @@ def grouped_bar_svg(
             f'<text x="{legend_x + 18}" y="{ly + 10}" {_FONT} '
             f'font-size="12">{_escape(label)}</text>'
         )
-    parts.append(
-        f'<text x="20" y="{HEIGHT / 2:.0f}" text-anchor="middle" {_FONT} font-size="13" '
-        f'transform="rotate(-90 20 {HEIGHT / 2:.0f})">{_escape(ylabel)}</text>'
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _frame(title, ylabel, parts)
 
 
 def _escape(text: str) -> str:

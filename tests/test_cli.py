@@ -1,13 +1,19 @@
 import datetime as dt
+import inspect
 import json
 
 import numpy as np
 import pytest
 
+from fractalmark import cli, config
+from fractalmark.boxdim import estimate_dimension
 from fractalmark.cli import main
 from fractalmark.csvio import read_xy_csv
+from fractalmark.event_study import compute_abnormal_panel
+from fractalmark.fif import evaluate_fif_fixed_point
 from fractalmark.fixtures import nifty50_2024_grid, nifty50_2024_panel
 from fractalmark.market_data import parse_returns_csv
+from fractalmark.report import run_report
 
 
 def write_price_csv(path, bars):
@@ -39,6 +45,26 @@ def synthetic_prices(path, n=200, seed=3):
         level = closing
     write_price_csv(path, bars)
     return days
+
+
+def write_year_config(tmp_path, **entries):
+    """A 2023 year config over one synthetic price file; ``entries`` replace or add keys."""
+    prices = tmp_path / "idx2023.csv"
+    days = synthetic_prices(prices, n=170, seed=9)
+    entries = {
+        "prices": prices.name, "market": prices.name, "event_date": days[150].isoformat(),
+        **entries,
+    }
+    cfg = tmp_path / "2023.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in entries.items()))
+    return cfg
+
+
+def single_error_line(err):
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
 
 
 class TestIngest:
@@ -376,13 +402,8 @@ class TestReport:
         assert len(panel_lines) == 32
 
     def test_year_config_pipeline(self, tmp_path):
-        prices = tmp_path / "idx2023.csv"
-        days = synthetic_prices(prices, n=170, seed=9)
-        cfg = tmp_path / "2023.cfg"
-        cfg.write_text(
-            f"prices = {prices.name}\nmarket = {prices.name}\n"
-            f"event_date = {days[150].isoformat()}\nbeta = 0.9\n"
-        )
+        # list items are stripped: a space after the comma names the same file
+        cfg = write_year_config(tmp_path, prices="idx2023.csv, idx2023.csv", beta=0.9)
         out = tmp_path / "rep"
         code = main(
             ["report", "--outdir", str(out), "--depth", "4", "--sample-depth", "2",
@@ -412,6 +433,135 @@ class TestReport:
         )
         assert code == 1
         assert f"asset 'stock' has no return on {days[155].isoformat()}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "year_args, message",
+        [
+            (["2024={cfg}"], "year 2024 comes from the embedded reference data"),
+            (["2023={cfg}", "2023={cfg}"], "--year-config gives year 2023 twice"),
+        ],
+    )
+    def test_year_config_refusals_exit_2(self, tmp_path, capsys, year_args, message):
+        cfg = write_year_config(tmp_path)
+        out = tmp_path / "rep"
+        argv = ["report", "--outdir", str(out)]
+        for item in year_args:
+            argv += ["--year-config", item.format(cfg=cfg)]
+        assert main(argv) == 2
+        assert single_error_line(capsys.readouterr().err).startswith(f"error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ({"pre_day": "5"}, "4: unknown config key 'pre_day'"),
+            ({"pre_days": "abc"}, "4: config key 'pre_days': cannot parse 'abc'"),
+            ({"event_date": "21/08/2023"}, "3: config key 'event_date': cannot parse '21/08/2023'"),
+            ({"prices": ","}, " year 2023 config missing key 'prices'"),
+        ],
+    )
+    def test_year_config_file_refusals_exit_2(self, tmp_path, capsys, entries, message):
+        cfg = write_year_config(tmp_path, **entries)
+        out = tmp_path / "rep"
+        assert main(["report", "--outdir", str(out), "--year-config", f"2023={cfg}"]) == 2
+        assert single_error_line(capsys.readouterr().err).startswith(f"error: {cfg}:{message}")
+        assert not out.exists()
+
+
+OPTION_ROWS = [
+    (command, name, kind)
+    for command, (_, _, rows) in cli.COMMANDS.items()
+    for name, kind, _, _ in rows
+]
+# kind -> (file value, same value as flags, flag value that beats the file, its parsed value)
+SAMPLES = {
+    int: ("7", ["7"], ["9"], 9),
+    float: ("0.25", ["0.25"], ["0.5"], 0.5),
+    str: ("p1", ["p1"], ["p2"], "p2"),
+    config.items: ("a, b", ["a", "b"], ["c"], ["c"]),
+}
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize(
+        "command, name, kind", OPTION_ROWS, ids=[f"{c}-{n}" for c, n, _ in OPTION_ROWS]
+    )
+    def test_key_equals_flag_and_flag_wins(self, tmp_path, command, name, kind):
+        flag = "--" + name.replace("_", "-")
+        cfg = tmp_path / "run.cfg"
+        if kind is config.switch:
+            cfg.write_text(f"{name} = true\n")
+            from_flag = cli.parse_args([command, flag])
+        else:
+            text, same, winner, expected = SAMPLES[kind]
+            cfg.write_text(f"{name} = {text}\n")
+            from_flag = cli.parse_args([command] + [arg for v in same for arg in (flag, v)])
+        from_file = cli.parse_args([command, "--config", str(cfg)])
+        assert from_file.config == str(cfg) and from_flag.config is None
+        from_file.config = None
+        assert from_file == from_flag
+        assert from_file != cli.parse_args([command])
+        if kind is config.switch:
+            cfg.write_text(f"{name} = false\n")
+            winner, expected = [], True
+        wins = cli.parse_args([command, "--config", str(cfg), flag, *winner])
+        assert getattr(wins, name) == expected
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("fif", "dpeth = 2", "unknown config key 'dpeth'"),
+            ("fif", "config = other.cfg", "unknown config key 'config'"),
+            ("boxdim", "no_normalize = True", "config key 'no_normalize': cannot parse 'True'"),
+            ("boxdim", "no_normalize = yes", "config key 'no_normalize': cannot parse 'yes'"),
+            ("fif", "depth = two", "config key 'depth': cannot parse 'two'"),
+            ("fif", "depth = 2\ndepth = 3", "config key 'depth' given twice"),
+        ],
+    )
+    def test_refusals_exit_2(self, tmp_path, capsys, command, text, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# run\n{text}\n")
+        assert main([command, "--config", str(cfg)]) == 2
+        line_no = 1 + len(text.splitlines())
+        err = capsys.readouterr().err
+        assert single_error_line(err).startswith(f"error: {cfg}:{line_no}: {message}")
+
+    @pytest.mark.parametrize(
+        "command, function, options, unexposed",
+        [
+            (
+                "report",
+                run_report,
+                {"depth": "dimension_depth", "sample_depth": "sample_depth",
+                 "grid_size": "grid_size", "tol": "tol", "k_min": "k_min", "k_max": "k_max",
+                 "min_points_per_box": "min_points_per_box", "year_config": "year_configs"},
+                set(),
+            ),
+            (
+                "boxdim",
+                estimate_dimension,
+                {"k_min": "k_min", "k_max": "k_max", "min_points_per_box": "min_points_per_box"},
+                set(),
+            ),
+            ("fif", evaluate_fif_fixed_point, {"grid_size": "grid_size", "tol": "tol"},
+             {"iteration_cap"}),
+            (
+                "event-study",
+                compute_abnormal_panel,
+                {"pre_days": "pre_days", "post_days": "post_days",
+                 "risk_free_daily": "risk_free_daily", "beta": "beta_override",
+                 "estimation_window_days": "estimation_window_days"},
+                set(),
+            ),
+        ],
+    )
+    def test_cli_defaults_are_the_library_defaults(self, command, function, options, unexposed):
+        parsed = vars(cli.parse_args([command]))
+        params = inspect.signature(function).parameters
+        with_defaults = {n for n, p in params.items() if p.default is not inspect.Parameter.empty}
+        assert with_defaults == set(options.values()) | unexposed
+        for option, param in options.items():
+            assert parsed[option] == params[param].default, option
 
 
 class TestUsageErrors:
