@@ -16,8 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__, boxdim, event_study, fif
-from .config import items, load_config, switch
+from . import __version__, boxdim, config, event_study, fif
 from .csvio import read_xy_csv, write_xy_csv
 from .errors import ComputationError, InputError
 from .event_study import (
@@ -247,8 +246,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 # One row per option: (name, kind, default, help). The flag is --name with
 # dashes for underscores and the --config key is name; kind is str, int,
-# float, config.switch (an on/off flag) or config.items (a repeatable flag).
-_OUT = ("out", str, ".", "output directory")
+# float, config.switch (an on/off flag), config.path (a file or directory),
+# or config.paths or config.year_paths (repeatable flags).
+_OUT = ("out", config.path, ".", "output directory")
 _FIXED_POINT = (
     ("grid_size", int, fif.DEFAULT_GRID_SIZE, "fixed-point grid size"),
     ("tol", float, fif.DEFAULT_TOL, "fixed-point sup-norm tolerance"),
@@ -261,13 +261,13 @@ _COUNTING = (
 # command -> (handler, help, option rows)
 COMMANDS: dict[str, tuple[Callable, str, tuple[tuple[str, Callable, object, str], ...]]] = {
     "ingest": (cmd_ingest, "parse a price CSV and write daily returns", (
-        ("input", str, None, "price CSV with date,open,close columns"),
+        ("input", config.path, None, "price CSV with date,open,close columns"),
         ("instrument", str, None, "instrument label (default: input file stem)"),
         _OUT,
     )),
     "event-study": (cmd_event_study, "abnormal returns, AAR and CAAR around an event date", (
-        ("asset", items, None, "asset returns CSV (repeat for several securities)"),
-        ("market", str, None, "market returns CSV"),
+        ("asset", config.paths, None, "asset returns CSV (repeat for several securities)"),
+        ("market", config.path, None, "market returns CSV"),
         ("event_date", str, None, "event date, YYYY-MM-DD"),
         ("pre_days", int, event_study.DEFAULT_PRE_DAYS, "trading days before the event"),
         ("post_days", int, event_study.DEFAULT_POST_DAYS, "trading days after the event"),
@@ -275,12 +275,13 @@ COMMANDS: dict[str, tuple[Callable, str, tuple[tuple[str, Callable, object, str]
         ("beta", float, None, "skip estimation and use this beta"),
         ("estimation_window_days", int, event_study.DEFAULT_ESTIMATION_WINDOW_DAYS,
          "beta estimation window"),
-        ("ar_csv", str, None, "bypass the market model: CSV of precomputed abnormal returns "
+        ("ar_csv", config.path, None,
+         "bypass the market model: CSV of precomputed abnormal returns "
          "(columns: relative_day, then one column per security)"),
         _OUT,
     )),
     "fif": (cmd_fif, "fractal interpolant sample and plot for one data set", (
-        ("data", str, None, "interpolation data CSV with columns x,y"),
+        ("data", config.path, None, "interpolation data CSV with columns x,y"),
         ("alpha", str, None, "vertical scaling: scalar or comma-separated per-interval list"),
         ("depth", int, 4, "attractor refinement depth"),
         *_FIXED_POINT,
@@ -288,20 +289,20 @@ COMMANDS: dict[str, tuple[Callable, str, tuple[tuple[str, Callable, object, str]
         _OUT,
     )),
     "boxdim": (cmd_boxdim, "box-counting dimension of a point-cloud CSV", (
-        ("sample", str, None, "point cloud CSV with columns x,y"),
+        ("sample", config.path, None, "point cloud CSV with columns x,y"),
         *_COUNTING,
-        ("no_normalize", switch, False,
+        ("no_normalize", config.switch, False,
          "count on raw coordinates instead of rescaling to the unit square"),
-        ("out", str, None, "write the JSON report here (default: stdout)"),
-        ("loglog", str, None, "optionally write the log-log pairs CSV here"),
+        ("out", config.path, None, "write the JSON report here (default: stdout)"),
+        ("loglog", config.path, None, "optionally write the log-log pairs CSV here"),
     )),
     "report": (cmd_report, "full reproduction bundle for the case study", (
-        ("outdir", str, "report_out", "bundle directory"),
+        ("outdir", config.path, "report_out", "bundle directory"),
         ("depth", int, DEFAULT_REPORT_DEPTH, "attractor depth for dimension estimation"),
         ("sample_depth", int, DEFAULT_SAMPLE_DEPTH, "attractor depth for exported samples"),
         *_FIXED_POINT,
         *_COUNTING,
-        ("year_config", items, None,
+        ("year_config", config.year_paths, None,
          "per-year data config YEAR=PATH (repeatable), e.g. 2023=data/2023.cfg"),
     )),
 }
@@ -330,12 +331,12 @@ def build_parser(file_values: dict[str, dict] | None = None) -> argparse.Argumen
     for command, (_, command_help, options) in COMMANDS.items():
         p = sub.add_parser(command, help=command_help)
         for name, kind, default, text in options:
-            if default is not None and kind is not switch:
+            if default is not None and kind is not config.switch:
                 text += f" (default {default})"
-            if kind is switch:
+            if kind is config.switch:
                 how = {"action": "store_true"}
             else:
-                how = {"action": _Repeat} if kind is items else {"type": kind}
+                how = {"action": _Repeat} if kind in config.LIST_KINDS else {"type": kind}
             p.add_argument("--" + name.replace("_", "-"), default=default, help=text, **how)
         p.add_argument("--config", help="flat key=value config file (explicit flags win)")
         p.set_defaults(**(file_values or {}).get(command, {}))
@@ -347,7 +348,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     args = build_parser().parse_args(argv)
     if args.config:
         kinds = {name: kind for name, kind, _, _ in COMMANDS[args.command][2]}
-        file_values = {args.command: load_config(args.config, kinds)}
+        file_values = {args.command: config.load_config(args.config, kinds)}
         args = build_parser(file_values).parse_args(argv)
     return args
 

@@ -43,38 +43,6 @@ class CapmParams:
 
 
 @dataclass(frozen=True, eq=False)
-class EventWindow:
-    """Trading dates covering relative days -pre..+post around an event.
-
-    Relative day 0 is the first trading day on or after ``event_date``;
-    ``dates`` is a read-only ``datetime64[D]`` array.
-    """
-
-    event_date: Date
-    pre_days: int
-    post_days: int
-    relative_days: tuple[int, ...]
-    dates: np.ndarray
-
-    def __post_init__(self) -> None:
-        dates = np.array(self.dates, dtype="datetime64[D]")
-        dates.flags.writeable = False
-        object.__setattr__(self, "dates", dates)
-        expected = self.pre_days + self.post_days + 1
-        if len(self.relative_days) != expected or len(dates) != expected:
-            raise InputError(
-                f"window must cover {expected} days, got {len(dates)} dates"
-            )
-        if not np.all(dates[1:] > dates[:-1]):
-            raise InputError("window dates must be strictly increasing")
-        if dates[self.pre_days] < np.datetime64(self.event_date, "D"):
-            raise InputError("relative day 0 must be on or after the event date")
-
-    def __len__(self) -> int:
-        return len(self.dates)
-
-
-@dataclass(frozen=True, eq=False)
 class AbnormalReturnPanel:
     """Per-security abnormal returns with cross-sectional AAR and running CAAR.
 
@@ -247,47 +215,6 @@ def build_panel(
     return AbnormalReturnPanel(tuple(securities), ar, aar, caar)
 
 
-def extract_event_window(
-    series: ReturnSeries,
-    event_date: Date,
-    pre_days: int = DEFAULT_PRE_DAYS,
-    post_days: int = DEFAULT_POST_DAYS,
-) -> EventWindow:
-    """Select pre + 1 + post trading dates around ``event_date``.
-
-    Relative day 0 maps to the first trading date >= ``event_date`` (an
-    event on a non-trading day rolls forward to the next session).
-
-    Raises
-    ------
-    ComputationError
-        If the series has too few trading days on either side, naming the
-        required versus available counts.
-    """
-    if pre_days < 0 or post_days < 0:
-        raise InputError("pre_days and post_days must be non-negative")
-    dates = series.dates
-    day0 = int(np.searchsorted(dates, np.datetime64(event_date, "D")))
-    if day0 == len(dates):
-        raise ComputationError(
-            f"no trading day on or after {event_date} in series {series.instrument_id!r}"
-        )
-    if day0 < pre_days:
-        raise ComputationError(
-            f"insufficient history before {event_date}: need {pre_days} trading days, "
-            f"have {day0}"
-        )
-    available_post = len(dates) - 1 - day0
-    if available_post < post_days:
-        raise ComputationError(
-            f"insufficient history after {event_date}: need {post_days} trading days, "
-            f"have {available_post}"
-        )
-    window_dates = dates[day0 - pre_days : day0 + post_days + 1]
-    relative = tuple(range(-pre_days, post_days + 1))
-    return EventWindow(event_date, pre_days, post_days, relative, window_dates)
-
-
 def subsample_to_grid(window_values: Sequence[float]) -> InterpolationData:
     """Pick every third relative day of a 31-day window onto x = 0.0 .. 1.0.
 
@@ -315,29 +242,53 @@ def compute_abnormal_panel(
     """Full market-model chain for N securities against one market series.
 
     Everything runs on the market's trading calendar. The event window is
-    taken on the market's dates, and an asset without a return on any of
-    them is refused. Each beta is estimated on the last
-    ``estimation_window_days`` dates before the window that the asset shares
-    with the market.
+    the market's dates from relative day -``pre_days`` to +``post_days``,
+    where relative day 0 is the first market date on or after
+    ``event_date`` (an event on a non-trading day rolls forward to the next
+    session). An asset without a return on any window date is refused. Each
+    beta is estimated on the last ``estimation_window_days`` dates before the
+    window that the asset shares with the market.
 
     Returns the panel, the relative-day axis, and any notes (for example a
     shorter-than-requested beta-estimation sample).
 
     Raises
     ------
+    InputError
+        If ``pre_days`` or ``post_days`` is negative, or ``risk_free_daily``
+        or the beta is not finite.
     ComputationError
         If the market's history does not cover the window, an asset misses a
         window date (naming the asset and the dates), or an asset shares
         fewer than 3 dates with the market before the window.
     """
-    window = extract_event_window(market, event_date, pre_days, post_days)
-    start = int(np.searchsorted(market.dates, window.dates[0]))
-    stop = start + len(window)
-    values, present = align_on_calendar(assets, market.dates)
+    if pre_days < 0 or post_days < 0:
+        raise InputError("pre_days and post_days must be non-negative")
+    if not math.isfinite(risk_free_daily):
+        raise InputError("risk_free_daily must be finite")
+    dates = market.dates
+    day0 = int(np.searchsorted(dates, np.datetime64(event_date, "D")))
+    if day0 == len(dates):
+        raise ComputationError(
+            f"no trading day on or after {event_date} in series {market.instrument_id!r}"
+        )
+    if day0 < pre_days:
+        raise ComputationError(
+            f"insufficient history before {event_date}: need {pre_days} trading days, "
+            f"have {day0}"
+        )
+    available_post = len(dates) - 1 - day0
+    if available_post < post_days:
+        raise ComputationError(
+            f"insufficient history after {event_date}: need {post_days} trading days, "
+            f"have {available_post}"
+        )
+    start, stop = day0 - pre_days, day0 + post_days + 1
+    values, present = align_on_calendar(assets, dates)
     covered = present[:, start:stop]
     if not covered.all():
         i = int(np.argmin(covered.all(axis=1)))
-        missing = ", ".join(str(d) for d in window.dates[~covered[i]])
+        missing = ", ".join(str(d) for d in dates[start:stop][~covered[i]])
         raise ComputationError(
             f"asset {assets[i].instrument_id!r} has no return on {missing}, inside the "
             f"event window on the trading calendar of {market.instrument_id!r}"
@@ -345,7 +296,6 @@ def compute_abnormal_panel(
 
     notes: list[str] = []
     if beta_override is not None:
-        CapmParams(beta_override, 0.0, risk_free_daily)  # refuses a non-finite value
         beta = np.full(len(assets), float(beta_override))
     else:
         if estimation_window_days < 1:
@@ -376,11 +326,11 @@ def compute_abnormal_panel(
             beta[rows], _ = fit_market_model(
                 values[rows[:, None], cols], market.values[cols], risk_free_daily
             )
-        if not np.all(np.isfinite(beta)):
-            raise InputError("beta must be finite")
+    if not np.all(np.isfinite(beta)):
+        raise InputError("beta must be finite")
     ar = abnormal_returns(values[:, start:stop], market.values[start:stop], beta, risk_free_daily)
     panel = build_panel(ar, [asset.instrument_id for asset in assets])
-    return panel, window.relative_days, notes
+    return panel, tuple(range(-pre_days, post_days + 1)), notes
 
 
 def panel_csv(panel: AbnormalReturnPanel, relative_days: Sequence[int]) -> str:

@@ -30,7 +30,6 @@ import numpy as np
 from .errors import ComputationError, InputError
 from .event_study import InterpolationData
 
-ENDPOINT_TOL = 1e-12
 NODE_TOL = 1e-10
 CONTINUITY_TOL = 1e-10
 
@@ -42,47 +41,6 @@ DEFAULT_MAX_POINTS = 30_000_000
 PIECE_POINTS = 1 << 16
 # runs of the inner attractor level per group when bounding its y-range
 BOUND_GROUP_RUNS = 8
-
-
-@dataclass(frozen=True, eq=False)
-class AffineMaps:
-    """The P domain contractions l_p(x) = a_p x + b_p with l_p(x_0) = x_{p-1},
-    l_p(x_P) = x_p, plus the partition knots for interval lookup."""
-
-    a: np.ndarray
-    b: np.ndarray
-    knots: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.a) != len(self.b) or len(self.knots) != len(self.a) + 1:
-            raise InputError("need one (a, b) pair per partition interval")
-        if np.any(np.abs(self.a) >= 1.0):
-            raise InputError("domain maps must be contractive: |a_p| < 1")
-        x0, xP = self.knots[0], self.knots[-1]
-        left = self.a * x0 + self.b
-        right = self.a * xP + self.b
-        if np.max(np.abs(left - self.knots[:-1])) > ENDPOINT_TOL or np.max(
-            np.abs(right - self.knots[1:])
-        ) > ENDPOINT_TOL:
-            raise InputError("endpoint conditions l_p(x_0) = x_{p-1}, l_p(x_P) = x_p violated")
-
-    @property
-    def intervals(self) -> int:
-        return len(self.a)
-
-    def interval_of(self, x: np.ndarray) -> np.ndarray:
-        """Index p (0-based) with x in [knot_p, knot_{p+1}); x = x_P goes to the last."""
-        x = np.asarray(x, dtype=float)
-        return np.clip(
-            np.searchsorted(self.knots, x, side="right") - 1, 0, self.intervals - 1
-        )
-
-    def apply(self, p: int, x: np.ndarray) -> np.ndarray:
-        return self.a[p] * np.asarray(x, dtype=float) + self.b[p]
-
-    def invert(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """l_p^{-1}(x) for per-point interval indices p."""
-        return (np.asarray(x, dtype=float) - self.b[p]) / self.a[p]
 
 
 @dataclass(frozen=True)
@@ -182,14 +140,21 @@ class PiecewiseLinear:
 @dataclass(frozen=True, eq=False)
 class FifModel:
     """Everything needed to evaluate one fractal interpolant: the data, the
-    domain maps, the scaling vector, the germ (piecewise linear with one
-    segment per data interval) and the base function handle."""
+    scaling vector, the germ (piecewise linear with one segment per data
+    interval) and the base function handle.
+
+    ``a`` and ``b`` hold the domain maps l_p(x) = a_p x + b_p, which take
+    [x_0, x_P] onto [x_{p-1}, x_p]: a_p = (x_p - x_{p-1}) / (x_P - x_0) and
+    b_p = (x_P x_{p-1} - x_0 x_p) / (x_P - x_0). They are computed from the
+    data as read-only arrays.
+    """
 
     data: InterpolationData
-    maps: AffineMaps
     alpha: ScalingVector
     germ: PiecewiseLinear
     base: Callable[[np.ndarray], np.ndarray]
+    a: np.ndarray = field(init=False, repr=False)
+    b: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.alpha) != self.data.intervals:
@@ -206,6 +171,13 @@ class FifModel:
         ends = self.base(np.array([self.data.x[0], self.data.x[-1]]))
         if abs(ends[0] - self.data.y[0]) > NODE_TOL or abs(ends[1] - self.data.y[-1]) > NODE_TOL:
             raise InputError("base function must match the data at both endpoints")
+        x = self.data.x
+        span = x[-1] - x[0]
+        a = np.diff(x) / span
+        b = (x[-1] * x[:-1] - x[0] * x[1:]) / span
+        a.flags.writeable = b.flags.writeable = False
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def collinear(self) -> bool:
@@ -238,18 +210,6 @@ class GraphSample:
 
     def __len__(self) -> int:
         return len(self.x)
-
-
-def build_affine_maps(data: InterpolationData) -> AffineMaps:
-    """Domain maps from the partition: a_p = (x_p - x_{p-1}) / (x_P - x_0),
-    b_p = (x_P x_{p-1} - x_0 x_p) / (x_P - x_0)."""
-    x = data.x
-    if data.intervals < 2:
-        raise InputError("need at least 2 partition intervals")
-    span = x[-1] - x[0]
-    a = np.diff(x) / span
-    b = (x[-1] * x[:-1] - x[0] * x[1:]) / span
-    return AffineMaps(a, b, x.copy())
 
 
 def germ_piecewise_linear(data: InterpolationData) -> PiecewiseLinear:
@@ -295,7 +255,6 @@ def build_fif_model(
     """
     if not isinstance(alpha, ScalingVector):
         alpha = ScalingVector.from_spec(alpha, data.intervals)
-    maps = build_affine_maps(data)
     germ = germ_piecewise_linear(data)
     if base == "square":
         base_fn: Callable[[np.ndarray], np.ndarray] = base_from_germ(germ)
@@ -305,7 +264,7 @@ def build_fif_model(
         base_fn = base
     else:
         raise InputError(f"unknown base spec {base!r}")
-    return FifModel(data=data, maps=maps, alpha=alpha, germ=germ, base=base_fn)
+    return FifModel(data=data, alpha=alpha, germ=germ, base=base_fn)
 
 
 def build_eval_grid(data: InterpolationData, grid_size: int) -> np.ndarray:
@@ -336,11 +295,12 @@ def _operator_terms(
     if abs(grid_x[0] - data.x[0]) > 1e-9 or abs(grid_x[-1] - data.x[-1]) > 1e-9:
         raise InputError("grid must cover [x_0, x_P]")
     # every interval needs a grid point, otherwise some branch is never sampled
-    per_interval = np.diff(np.searchsorted(grid_x, model.maps.knots))
+    per_interval = np.diff(np.searchsorted(grid_x, data.x))
     if np.any(per_interval < 1):
         raise InputError("grid too coarse: an interval contains no grid point")
-    p = model.maps.interval_of(grid_x)
-    inv = model.maps.invert(grid_x, p)
+    # x in [x_p, x_{p+1}) lies in interval p; x_P lies in the last one
+    p = np.clip(np.searchsorted(data.x, grid_x, side="right") - 1, 0, data.intervals - 1)
+    inv = (grid_x - model.b[p]) / model.a[p]
     scale = model.alpha.as_array()[p]
     # q_p(l_p^{-1}(x)) = germ(x) - alpha_p * base(l_p^{-1}(x)), since l_p(l_p^{-1}(x)) = x
     return inv, scale, np.asarray(model.germ(grid_x)), scale * np.asarray(model.base(inv))
@@ -436,8 +396,8 @@ def _branch_image(
     alpha = model.alpha.alpha[p]
     # in-place steps, same operations and rounding as
     # lx = a_p x + b_p; ly = alpha_p y + germ(lx) - alpha_p base(x)
-    lx = model.maps.a[p] * xs
-    lx += model.maps.b[p]
+    lx = model.a[p] * xs
+    lx += model.b[p]
     g = germ.slopes[p] * lx
     g += germ.intercepts[p]
     g[[0, -1]] = germ(lx[[0, -1]])
@@ -573,7 +533,7 @@ class AttractorBlocks:
         rest = ys - base_vals
         gd_lo, gd_hi = np.minimum.reduceat(rest, starts), np.maximum.reduceat(rest, starts)
         del rest
-        alpha, a, b = model.alpha.as_array(), model.maps.a, model.maps.b
+        alpha, a, b = model.alpha.as_array(), model.a, model.b
         slopes, intercepts = model.germ.slopes, model.germ.intercepts
         # rounding, and a germ lookup landing on a neighbouring segment at a
         # knot, move a computed point by far less than this

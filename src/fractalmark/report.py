@@ -10,11 +10,13 @@ data the caller supplies via a per-year config file.
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import tempfile
 from datetime import date as Date
 from pathlib import Path
 
-from . import boxdim, fif, fixtures
-from .config import items, load_config
+from . import boxdim, config, fif, fixtures
 from .csvio import write_xy_csv
 from .errors import InputError
 from .event_study import (
@@ -40,8 +42,8 @@ DELTA_TARGET = 0.15
 
 # per-year config keys: the event-study options, with ``prices`` for the assets
 YEAR_CONFIG_KINDS = {
-    "prices": items,
-    "market": str,
+    "prices": config.paths,
+    "market": config.path,
     "event_date": Date.fromisoformat,
     "pre_days": int,
     "post_days": int,
@@ -119,20 +121,15 @@ def read_year_config(year: int, config_path: Path) -> tuple[list[Path], Path, di
     ``risk_free_daily``, ``beta``, ``estimation_window_days``. Relative
     price paths are taken from the config file's directory.
     """
-    cfg = load_config(config_path, YEAR_CONFIG_KINDS)
+    cfg = config.load_config(config_path, YEAR_CONFIG_KINDS)
     for key in ("prices", "market", "event_date"):
         if not cfg.get(key):
             raise InputError(f"{config_path}: year {year} config missing key {key!r}")
-
-    def _price_path(path_text: str) -> Path:
-        path = Path(path_text)
-        path = path if path.is_absolute() else (config_path.parent / path).resolve()
-        if not path.is_file():
-            raise InputError(f"price file not found: {path}")
-        return path
-
-    assets = [_price_path(p) for p in cfg.pop("prices")]
-    market = _price_path(cfg.pop("market"))
+    assets = [Path(p) for p in cfg.pop("prices")]
+    market = Path(cfg.pop("market"))
+    for price_path in (*assets, market):
+        if not price_path.is_file():
+            raise InputError(f"price file not found: {price_path}")
     if "beta" in cfg:
         cfg["beta_override"] = cfg.pop("beta")
     return assets, market, cfg
@@ -181,7 +178,10 @@ def run_report(
     """Produce the reproduction bundle and return the summary dictionary.
 
     ``year_configs`` maps each year other than the embedded reference year
-    to its ``read_year_config`` file.
+    to its ``read_year_config`` file. The bundle is written to a temporary
+    directory beside ``outdir`` and moved in only once ``summary.json`` is
+    written, so a refused run leaves no bundle file behind. Files already in
+    ``outdir`` that the bundle does not write are left alone.
     """
     year_configs = year_configs or {}
     ref_year = fixtures.REFERENCE_YEAR
@@ -190,8 +190,6 @@ def run_report(
             f"year {ref_year} comes from the embedded reference data and takes no year config"
         )
     years = {year: read_year_config(year, path) for year, path in sorted(year_configs.items())}
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     series_kwargs = dict(
         grid_size=grid_size,
         tol=tol,
@@ -201,17 +199,26 @@ def run_report(
         k_max=k_max,
         min_points_per_box=min_points_per_box,
     )
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{outdir.name}-", dir=outdir.parent))
+    try:
+        summary = _write_bundle(staging, years, series_kwargs)
+        for staged in sorted(p for p in staging.rglob("*") if p.is_file()):
+            target = outdir / staged.relative_to(staging)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            os.replace(staged, target)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return summary
+
+
+def _write_bundle(outdir: Path, years: dict[int, tuple], series_kwargs: dict) -> dict:
+    """Every bundle file under ``outdir``, ``summary.json`` last; returns the summary."""
+    ref_year = fixtures.REFERENCE_YEAR
     reference = fixtures.reference_dimensions()
     summary: dict = {
-        "parameters": {
-            "dimension_depth": dimension_depth,
-            "sample_depth": sample_depth,
-            "grid_size": grid_size,
-            "tol": tol,
-            "k_min": k_min,
-            "k_max": k_max,
-            "min_points_per_box": min_points_per_box,
-        },
+        "parameters": dict(series_kwargs),
         "years": {str(year): {"status": "data not supplied"} for year in fixtures.OTHER_YEARS},
         "warnings": [],
     }
@@ -238,9 +245,9 @@ def run_report(
         "dimensions": year_dims,
     }
 
-    for year, config in years.items():
+    for year, year_inputs in years.items():
         summary["years"][str(year)] = run_year_from_config(
-            *config, outdir / str(year), **series_kwargs
+            *year_inputs, outdir / str(year), **series_kwargs
         )
 
     # delta table and comparison chart over every populated year

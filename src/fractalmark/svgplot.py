@@ -6,7 +6,7 @@ identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,6 +37,28 @@ def _tick_values(lo: float, hi: float, n: int = 6) -> list[float]:
 
 def _tick_label(value: float) -> str:
     return f"{value:.4g}"
+
+
+_X_AXIS = (
+    f'<line x1="{MARGIN_LEFT}" y1="{HEIGHT - MARGIN_BOTTOM}" '
+    f'x2="{WIDTH - MARGIN_RIGHT}" y2="{HEIGHT - MARGIN_BOTTOM}" {_AXIS_STYLE}/>'
+)
+
+
+def _y_ticks(lo: float, hi: float, py: Callable[[float], float]) -> list[str]:
+    """A grid line and a label at each y tick from ``lo`` to ``hi``; ``py`` maps y to pixels."""
+    parts = []
+    for tv in _tick_values(lo, hi):
+        ty = py(tv)
+        parts.append(
+            f'<line x1="{MARGIN_LEFT}" y1="{_fmt(ty)}" x2="{WIDTH - MARGIN_RIGHT}" '
+            f'y2="{_fmt(ty)}" {_GRID_STYLE}/>'
+        )
+        parts.append(
+            f'<text x="{MARGIN_LEFT - 8}" y="{_fmt(ty + 4)}" text-anchor="end" '
+            f'{_FONT} font-size="12">{_tick_label(tv)}</text>'
+        )
+    return parts
 
 
 def _frame(title: str, ylabel: str, body: list[str]) -> str:
@@ -91,20 +113,8 @@ def line_plot_svg(
             f'<text x="{_fmt(tx)}" y="{HEIGHT - MARGIN_BOTTOM + 20}" text-anchor="middle" '
             f'{_FONT} font-size="12">{_tick_label(tv)}</text>'
         )
-    for tv in _tick_values(y_lo, y_hi):
-        ty = py(tv)
-        parts.append(
-            f'<line x1="{MARGIN_LEFT}" y1="{_fmt(ty)}" x2="{WIDTH - MARGIN_RIGHT}" '
-            f'y2="{_fmt(ty)}" {_GRID_STYLE}/>'
-        )
-        parts.append(
-            f'<text x="{MARGIN_LEFT - 8}" y="{_fmt(ty + 4)}" text-anchor="end" '
-            f'{_FONT} font-size="12">{_tick_label(tv)}</text>'
-        )
-    parts.append(
-        f'<line x1="{MARGIN_LEFT}" y1="{HEIGHT - MARGIN_BOTTOM}" '
-        f'x2="{WIDTH - MARGIN_RIGHT}" y2="{HEIGHT - MARGIN_BOTTOM}" {_AXIS_STYLE}/>'
-    )
+    parts += _y_ticks(y_lo, y_hi, py)
+    parts.append(_X_AXIS)
     parts.append(
         f'<line x1="{MARGIN_LEFT}" y1="{MARGIN_TOP}" x2="{MARGIN_LEFT}" '
         f'y2="{HEIGHT - MARGIN_BOTTOM}" {_AXIS_STYLE}/>'
@@ -151,17 +161,7 @@ def grouped_bar_svg(
     def py(v: float) -> float:
         return MARGIN_TOP + (top - v) / top * plot_h
 
-    parts: list[str] = []
-    for tv in _tick_values(0.0, top):
-        ty = py(tv)
-        parts.append(
-            f'<line x1="{MARGIN_LEFT}" y1="{_fmt(ty)}" x2="{WIDTH - MARGIN_RIGHT}" '
-            f'y2="{_fmt(ty)}" {_GRID_STYLE}/>'
-        )
-        parts.append(
-            f'<text x="{MARGIN_LEFT - 8}" y="{_fmt(ty + 4)}" text-anchor="end" '
-            f'{_FONT} font-size="12">{_tick_label(tv)}</text>'
-        )
+    parts = _y_ticks(0.0, top, py)
     for g, group in enumerate(groups):
         x0 = MARGIN_LEFT + g * group_w + group_w * 0.1
         for s, (label, vals) in enumerate(series):
@@ -182,10 +182,7 @@ def grouped_bar_svg(
             f'y="{HEIGHT - MARGIN_BOTTOM + 20}" text-anchor="middle" {_FONT} '
             f'font-size="12">{_escape(group)}</text>'
         )
-    parts.append(
-        f'<line x1="{MARGIN_LEFT}" y1="{HEIGHT - MARGIN_BOTTOM}" '
-        f'x2="{WIDTH - MARGIN_RIGHT}" y2="{HEIGHT - MARGIN_BOTTOM}" {_AXIS_STYLE}/>'
-    )
+    parts.append(_X_AXIS)
     legend_x = MARGIN_LEFT + 10
     for s, (label, _) in enumerate(series):
         ly = MARGIN_TOP + 8 + s * 18

@@ -55,7 +55,7 @@ def generate_attractor_points(
             f"budget of {max_points}"
         )
     alpha = model.alpha.as_array()
-    a, b = model.maps.a, model.maps.b
+    a, b = model.a, model.b
     xs = data.x.copy()
     ys = data.y.copy()
     for _ in range(depth):

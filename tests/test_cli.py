@@ -434,6 +434,28 @@ class TestReport:
         assert code == 1
         assert f"asset 'stock' has no return on {days[155].isoformat()}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fault", ["too few levels", "unparseable prices"])
+    def test_refused_run_leaves_no_bundle_file(self, tmp_path, capsys, fault):
+        out = tmp_path / "r1"
+        out.mkdir()
+        (out / "keep.txt").write_text("kept\n")
+        argv = ["report", "--outdir", str(out)]
+        if fault == "too few levels":
+            argv += ["--depth", "2", "--sample-depth", "1", "--k-max", "4"]
+            code, message = 1, "error: only 1 usable levels after exclusions; need at least 3"
+        else:
+            cfg = write_year_config(tmp_path)
+            (tmp_path / "idx2023.csv").write_text("date,open,close\n2023-01-02,abc,1.0\n")
+            argv += ["--depth", "4", "--sample-depth", "2", "--k-max", "6",
+                     "--year-config", f"2023={cfg}"]
+            code, message = 2, "error: row 2: malformed number 'abc' in column 'open'"
+        # both faults surface after the 2024 files are written
+        assert main(argv) == code
+        assert single_error_line(capsys.readouterr().err).startswith(message)
+        assert [p.name for p in out.rglob("*")] == ["keep.txt"]
+        assert (out / "keep.txt").read_text() == "kept\n"
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]
+
     @pytest.mark.parametrize(
         "year_args, message",
         [
@@ -474,11 +496,15 @@ OPTION_ROWS = [
     for name, kind, _, _ in rows
 ]
 # kind -> (file value, same value as flags, flag value that beats the file, its parsed value)
+# kind -> (file value, the same as flag values, flag values that win, winning
+# value); "{base}" stands for the config file's directory
 SAMPLES = {
     int: ("7", ["7"], ["9"], 9),
     float: ("0.25", ["0.25"], ["0.5"], 0.5),
     str: ("p1", ["p1"], ["p2"], "p2"),
-    config.items: ("a, b", ["a", "b"], ["c"], ["c"]),
+    config.path: ("p1", ["{base}/p1"], ["p2"], "p2"),
+    config.paths: ("a, b", ["{base}/a", "{base}/b"], ["c"], ["c"]),
+    config.year_paths: ("2023=a, 2022=b", ["2023={base}/a", "2022={base}/b"], ["2020=c"], ["2020=c"]),
 }
 
 
@@ -495,6 +521,7 @@ class TestConfigFile:
         else:
             text, same, winner, expected = SAMPLES[kind]
             cfg.write_text(f"{name} = {text}\n")
+            same = [v.format(base=tmp_path) for v in same]
             from_flag = cli.parse_args([command] + [arg for v in same for arg in (flag, v)])
         from_file = cli.parse_args([command, "--config", str(cfg)])
         assert from_file.config == str(cfg) and from_flag.config is None
@@ -506,6 +533,16 @@ class TestConfigFile:
             winner, expected = [], True
         wins = cli.parse_args([command, "--config", str(cfg), flag, *winner])
         assert getattr(wins, name) == expected
+
+    def test_paths_are_taken_from_the_config_file_directory(self, tmp_path, monkeypatch):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        synthetic_prices(sub / "m.csv", n=31)
+        (sub / "run.cfg").write_text("input = m.csv\n")
+        monkeypatch.chdir(tmp_path)
+        # a flag stays relative to the working directory
+        assert main(["ingest", "--config", "sub/run.cfg", "--out", "o"]) == 0
+        assert (tmp_path / "o" / "m_returns.csv").is_file()
 
     @pytest.mark.parametrize(
         "command, text, message",

@@ -1,4 +1,5 @@
 import datetime as dt
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from fractalmark.event_study import (
     build_panel,
     compute_abnormal_panel,
     estimate_capm,
-    extract_event_window,
     fit_market_model,
     panel_csv,
     subsample_to_grid,
@@ -169,7 +169,13 @@ class TestBuildPanel:
         assert panel.caar[0] == panel.aar[0]
 
 
-class TestExtractEventWindow:
+class TestPanelWindow:
+    """The window ``compute_abnormal_panel`` takes on the market's calendar.
+
+    With zero asset returns and beta 1 the abnormal return is -r_m, and the
+    market's returns are distinct, so each AR names the date it was taken on.
+    """
+
     def _trading_series(self, n, start=dt.date(2024, 1, 1)):
         # weekdays only, to exercise the non-trading-day rolls
         dates = []
@@ -180,28 +186,58 @@ class TestExtractEventWindow:
             d += dt.timedelta(days=1)
         return ReturnSeries("idx", tuple(dates), tuple(0.001 * i for i in range(n)))
 
+    def _panel(self, market, event_date, pre_days, post_days):
+        asset = ReturnSeries("a", market.dates, np.zeros(len(market)))
+        return compute_abnormal_panel(
+            [asset], market, event_date, pre_days, post_days, beta_override=1.0
+        )
+
     def test_full_31_day_series(self):
-        series = self._trading_series(31)
-        window = extract_event_window(series, series.dates[15], 15, 15)
-        assert np.array_equal(window.dates, series.dates)
-        assert window.relative_days == tuple(range(-15, 16))
-        assert window.dates[window.pre_days] == series.dates[15]
+        market = self._trading_series(31)
+        panel, days, _ = self._panel(market, market.dates[15].item(), 15, 15)
+        assert np.array_equal(-panel.ar[0], market.values)
+        assert days == tuple(range(-15, 16))
 
     def test_event_on_non_trading_day_rolls_forward(self):
-        series = self._trading_series(40)
-        start = series.dates[20].item()
+        market = self._trading_series(40)
+        start = market.dates[20].item()
         saturday = next(d for d in (start + dt.timedelta(days=i) for i in range(7)) if d.weekday() == 5)
-        window = extract_event_window(series, saturday, 5, 5)
-        day0 = window.dates[5].item()
-        assert day0 >= saturday
-        assert day0.weekday() == 0  # next session after a Saturday
+        panel, days, _ = self._panel(market, saturday, 5, 5)
+        assert days == tuple(range(-5, 6))
+        day0 = int(np.flatnonzero(market.values == -panel.ar[0, 5])[0])
+        assert market.dates[day0].item() == saturday + dt.timedelta(days=2)  # the Monday
+        assert np.array_equal(-panel.ar[0], market.values[day0 - 5 : day0 + 6])
 
     def test_insufficient_history(self):
-        series = self._trading_series(20)
+        market = self._trading_series(20)
         with pytest.raises(ComputationError, match="need 15"):
-            extract_event_window(series, series.dates[10], 15, 5)
+            self._panel(market, market.dates[10].item(), 15, 5)
         with pytest.raises(ComputationError, match="after"):
-            extract_event_window(series, series.dates[15], 5, 15)
+            self._panel(market, market.dates[15].item(), 5, 15)
+
+    def test_no_trading_day_on_or_after_the_event(self):
+        market = self._trading_series(20)
+        late = market.dates[-1].item() + dt.timedelta(days=1)
+        with pytest.raises(ComputationError, match=f"no trading day on or after {late} in series 'idx'"):
+            self._panel(market, late, 5, 0)
+
+    def test_negative_window_refused(self):
+        market = self._trading_series(20)
+        with pytest.raises(InputError, match="pre_days and post_days must be non-negative"):
+            self._panel(market, market.dates[10].item(), -1, 5)
+
+    @pytest.mark.parametrize("beta_override", [None, 1.0])
+    @pytest.mark.parametrize("risk_free_daily", [float("nan"), float("inf")])
+    def test_non_finite_risk_free_refused_up_front(self, beta_override, risk_free_daily):
+        market = self._trading_series(40)
+        asset = ReturnSeries("a", market.dates, np.zeros(len(market)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="^risk_free_daily must be finite$"):
+                compute_abnormal_panel(
+                    [asset], market, market.dates[20].item(), 5, 5,
+                    risk_free_daily=risk_free_daily, beta_override=beta_override,
+                )
 
 
 class TestSubsampleToGrid:

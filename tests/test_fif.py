@@ -11,7 +11,6 @@ from fractalmark.fif import (
     PiecewiseLinear,
     ScalingVector,
     base_from_germ,
-    build_affine_maps,
     build_eval_grid,
     build_fif_model,
     data_is_collinear,
@@ -19,6 +18,7 @@ from fractalmark.fif import (
     evaluate_fif_fixed_point,
     generate_attractor_points,
     germ_piecewise_linear,
+    _operator_terms,
     rb_operator_apply,
     verify_interpolation,
 )
@@ -44,32 +44,43 @@ def nonuniform_data():
     return InterpolationData(x, y)
 
 
-class TestAffineMaps:
+class TestDomainMaps:
     def test_uniform_grid(self):
-        maps = build_affine_maps(AAR)
-        np.testing.assert_allclose(maps.a, 0.1, atol=1e-15)
-        np.testing.assert_allclose(maps.b, np.arange(10) / 10.0, atol=1e-15)
+        model = build_fif_model(AAR, 0.3)
+        np.testing.assert_allclose(model.a, 0.1, atol=1e-15)
+        np.testing.assert_allclose(model.b, np.arange(10) / 10.0, atol=1e-15)
+        with pytest.raises(ValueError, match="read-only"):
+            model.a[0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            model.b[0] = 0.5
 
     def test_three_point_hand_solution(self):
         data = InterpolationData(np.array([0.0, 0.25, 1.0]), np.array([1.0, -1.0, 2.0]))
-        maps = build_affine_maps(data)
-        assert maps.a[0] == pytest.approx(0.25, abs=1e-15)
-        assert maps.b[0] == pytest.approx(0.0, abs=1e-15)
-        assert maps.a[1] == pytest.approx(0.75, abs=1e-15)
-        assert maps.b[1] == pytest.approx(0.25, abs=1e-15)
+        model = build_fif_model(data, 0.3)
+        assert model.a[0] == pytest.approx(0.25, abs=1e-15)
+        assert model.b[0] == pytest.approx(0.0, abs=1e-15)
+        assert model.a[1] == pytest.approx(0.75, abs=1e-15)
+        assert model.b[1] == pytest.approx(0.25, abs=1e-15)
 
     def test_endpoint_conditions_random_partitions(self, nonuniform_data):
-        maps = build_affine_maps(nonuniform_data)
+        model = build_fif_model(nonuniform_data, 0.3)
         x = nonuniform_data.x
-        for p in range(maps.intervals):
-            assert maps.apply(p, x[0]) == pytest.approx(x[p], abs=1e-12)
-            assert maps.apply(p, x[-1]) == pytest.approx(x[p + 1], abs=1e-12)
+        for p in range(nonuniform_data.intervals):
+            assert model.a[p] * x[0] + model.b[p] == pytest.approx(x[p], abs=1e-12)
+            assert model.a[p] * x[-1] + model.b[p] == pytest.approx(x[p + 1], abs=1e-12)
 
     def test_interval_lookup(self):
-        maps = build_affine_maps(AAR)
-        assert maps.interval_of(np.array([0.0]))[0] == 0
-        assert maps.interval_of(np.array([0.15]))[0] == 1
-        assert maps.interval_of(np.array([1.0]))[0] == 9
+        # a knot belongs to the interval it starts, x_P to the last one: l_p^{-1}
+        # sends x_0 and every interior knot to x_0, and x_P to x_P
+        model = build_fif_model(AAR, MIXED_ALPHA)
+        grid = np.insert(AAR.x, 2, 0.15)
+        inv, scale, _, _ = _operator_terms(grid, model)
+        knots = np.delete(np.arange(len(grid)), 2)
+        np.testing.assert_allclose(inv[knots[:-1]], 0.0, rtol=0.0, atol=1e-12)
+        assert inv[-1] == pytest.approx(1.0, abs=1e-12)
+        assert inv[2] == pytest.approx(0.5, abs=1e-12)
+        interval = [0, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 9]
+        np.testing.assert_array_equal(scale, np.asarray(MIXED_ALPHA)[interval])
 
 
 class TestGerm:
@@ -151,7 +162,6 @@ class TestModelValidation:
         with pytest.raises(InputError, match="interpolate"):
             FifModel(
                 data=AAR,
-                maps=build_affine_maps(AAR),
                 alpha=ScalingVector.from_spec(0.3, 10),
                 germ=wrong_germ,
                 base=wrong_germ,
@@ -164,7 +174,6 @@ class TestModelValidation:
         with pytest.raises(InputError, match="break exactly"):
             FifModel(
                 data=AAR,
-                maps=build_affine_maps(AAR),
                 alpha=ScalingVector.from_spec(0.3, 10),
                 germ=finer,
                 base=finer,
@@ -428,8 +437,8 @@ class TestSelfReferentialIdentity:
         worst = 0.0
         for j in probes:
             x = sample.x[j]
-            p = int(model.maps.interval_of(np.array([x]))[0])
-            inv = float(model.maps.invert(np.array([x]), np.array([p]))[0])
+            p = min(int(np.searchsorted(AAR.x, x, side="right")) - 1, AAR.intervals - 1)
+            inv = float((x - model.b[p]) / model.a[p])
             jj = int(np.searchsorted(sample.x, inv))
             jj = min(max(jj, 0), len(sample) - 1)
             if jj > 0 and abs(sample.x[jj - 1] - inv) < abs(sample.x[jj] - inv):
