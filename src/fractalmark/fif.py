@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -58,17 +59,24 @@ class ScalingVector:
 
     @classmethod
     def from_spec(cls, spec: float | str | Sequence[float], intervals: int) -> "ScalingVector":
-        """Build from a scalar (broadcast to all intervals), a sequence, or a
-        comma-separated string like ``"0.1,0.4,0.5"``."""
+        """Build from a real scalar (broadcast to all intervals), a sequence of
+        reals, or a comma-separated string like ``"0.1,0.4,0.5"``."""
         if isinstance(spec, str):
             try:
                 values = [float(tok) for tok in spec.split(",") if tok.strip()]
             except ValueError:
                 raise InputError(f"unparseable scaling vector {spec!r}") from None
-        elif isinstance(spec, (int, float)):
+        elif isinstance(spec, Real) or (isinstance(spec, np.ndarray) and spec.ndim == 0):
             values = [float(spec)]
+        elif isinstance(spec, (Sequence, np.ndarray)):
+            try:
+                values = [float(v) for v in spec]
+            except (TypeError, ValueError):
+                raise InputError(f"scaling vector entries must be numbers, got {spec!r}") from None
         else:
-            values = [float(v) for v in spec]
+            raise InputError(
+                f"scaling vector must be a number, a string or a sequence, got {spec!r}"
+            )
         if len(values) == 1:
             values = values * intervals
         if len(values) != intervals:
@@ -140,19 +148,19 @@ class PiecewiseLinear:
 @dataclass(frozen=True, eq=False)
 class FifModel:
     """Everything needed to evaluate one fractal interpolant: the data, the
-    scaling vector, the germ (piecewise linear with one segment per data
-    interval) and the base function handle.
+    scaling vector and the base function handle, plus what they determine.
 
-    ``a`` and ``b`` hold the domain maps l_p(x) = a_p x + b_p, which take
-    [x_0, x_P] onto [x_{p-1}, x_p]: a_p = (x_p - x_{p-1}) / (x_P - x_0) and
-    b_p = (x_P x_{p-1} - x_0 x_p) / (x_P - x_0). They are computed from the
-    data as read-only arrays.
+    ``germ`` is the data's piecewise-linear interpolant, one segment per data
+    interval. ``a`` and ``b`` hold the domain maps l_p(x) = a_p x + b_p,
+    which take [x_0, x_P] onto [x_{p-1}, x_p]: a_p = (x_p - x_{p-1}) /
+    (x_P - x_0) and b_p = (x_P x_{p-1} - x_0 x_p) / (x_P - x_0). All three
+    are computed from the data; ``a`` and ``b`` are read-only arrays.
     """
 
     data: InterpolationData
     alpha: ScalingVector
-    germ: PiecewiseLinear
     base: Callable[[np.ndarray], np.ndarray]
+    germ: PiecewiseLinear = field(init=False, repr=False)
     a: np.ndarray = field(init=False, repr=False)
     b: np.ndarray = field(init=False, repr=False)
 
@@ -162,12 +170,6 @@ class FifModel:
                 f"scaling vector has {len(self.alpha)} entries for "
                 f"{self.data.intervals} intervals"
             )
-        nodal = np.max(np.abs(np.asarray(self.germ(self.data.x)) - self.data.y))
-        if nodal > NODE_TOL:
-            raise InputError(f"germ must interpolate the data nodes (residual {nodal:.2e})")
-        # the attractor generator evaluates the germ per interval, one line each
-        if not np.array_equal(self.germ.breakpoints, self.data.x):
-            raise InputError("germ must break exactly at the data abscissae")
         ends = self.base(np.array([self.data.x[0], self.data.x[-1]]))
         if abs(ends[0] - self.data.y[0]) > NODE_TOL or abs(ends[1] - self.data.y[-1]) > NODE_TOL:
             raise InputError("base function must match the data at both endpoints")
@@ -176,6 +178,7 @@ class FifModel:
         a = np.diff(x) / span
         b = (x[-1] * x[:-1] - x[0] * x[1:]) / span
         a.flags.writeable = b.flags.writeable = False
+        object.__setattr__(self, "germ", germ_piecewise_linear(self.data))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -255,16 +258,15 @@ def build_fif_model(
     """
     if not isinstance(alpha, ScalingVector):
         alpha = ScalingVector.from_spec(alpha, data.intervals)
-    germ = germ_piecewise_linear(data)
     if base == "square":
-        base_fn: Callable[[np.ndarray], np.ndarray] = base_from_germ(germ)
+        base_fn: Callable[[np.ndarray], np.ndarray] = base_from_germ(germ_piecewise_linear(data))
     elif base == "chord":
         base_fn = endpoint_chord(data)
     elif callable(base):
         base_fn = base
     else:
         raise InputError(f"unknown base spec {base!r}")
-    return FifModel(data=data, alpha=alpha, germ=germ, base=base_fn)
+    return FifModel(data=data, alpha=alpha, base=base_fn)
 
 
 def build_eval_grid(data: InterpolationData, grid_size: int) -> np.ndarray:
@@ -350,11 +352,13 @@ def evaluate_fif_fixed_point(
     below ``tol * (1 - max|alpha|)``, which bounds the remaining distance to
     the fixed point by ``tol`` (a posteriori contraction estimate).
 
-    If the iteration cap is reached first, the sample is returned with
-    ``converged = False`` and the achieved bound.
+    If the iteration cap (at least 1) is reached first, the sample is
+    returned with ``converged = False`` and the achieved bound.
     """
     if tol <= 0.0:
         raise InputError("tol must be positive")
+    if iteration_cap < 1:
+        raise InputError(f"iteration_cap must be >= 1, got {iteration_cap}")
     grid = build_eval_grid(model.data, grid_size)
     terms = _operator_terms(grid, model)
     h = np.asarray(model.germ(grid), dtype=float)
@@ -370,7 +374,7 @@ def evaluate_fif_fixed_point(
         if delta < threshold:
             converged = True
             break
-    bound = changes[-1] / (1.0 - s) if changes else 0.0
+    bound = changes[-1] / (1.0 - s)
     return GraphSample(
         x=grid,
         y=h,

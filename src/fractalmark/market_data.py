@@ -9,6 +9,7 @@ operation is a pure function, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from datetime import date as Date
 from typing import BinaryIO, Callable, Sequence, TextIO
@@ -135,76 +136,53 @@ def _columns(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Sorted dates and float columns of the data rows after the header.
 
-    One pass appends each row's number, date ordinal and floats, skipping
-    blank rows. It stops at the first row whose fields do not parse; that
-    row's lists stay short from the failing field on. The row checks then
-    run on whole columns, in the order a row is read: at least ``width``
-    fields, date, duplicate date, then each value column's number and, if
-    ``positive``, its sign. The earliest failing row, and its earliest
-    failing check, words the refusal; ``shown`` renders the quoted field.
+    Blank rows are skipped. Each other row is checked as it is read, in this
+    order: at least ``width`` fields, its date, a date already seen, then
+    each value column's number and, if ``positive``, its sign. The first
+    failure is refused, naming its row; ``shown`` renders the quoted field.
+    A row too short for a column it reads is refused by its field count.
     """
-    row_nos: list[int] = []
-    ordinals: list[int] = []
+    need = max(date_col, *value_cols.values()) + 1
+    seen: dict[int, int] = {}  # date ordinal -> row, in row order
     columns: list[list[float]] = [[] for _ in value_cols]
-    pairs = list(zip(columns, value_cols.values()))
+    checked = list(zip(columns, value_cols.items()))
     fromisoformat = Date.fromisoformat
     for row_no, row in enumerate(rows[1:], start=2):
+        if not "".join(row).strip():
+            continue
+        if len(row) < width:
+            raise InputError(f"row {row_no}: expected {width} fields, got {len(row)}")
         try:
-            # A blank row always fails here, before anything is appended.
-            ordinals.append(fromisoformat(row[date_col].strip()).toordinal())
-            for column, col in pairs:
-                column.append(float(row[col]))
-        except (ValueError, IndexError):
-            if not "".join(row).strip():
-                continue
-            row_nos.append(row_no)
-            break
-        row_nos.append(row_no)
-
-    n = len(row_nos)
-    index = np.arange(n)
-    widths = np.fromiter(map(len, rows), np.int64, len(rows))[np.array(row_nos, dtype=np.int64) - 1]
-    ords = np.array(ordinals, dtype=np.int64)
-    order = np.argsort(ords, kind="stable")
-    repeat = np.zeros(n, dtype=bool)
-    repeat[order[1:]] = ords[order[1:]] == ords[order[:-1]]
-    arrays = [np.array(column, dtype=np.float64) for column in columns]
-
-    checks = [
-        (widths < width, "width", date_col, ""),
-        (index >= len(ords), "date", date_col, ""),
-        (repeat, "repeat", date_col, ""),
-    ]
-    for (name, col), values in zip(value_cols.items(), arrays):
-        checks.append((index >= len(values), "number", col, name))
-        if positive:
-            sign_ok = np.ones(n, dtype=bool)
-            sign_ok[: len(values)] = np.isfinite(values) & (values > 0.0)
-            checks.append((~sign_ok, "sign", col, name))
-
-    def word(i: int, check: str, col: int, name: str) -> str:
-        row = rows[row_nos[i] - 1]
-        if check == "width":
-            return f"expected {width} fields, got {len(row)}"
-        if len(row) <= col:  # a short row is refused where its missing field is read
-            return f"expected {max(date_col, *value_cols.values()) + 1} fields, got {len(row)}"
-        if check == "date":
-            return f"unparseable date {shown(row[col])!r}"
-        if check == "repeat":
-            first = row_nos[int(np.argmax(ords == ords[i]))]
-            return f"duplicate date {Date.fromordinal(int(ords[i]))} (first seen at row {first})"
-        if check == "number":
-            return f"malformed number {shown(row[col])!r} in column {name!r}"
-        return f"non-positive {name} price {shown(row[col])!r}"
-
-    failing = [(int(np.argmax(mask)), k) for k, (mask, *_) in enumerate(checks) if mask.any()]
-    if failing:
-        i, k = min(failing)
-        raise InputError(f"row {row_nos[i]}: {word(i, *checks[k][1:])}")
-    if not n:
+            try:
+                day = fromisoformat(row[date_col].strip()).toordinal()
+            except ValueError:
+                raise InputError(
+                    f"row {row_no}: unparseable date {shown(row[date_col])!r}"
+                ) from None
+            first = seen.setdefault(day, row_no)
+            if first != row_no:
+                raise InputError(
+                    f"row {row_no}: duplicate date {Date.fromordinal(day)} "
+                    f"(first seen at row {first})"
+                )
+            for column, (name, col) in checked:
+                try:
+                    value = float(row[col])
+                except ValueError:
+                    raise InputError(
+                        f"row {row_no}: malformed number {shown(row[col])!r} in column {name!r}"
+                    ) from None
+                if positive and not 0.0 < value < math.inf:
+                    raise InputError(f"row {row_no}: non-positive {name} price {shown(row[col])!r}")
+                column.append(value)
+        except IndexError:
+            raise InputError(f"row {row_no}: expected {need} fields, got {len(row)}") from None
+    if not seen:
         raise InputError("CSV contains a header but no data rows")
+    ords = np.fromiter(seen, np.int64, len(seen))
+    order = np.argsort(ords)
     dates = (ords[order] - _EPOCH_ORDINAL).astype("datetime64[D]")
-    return dates, [values[order] for values in arrays]
+    return dates, [np.array(column, dtype=np.float64)[order] for column in columns]
 
 
 def parse_price_csv(raw: bytes | str | BinaryIO | TextIO, instrument_id: str = "series") -> PriceSeries:

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 import oracle_v010 as oracle
 from fractalmark.errors import ComputationError, InputError
 from fractalmark.event_study import (
+    AbnormalReturnPanel,
     InterpolationData,
     abnormal_returns,
     build_panel,
@@ -157,6 +158,26 @@ class TestBuildPanel:
         with pytest.raises(InputError) as refused:
             build_panel(matrix)
         assert str(refused.value).endswith(message)
+
+    def test_finite_check_comes_before_the_label_count(self):
+        with pytest.raises(InputError, match="abnormal returns must be finite"):
+            build_panel([[float("nan")]], ["a", "b"])
+
+    def test_panel_derives_aar_and_caar(self):
+        ar = np.array([[0.1, -0.2, 0.3], [0.3, 0.0, -0.1]])
+        panel = AbnormalReturnPanel(("a", "b"), ar)
+        assert panel.aar.tobytes() == ar.mean(axis=0).tobytes()
+        assert panel.caar.tobytes() == np.cumsum(ar.mean(axis=0)).tobytes()
+        with pytest.raises(TypeError):
+            AbnormalReturnPanel(("a", "b"), ar, panel.aar, panel.caar)
+
+    def test_panel_holds_a_read_only_copy(self):
+        ar = np.array([[0.1, 0.2], [0.3, 0.4]])
+        panel = build_panel(ar)
+        ar[0, 0] = 9.0
+        assert panel.ar[0, 0] == 0.1 and panel.aar[0] == pytest.approx(0.2)
+        with pytest.raises(ValueError):
+            panel.ar[0, 0] = 9.0
 
     def test_telescoping_exact(self):
         rng = np.random.default_rng(9)

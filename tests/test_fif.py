@@ -155,29 +155,25 @@ class TestScalingVector:
         with pytest.raises(InputError, match="entries"):
             ScalingVector.from_spec("0.1,0.2", 10)
 
+    @pytest.mark.parametrize("spec", [np.float32(0.5), np.int64(0), np.array(0.25)])
+    def test_numpy_scalars_broadcast(self, spec):
+        assert ScalingVector.from_spec(spec, 10).alpha == (float(spec),) * 10
+
+    @pytest.mark.parametrize("spec", [None, object(), {0.5}, [0.5, None], ["x"]])
+    def test_rejects_other_specs(self, spec):
+        with pytest.raises(InputError, match="scaling vector"):
+            ScalingVector.from_spec(spec, 10)
+
 
 class TestModelValidation:
-    def test_germ_must_interpolate(self):
-        wrong_germ = PiecewiseLinear.interpolating([0.0, 1.0], [0.0, 1.0])
-        with pytest.raises(InputError, match="interpolate"):
-            FifModel(
-                data=AAR,
-                alpha=ScalingVector.from_spec(0.3, 10),
-                germ=wrong_germ,
-                base=wrong_germ,
-            )
-
-    def test_germ_must_break_at_the_nodes(self):
-        # interpolates every node, but with an extra breakpoint inside interval 0
-        x = np.insert(AAR.x, 1, 0.05)
-        finer = PiecewiseLinear.interpolating(x, np.interp(x, AAR.x, AAR.y))
-        with pytest.raises(InputError, match="break exactly"):
-            FifModel(
-                data=AAR,
-                alpha=ScalingVector.from_spec(0.3, 10),
-                germ=finer,
-                base=finer,
-            )
+    def test_germ_is_the_data_interpolant(self):
+        model = FifModel(data=AAR, alpha=ScalingVector.from_spec(0.3, 10), base=endpoint_chord(AAR))
+        want = germ_piecewise_linear(AAR)
+        assert model.germ.breakpoints.tobytes() == AAR.x.tobytes()
+        assert model.germ.slopes.tobytes() == want.slopes.tobytes()
+        assert model.germ.intercepts.tobytes() == want.intercepts.tobytes()
+        with pytest.raises(TypeError):
+            FifModel(data=AAR, alpha=model.alpha, germ=want, base=want)
 
     def test_base_endpoints_checked(self):
         bad_base = PiecewiseLinear.interpolating([0.0, 1.0], [5.0, 5.0])
@@ -261,6 +257,12 @@ class TestFixedPoint:
         model = build_fif_model(AAR, 0.5)
         sample = evaluate_fif_fixed_point(model, grid_size=6401, tol=1e-9)
         assert sample.max_error_bound < 1e-9
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_iteration_cap_below_one_refused(self, cap):
+        model = build_fif_model(AAR, 0.5)
+        with pytest.raises(InputError, match="iteration_cap must be >= 1"):
+            evaluate_fif_fixed_point(model, grid_size=2001, iteration_cap=cap)
 
     def test_iteration_cap_reports_unconverged(self, nonuniform_data):
         model = build_fif_model(nonuniform_data, 0.5)

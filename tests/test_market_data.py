@@ -378,12 +378,22 @@ def test_returns_csv_round_trip_is_bit_exact(data, days):
         ("date,return\n 2024-07-01 ,0.1\n x ,0.1\n", "row 3: unparseable date ' x '"),
         ("date,return\n2024-07-01, y \n", "row 2: malformed number ' y ' in column 'return'"),
         ("date,return\n2024-07-02,0.1\n2024-07-01,nan\n", "returns must be finite, got nan"),
+        ("date,open,close\n2024-07-01,-1,2\n2024-07-01,1,2\n",
+         "row 2: non-positive open price '-1'"),
+        ("return,date\n0.1\n", "row 2: expected 2 fields, got 1"),
     ],
 )
 def test_refusal_order_and_wording(text, message):
     parse = parse_returns_csv if "return" in text else parse_price_csv
     old = oracle.parse_returns_csv if "return" in text else oracle.parse_price_csv
-    for fn in (parse, old):
-        with pytest.raises(InputError) as info:
-            fn(text)
-        assert str(info.value) == message
+    with pytest.raises(InputError) as info:
+        parse(text)
+    assert str(info.value) == message
+    if message.endswith("fields, got 1") and parse is parse_returns_csv:
+        # 0.1.0 read a short returns row unchecked, as the oracle tests expect
+        with pytest.raises(IndexError):
+            old(text)
+        return
+    with pytest.raises(InputError) as info:
+        old(text)
+    assert str(info.value) == message
