@@ -9,9 +9,14 @@ Algorithm:
 Every cloud is a ``StreamedCloud``: (x, y) blocks that report their point
 count and bounds up front, so the rescale needs no first pass. Blocks come
 from ``HeldBlocks`` for arrays in memory, or from a generator such as
-``fif.AttractorBlocks`` for attractor samples too large to hold. Each box
-count rescales and quantizes one block at a time. A y-range within
-``DEGENERATE_Y_ULPS`` ulps of max|y| is taken as constant y.
+``fif.AttractorBlocks`` for attractor samples too large to hold. One
+quantizer, ``StreamedCloud.cells``, rescales points by the cloud's bounds
+and gives their cells. A box count quantizes one block at a time, except
+that ``fif.AttractorBlocks`` marks a dense bitmap from bounds on groups of
+its runs and generates only the groups that could add a cell; since the
+quantizer never decreases in either coordinate, that bitmap is the
+point-by-point one, bit for bit. A y-range within ``DEGENERATE_Y_ULPS``
+ulps of max|y| is taken as constant y.
 
 Levels where the sample is too sparse to fill its cells (more occupied
 boxes than points / min_points_per_box) are excluded from the regression,
@@ -24,6 +29,7 @@ counting estimator.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -32,7 +38,7 @@ from typing import Iterable, Iterator, NamedTuple, Protocol
 import numpy as np
 
 from .errors import ComputationError, InputError
-from .fif import ScalingVector
+from .fif import AttractorBlocks, ScalingVector
 
 DEFAULT_K_MIN = 2
 DEFAULT_K_MAX = 8
@@ -101,7 +107,8 @@ class StreamedCloud:
 
     The point count and the bounds come from ``len(blocks)`` and
     ``blocks.bounds``; every box count reads the blocks, so a streamed
-    source stays at one block in memory.
+    source stays at one block in memory. A dense count of
+    ``fif.AttractorBlocks`` takes its bitmap from them instead.
     """
 
     def __init__(self, blocks: BoundedBlocks) -> None:
@@ -116,12 +123,34 @@ class StreamedCloud:
     def __len__(self) -> int:
         return self._n
 
+    def _normalize(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x_min, x_max, y_min, y_max = self.original_bounds
+        xn = _to_unit(x, x_min, x_max)
+        return xn, np.full_like(xn, 0.5) if self.degenerate_y else _to_unit(y, y_min, y_max)
+
     def normalized_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Each block rescaled by the bounds of the whole cloud."""
-        x_min, x_max, y_min, y_max = self.original_bounds
         for x, y in self._blocks:
-            xn = _to_unit(x, x_min, x_max)
-            yield xn, np.full_like(xn, 0.5) if self.degenerate_y else _to_unit(y, y_min, y_max)
+            yield self._normalize(x, y)
+
+    def cells(self, x: np.ndarray, y: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The column and row of each point's cell on the m x m grid over
+        the cloud's bounds; each is non-decreasing in its coordinate."""
+        xn, yn = self._normalize(x, y)
+        return _cell_index(xn, m), _cell_index(yn, m)
+
+    def occupancy(self, m: int) -> np.ndarray:
+        """The m x m bitmap, indexed [column, row], of the occupied cells.
+
+        ``fif.AttractorBlocks`` marks it from its run envelopes; other blocks
+        are scattered point by point.
+        """
+        if isinstance(self._blocks, AttractorBlocks):
+            return self._blocks.occupancy(functools.partial(self.cells, m=m), m)
+        bitmap = np.zeros((m, m), dtype=bool)
+        for x, y in self._blocks:
+            bitmap[self.cells(x, y, m)] = True
+        return bitmap
 
 
 class BoxCountLevel(NamedTuple):
@@ -205,30 +234,27 @@ def _cell_index(v: np.ndarray, m: int) -> np.ndarray:
 def _level_counts(cloud: StreamedCloud, k_min: int, k_max: int) -> dict[int, int]:
     """Occupied cells per level from one quantization at ``k_max``.
 
-    Coarser levels merge each 2x2 block of cells. Occupancy is a dense
-    2^k x 2^k bitmap while that has no more cells than max(points,
-    DENSE_CELLS), and sorted unique cell keys xi * 2^k + yi above that.
+    Coarser levels merge each 2x2 block of cells. Occupancy is the dense
+    2^k x 2^k bitmap of ``StreamedCloud.occupancy`` while that has no more
+    cells than max(points, DENSE_CELLS), and sorted unique cell keys
+    xi * 2^k + yi above that.
     """
     m = 1 << k_max
-    dense = 4**k_max <= max(len(cloud), DENSE_CELLS)
-    bitmap = np.zeros((m, m), dtype=bool) if dense else None
-    keys = []
-    for xn, yn in cloud.normalized_blocks():
-        cell = _cell_index(xn, m)
-        cell *= m
-        cell += _cell_index(yn, m)
-        if bitmap is not None:
-            bitmap.reshape(-1)[cell] = True
-        else:
-            keys.append(np.unique(cell))
     counts = {}
-    if bitmap is not None:
+    if 4**k_max <= max(len(cloud), DENSE_CELLS):
+        bitmap = cloud.occupancy(m)
         for k in range(k_max, k_min - 1, -1):
             counts[k] = int(np.count_nonzero(bitmap))
             if k > k_min:
                 half = 1 << (k - 1)
                 bitmap = bitmap.reshape(half, 2, half, 2).any(axis=(1, 3))
         return counts
+    keys = []
+    for xn, yn in cloud.normalized_blocks():
+        cell = _cell_index(xn, m)
+        cell *= m
+        cell += _cell_index(yn, m)
+        keys.append(np.unique(cell))
     cells = np.unique(np.concatenate(keys))
     for k in range(k_max, k_min - 1, -1):
         counts[k] = int(cells.size)

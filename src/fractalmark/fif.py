@@ -21,6 +21,7 @@ on a grid to the fixed point: this is the cross-check and plotting evaluator.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from numbers import Real
@@ -148,23 +149,33 @@ class PiecewiseLinear:
 @dataclass(frozen=True, eq=False)
 class FifModel:
     """Everything needed to evaluate one fractal interpolant: the data, the
-    scaling vector and the base function handle, plus what they determine.
+    scaling vector and the base function, plus what they determine.
 
     ``germ`` is the data's piecewise-linear interpolant, one segment per data
-    interval. ``a`` and ``b`` hold the domain maps l_p(x) = a_p x + b_p,
-    which take [x_0, x_P] onto [x_{p-1}, x_p]: a_p = (x_p - x_{p-1}) /
-    (x_P - x_0) and b_p = (x_P x_{p-1} - x_0 x_p) / (x_P - x_0). All three
-    are computed from the data; ``a`` and ``b`` are read-only arrays.
+    interval. ``base`` is given as ``"square"`` (x -> germ(x^2)),
+    ``"chord"`` (the straight line through the end nodes) or a callable
+    matching the data at both endpoints, and is held as the callable.
+    ``a`` and ``b`` hold the domain maps l_p(x) = a_p x + b_p, which take
+    [x_0, x_P] onto [x_{p-1}, x_p]: a_p = (x_p - x_{p-1}) / (x_P - x_0) and
+    b_p = (x_P x_{p-1} - x_0 x_p) / (x_P - x_0). All are computed from the
+    data; ``a`` and ``b`` are read-only arrays.
     """
 
     data: InterpolationData
     alpha: ScalingVector
-    base: Callable[[np.ndarray], np.ndarray]
+    base: str | Callable[[np.ndarray], np.ndarray]
     germ: PiecewiseLinear = field(init=False, repr=False)
     a: np.ndarray = field(init=False, repr=False)
     b: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        germ = germ_piecewise_linear(self.data)
+        if self.base == "square":
+            object.__setattr__(self, "base", base_from_germ(germ))
+        elif self.base == "chord":
+            object.__setattr__(self, "base", endpoint_chord(self.data))
+        elif not callable(self.base):
+            raise InputError(f"unknown base spec {self.base!r}")
         if len(self.alpha) != self.data.intervals:
             raise InputError(
                 f"scaling vector has {len(self.alpha)} entries for "
@@ -178,7 +189,7 @@ class FifModel:
         a = np.diff(x) / span
         b = (x[-1] * x[:-1] - x[0] * x[1:]) / span
         a.flags.writeable = b.flags.writeable = False
-        object.__setattr__(self, "germ", germ_piecewise_linear(self.data))
+        object.__setattr__(self, "germ", germ)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -208,6 +219,8 @@ class GraphSample:
     def __post_init__(self) -> None:
         if self.x.shape != self.y.shape or self.x.ndim != 1:
             raise InputError("sample must hold matching 1-D x and y arrays")
+        if not self.x.size:
+            raise InputError("sample must hold at least one point")
         if self.x[0] < -1e-9 or self.x[-1] > 1.0 + 1e-9:
             raise InputError("sample abscissae must lie within [0, 1]")
 
@@ -258,15 +271,7 @@ def build_fif_model(
     """
     if not isinstance(alpha, ScalingVector):
         alpha = ScalingVector.from_spec(alpha, data.intervals)
-    if base == "square":
-        base_fn: Callable[[np.ndarray], np.ndarray] = base_from_germ(germ_piecewise_linear(data))
-    elif base == "chord":
-        base_fn = endpoint_chord(data)
-    elif callable(base):
-        base_fn = base
-    else:
-        raise InputError(f"unknown base spec {base!r}")
-    return FifModel(data=data, alpha=alpha, base=base_fn)
+    return FifModel(data=data, alpha=alpha, base=base)
 
 
 def build_eval_grid(data: InterpolationData, grid_size: int) -> np.ndarray:
@@ -441,7 +446,12 @@ class AttractorBlocks:
     starts at node p, and a last one-point piece holds node P. Only the
     inner level, (P + 1) * P^(depth - 1) points, is held.
 
-    ``len()`` and ``bounds`` describe the whole stream without generating it.
+    ``len()``, ``bounds`` and ``occupancy`` describe the whole stream
+    without generating it. The last two share one box per branch and group
+    of ``BOUND_GROUP_RUNS`` inner runs that holds every point the group
+    maps to. Every branch image except each level's first and last point
+    lies strictly inside its germ segment, so a point's value does not
+    depend on the piece or gathered pass that computes it.
     """
 
     def __init__(
@@ -513,23 +523,10 @@ class AttractorBlocks:
                 yield self._piece(p, start)
         yield data.x[-1:], data.y[-1:]
 
-    @property
-    def bounds(self) -> tuple[float, float, float, float]:
-        """(x_min, x_max, y_min, y_max) of the stream, bit for bit, without
-        generating it.
-
-        The stream is sorted by x, so the x-bounds are nodes 0 and P. For y,
-        the inner level is cut into groups of ``BOUND_GROUP_RUNS`` runs, and
-        interval arithmetic on ly = alpha_p (y - base) + germ_p(l_p(x)) over
-        each group's x- and (y - base)-ranges bounds its branch-p image.
-        Every piece that meets a group able to hold an extreme is generated
-        exactly, with the piece after it, which may keep its last point as a
-        seam twin.
-        """
-        data = self.model.data
-        x_min, x_max = float(data.x[0]), float(data.x[-1])
-        if self.depth == 0:
-            return x_min, x_max, float(data.y.min()), float(data.y.max())
+    @functools.cached_property
+    def _groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Each group of ``BOUND_GROUP_RUNS`` inner runs' x-range and
+        (y - base)-range, and each branch's margin for rounding."""
         model = self.model
         xs, ys, base_vals = self._inner
         starts = np.arange(0, len(xs), BOUND_GROUP_RUNS * self._run)
@@ -546,30 +543,54 @@ class AttractorBlocks:
             + np.abs(slopes).max() * (np.abs(a) * max(xs.max(), -xs.min()) + np.abs(b))
             + np.abs(intercepts).max()
         )
-        margin = 1e-9 * scale + CONTINUITY_TOL
+        return gx_lo, gx_hi, gd_lo, gd_hi, 1e-9 * scale + CONTINUITY_TOL
 
-        def group_range(p: int) -> tuple[np.ndarray, np.ndarray]:
-            ends = (
-                slopes[p] * (a[p] * gx_lo + b[p]) + intercepts[p],
-                slopes[p] * (a[p] * gx_hi + b[p]) + intercepts[p],
-            )
-            terms = alpha[p] * gd_lo, alpha[p] * gd_hi
-            lo = np.minimum(*terms) + np.minimum(*ends) - margin[p]
-            hi = np.maximum(*terms) + np.maximum(*ends) + margin[p]
-            return lo, hi
+    def _envelope(self, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(x_lo, x_hi, y_lo, y_hi) per group: a box holding the branch-p
+        image of every point of the group.
 
+        The x-ends are the images of the group's x-range under the stream's
+        own operations, which never decrease in x, so they hold exactly.
+        The y-ends come from interval arithmetic on ly = alpha_p (y - base) +
+        germ_p(l_p(x)), widened by the margin.
+        """
+        gx_lo, gx_hi, gd_lo, gd_hi, margin = self._groups
+        model = self.model
+        x_lo, x_hi = model.a[p] * gx_lo + model.b[p], model.a[p] * gx_hi + model.b[p]
+        slope, intercept = model.germ.slopes[p], model.germ.intercepts[p]
+        ends = slope * x_lo + intercept, slope * x_hi + intercept
+        alpha = model.alpha.alpha[p]
+        terms = alpha * gd_lo, alpha * gd_hi
+        y_lo = np.minimum(*terms) + np.minimum(*ends) - margin[p]
+        y_hi = np.maximum(*terms) + np.maximum(*ends) + margin[p]
+        return x_lo, x_hi, y_lo, y_hi
+
+    @property
+    def bounds(self) -> tuple[float, float, float, float]:
+        """(x_min, x_max, y_min, y_max) of the stream, bit for bit, without
+        generating it.
+
+        The stream is sorted by x, so the x-bounds are nodes 0 and P. For y,
+        each branch's group envelopes (``_envelope``) bound its points.
+        Every piece that meets a group able to hold an extreme is generated
+        exactly, with the piece after it, which may keep its last point as a
+        seam twin.
+        """
+        data = self.model.data
+        x_min, x_max = float(data.x[0]), float(data.x[-1])
+        if self.depth == 0:
+            return x_min, x_max, float(data.y.min()), float(data.y.max())
+        ranges = [self._envelope(p)[2:] for p in range(data.intervals)]
         # every group keeps points of its own, so the extremes are at least
         # as far out as every group's inner bound and every node
         y_floor, y_ceil = data.y.max(), data.y.min()
-        for p in range(data.intervals):
-            lo, hi = group_range(p)
+        for lo, hi in ranges:
             y_floor = np.fmax(y_floor, np.fmax.reduce(lo))
             y_ceil = np.fmin(y_ceil, np.fmin.reduce(hi))
         step = self._step()
         piece_starts = np.arange(0, self._rows, step)
         y_lows, y_highs = [data.y.min()], [data.y.max()]
-        for p in range(data.intervals):
-            lo, hi = group_range(p)
+        for p, (lo, hi) in enumerate(ranges):
             wanted = (hi >= y_floor) | (lo <= y_ceil) | ~(np.isfinite(lo) & np.isfinite(hi))
             runs = np.repeat(wanted, BOUND_GROUP_RUNS)[: self._rows]
             pieces = np.logical_or.reduceat(runs, piece_starts)
@@ -579,6 +600,61 @@ class AttractorBlocks:
                 y_lows.append(kept_y.min())
                 y_highs.append(kept_y.max())
         return x_min, x_max, float(np.min(y_lows)), float(np.max(y_highs))
+
+    def occupancy(
+        self, cells: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]], m: int
+    ) -> np.ndarray:
+        """The m x m bitmap, indexed [column, row], of the cells that hold a
+        stream point, bit for bit, without generating every point.
+
+        ``cells(x, y)`` gives each point's column and row, each
+        non-decreasing in its coordinate. The first point the stream keeps
+        from each branch image of an inner run (node p for run 0, the seam
+        twin after that) and node P are marked exactly. The other points of
+        a group lie in its ``_envelope``, so a group whose envelope sits in
+        one column with every cell between its quantized ends marked can add
+        nothing. Only the remaining groups' points are generated, through the
+        same branch map as the stream, one gathered pass per branch and
+        ``PIECE_POINTS`` at most at a time, and marked.
+        """
+        bitmap = np.zeros((m, m), dtype=bool)
+
+        def mark(x: np.ndarray, y: np.ndarray) -> None:
+            bitmap[cells(x, y)] = True
+
+        model, data = self.model, self.model.data
+        if self.depth == 0:
+            mark(data.x, data.y)
+            return bitmap
+        run, rows, step = self._run, self._rows, self._step()
+        grids = [v.reshape(rows, run) for v in self._inner]
+        mark(data.x[-1:], data.y[-1:])
+        for start in range(0, rows, step):
+            # each run's two end points, from the run before on: its last
+            # point may be the seam twin this piece's first run keeps
+            first = max(start - 1, 0)
+            ends = [g[first : start + step, :: run - 1].ravel() for g in grids]
+            for p in range(data.intervals):
+                lx, ly = _branch_image(model, p, *ends)
+                kept_x, kept_y = _drop_seam_twins(lx.reshape(-1, 2), ly.reshape(-1, 2))
+                if start == 0:
+                    kept_x[0, 0], kept_y[0, 0] = data.x[p], data.y[p]
+                mark(kept_x[start - first :, 0], kept_y[start - first :, 0])
+        # 1 + the highest empty cell at or below each cell of its column, 0 if none
+        gap = np.where(bitmap, 0, np.arange(1, m + 1, dtype=np.min_scalar_type(m)))
+        np.maximum.accumulate(gap, axis=1, out=gap)
+        for p in range(data.intervals):
+            x_lo, x_hi, y_lo, y_hi = self._envelope(p)
+            # an envelope end lost to overflow bounds nothing: the whole column
+            col_lo, row_lo = cells(x_lo, np.where(np.isnan(y_lo), -np.inf, y_lo))
+            col_hi, row_hi = cells(x_hi, np.where(np.isnan(y_hi), np.inf, y_hi))
+            known = (col_lo == col_hi) & (gap[col_hi, row_hi] <= row_lo)
+            runs = np.add.outer(np.flatnonzero(~known) * BOUND_GROUP_RUNS, range(BOUND_GROUP_RUNS))
+            runs = runs[runs < rows]
+            for start in range(0, runs.size, step):
+                chunk = runs[start : start + step]
+                mark(*_branch_image(model, p, *(g[chunk, 1:-1].ravel() for g in grids)))
+        return bitmap
 
 
 def generate_attractor_points(

@@ -10,10 +10,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fractalmark import fif
 from fractalmark.boxdim import (
+    HeldBlocks,
     StreamedCloud,
     count_boxes,
     estimate_dimension,
@@ -188,6 +189,38 @@ def test_length_and_bounds_match_the_stream(model_depth, piece, group):
         y = np.concatenate([y.ravel() for _, y in blocks])
         assert len(blocks) == x.size
         assert blocks.bounds == (x.min(), x.max(), y.min(), y.max())
+
+
+def flat_model(level, alpha, intervals=10):
+    return build_fif_model(
+        InterpolationData(np.linspace(0.0, 1.0, intervals + 1), np.full(intervals + 1, level)), alpha
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    model_depth=shallow_models(),
+    k_max=st.integers(0, 10),
+    piece=st.sampled_from([1, 7, fif.PIECE_POINTS]),
+    group=st.sampled_from([1, 3, 8]),
+)
+# flat data whose y-range is one ulp of rounding: counted as constant y
+@example(model_depth=(flat_model(0.1, 0.5), 4), k_max=8, piece=fif.PIECE_POINTS, group=8)
+def test_occupancy_equals_the_scatter_of_the_stream(model_depth, k_max, piece, group):
+    model, depth = model_depth
+    m = 1 << k_max
+    with mock.patch.object(fif, "PIECE_POINTS", piece), mock.patch.object(
+        fif, "BOUND_GROUP_RUNS", group
+    ):
+        cloud = StreamedCloud(AttractorBlocks(model, depth))
+        got = cloud.occupancy(m)
+        blocks = AttractorBlocks(model, depth)
+        x = np.concatenate([x.ravel() for x, _ in blocks])
+        y = np.concatenate([y.ravel() for _, y in blocks])
+    scattered = StreamedCloud(HeldBlocks([(x, y)]))
+    assert scattered.original_bounds == cloud.original_bounds
+    assert scattered.degenerate_y == cloud.degenerate_y
+    assert np.array_equal(got, scattered.occupancy(m))
 
 
 @pytest.mark.parametrize(

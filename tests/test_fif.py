@@ -8,6 +8,7 @@ from fractalmark.errors import ComputationError, InputError
 from fractalmark.event_study import InterpolationData
 from fractalmark.fif import (
     FifModel,
+    GraphSample,
     PiecewiseLinear,
     ScalingVector,
     base_from_germ,
@@ -174,6 +175,22 @@ class TestModelValidation:
         assert model.germ.intercepts.tobytes() == want.intercepts.tobytes()
         with pytest.raises(TypeError):
             FifModel(data=AAR, alpha=model.alpha, germ=want, base=want)
+
+    def test_named_bases_come_from_the_model_germ(self):
+        alpha = ScalingVector.from_spec(0.5, 10)
+        square = FifModel(data=AAR, alpha=alpha, base="square")
+        chord = FifModel(data=AAR, alpha=alpha, base="chord")
+        given = FifModel(data=AAR, alpha=alpha, base=base_from_germ(germ_piecewise_linear(AAR)))
+        x = np.linspace(0.0, 1.0, 101)
+        assert square.base(x).tobytes() == given.base(x).tobytes()
+        assert chord.base(x).tobytes() == endpoint_chord(AAR)(x).tobytes()
+        assert (
+            generate_attractor_points(square, 3).y.tobytes()
+            == generate_attractor_points(given, 3).y.tobytes()
+        )
+        for bad in ("cube", 5):
+            with pytest.raises(InputError, match="unknown base spec"):
+                FifModel(data=AAR, alpha=alpha, base=bad)
 
     def test_base_endpoints_checked(self):
         bad_base = PiecewiseLinear.interpolating([0.0, 1.0], [5.0, 5.0])
@@ -350,6 +367,11 @@ class TestAttractor:
         grid = evaluate_fif_fixed_point(model, grid_size=10001, tol=tol)
         interp = np.interp(attractor.x, grid.x, grid.y)
         assert np.max(np.abs(attractor.y - interp)) < 1e-8
+
+
+def test_graph_sample_refuses_no_points():
+    with pytest.raises(InputError, match="at least one point"):
+        GraphSample(np.array([]), np.array([]), 0, 0.0)
 
 
 class TestVerifyInterpolation:
