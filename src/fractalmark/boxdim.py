@@ -12,11 +12,12 @@ from ``HeldBlocks`` for arrays in memory, or from a generator such as
 ``fif.AttractorBlocks`` for attractor samples too large to hold. One
 quantizer, ``StreamedCloud.cells``, rescales points by the cloud's bounds
 and gives their cells. A box count quantizes one block at a time, except
-that ``fif.AttractorBlocks`` marks a dense bitmap from bounds on groups of
-its runs and generates only the groups that could add a cell; since the
-quantizer never decreases in either coordinate, that bitmap is the
-point-by-point one, bit for bit. A y-range within ``DEGENERATE_Y_ULPS``
-ulps of max|y| is taken as constant y.
+that ``fif.AttractorBlocks`` marks a dense bitmap by walking its IFS
+address tree: it marks the first point kept from every run, bounds groups
+of runs by interval arithmetic, and generates only the runs that could add
+a cell; since the quantizer never decreases in either coordinate, that
+bitmap is the point-by-point one, bit for bit. A y-range within
+``DEGENERATE_Y_ULPS`` ulps of max|y| is taken as constant y.
 
 Levels where the sample is too sparse to fill its cells (more occupied
 boxes than points / min_points_per_box) are excluded from the regression,
@@ -142,8 +143,8 @@ class StreamedCloud:
     def occupancy(self, m: int) -> np.ndarray:
         """The m x m bitmap, indexed [column, row], of the occupied cells.
 
-        ``fif.AttractorBlocks`` marks it from its run envelopes; other blocks
-        are scattered point by point.
+        ``fif.AttractorBlocks`` marks it from boxes on its runs; other
+        blocks are scattered point by point.
         """
         if isinstance(self._blocks, AttractorBlocks):
             return self._blocks.occupancy(functools.partial(self.cells, m=m), m)

@@ -29,10 +29,13 @@ _ROW = "{!r},{!r}\n".format
 def write_xy_csv(path: str | Path, x: np.ndarray, y: np.ndarray) -> None:
     """Write an ``x,y`` header and one ``repr(x),repr(y)`` line per point.
 
-    Refuses (writing nothing) an ``x`` and ``y`` of different lengths.
+    Refuses (writing nothing) an ``x`` or ``y`` that is not 1-D, and an ``x``
+    and ``y`` of different lengths.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or y.ndim != 1:
+        raise InputError(f"x and y must be 1-D, got shapes {x.shape} and {y.shape}")
     if len(x) != len(y):
         raise InputError(f"x and y must have equal length, got {len(x)} and {len(y)}")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:

@@ -25,7 +25,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from numbers import Real
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,10 +39,9 @@ DEFAULT_GRID_SIZE = 6401
 DEFAULT_TOL = 1e-9
 DEFAULT_ITERATION_CAP = 200
 DEFAULT_MAX_POINTS = 30_000_000
-# points per piece of an attractor block (about 0.5 MB per coordinate array)
+# points per piece of an attractor block, and runs per chunk of the walk of
+# the IFS address tree (about 0.5 MB per coordinate array)
 PIECE_POINTS = 1 << 16
-# runs of the inner attractor level per group when bounding its y-range
-BOUND_GROUP_RUNS = 8
 
 
 @dataclass(frozen=True)
@@ -101,6 +100,12 @@ class ScalingVector:
         return len(self.alpha)
 
 
+def _pair_extremes(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The smaller and the larger value of each pair along the last axis."""
+    first, second = v[..., 0::2], v[..., 1::2]
+    return np.minimum(first, second), np.maximum(first, second)
+
+
 @dataclass(frozen=True, eq=False)
 class PiecewiseLinear:
     """Continuous piecewise-linear function y = slope_p * x + intercept_p on
@@ -131,15 +136,41 @@ class PiecewiseLinear:
         intercepts = y[:-1] - slopes * x[:-1]
         return cls(x, slopes, intercepts)
 
-    def __call__(self, x: np.ndarray | float) -> np.ndarray | float:
-        arr = np.asarray(x, dtype=float)
-        i = np.clip(
+    def _segment(self, arr: np.ndarray) -> np.ndarray:
+        return np.clip(
             np.searchsorted(self.breakpoints, arr, side="right") - 1,
             0,
             len(self.slopes) - 1,
         )
+
+    def __call__(self, x: np.ndarray | float) -> np.ndarray | float:
+        arr = np.asarray(x, dtype=float)
+        i = self._segment(arr)
         out = self.slopes[i] * arr + self.intercepts[i]
         return out if arr.ndim else float(out)
+
+    @functools.cached_property
+    def _knot_extremes(self) -> tuple[np.ndarray, np.ndarray]:
+        """[i, j]: the least and greatest value at the breakpoints after
+        segment i's start, up to segment j's start (+-inf when there is none)."""
+        knots = self.slopes[1:] * self.breakpoints[1:-1] + self.intercepts[1:]
+        count = len(self.slopes)
+        low, high = np.full((count, count), np.inf), np.full((count, count), -np.inf)
+        for i in range(count - 1):
+            low[i, i + 1 :] = np.minimum.accumulate(knots[i:])
+            high[i, i + 1 :] = np.maximum.accumulate(knots[i:])
+        return low, high
+
+    def span(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The values at ``x``, bit for bit, and over each pair of points
+        along its last axis the least and greatest value between them, up
+        to the segments' disagreement at a breakpoint and rounding."""
+        i = self._segment(x)
+        values = self.slopes[i] * x + self.intercepts[i]
+        low, high = self._knot_extremes
+        first, last = _pair_extremes(i)
+        end_lo, end_hi = _pair_extremes(values)
+        return values, np.minimum(end_lo, low[first, last]), np.maximum(end_hi, high[first, last])
 
     @property
     def segments(self) -> int:
@@ -233,14 +264,39 @@ def germ_piecewise_linear(data: InterpolationData) -> PiecewiseLinear:
     return PiecewiseLinear.interpolating(data.x, data.y)
 
 
-def base_from_germ(germ: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """Base function x -> germ(x^2); shares the germ's endpoint values on [0, 1]."""
+@dataclass(frozen=True, eq=False)
+class SquaredGerm:
+    """The base x -> germ(x^2), which shares the germ's endpoint values on [0, 1]."""
 
-    def base(x: np.ndarray) -> np.ndarray:
+    germ: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
         arr = np.asarray(x, dtype=float)
-        return germ(arr * arr)
+        return self.germ(arr * arr)
 
-    return base
+
+def base_from_germ(germ: Callable[[np.ndarray], np.ndarray]) -> SquaredGerm:
+    """Base function x -> germ(x^2); shares the germ's endpoint values on [0, 1]."""
+    return SquaredGerm(germ)
+
+
+def _base_span(
+    base: Callable[[np.ndarray], np.ndarray], x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The base at ``x``, and over each pair of points along its last axis
+    the least and greatest base value between them: from the breakpoints of
+    a piecewise-linear base or germ, unbounded for any other callable.
+
+    A pair around 0 under the squared germ misses the germ between 0 and the
+    smaller square, at most 1e-24 wide, where the germ moves by far less
+    than the walk's margin.
+    """
+    if isinstance(base, PiecewiseLinear):
+        return base.span(x)
+    if isinstance(base, SquaredGerm) and isinstance(base.germ, PiecewiseLinear):
+        return base.germ.span(x * x)
+    unbounded = np.full(x.shape[:-1] + (x.shape[-1] // 2,), np.inf)
+    return np.asarray(base(x), dtype=float), -unbounded, unbounded
 
 
 def endpoint_chord(data: InterpolationData) -> PiecewiseLinear:
@@ -391,25 +447,33 @@ def evaluate_fif_fixed_point(
 
 
 def _branch_image(
-    model: FifModel, p: int, xs: np.ndarray, ys: np.ndarray, base_vals: np.ndarray
+    model: FifModel,
+    p: int | np.ndarray,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    base_vals: np.ndarray,
+    ends: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Branch p of one IFS round: (l_p(x), alpha_p y + q_p(x)) for every input point.
 
-    ``xs`` is a raw IFS level or a slice of one, so at most its first and
-    last points sit at x_0 and x_P; every other image lies strictly inside
-    germ segment p, where the germ is ``slope_p x + intercept_p``. The two
-    end images may land on knots, and there the germ's own lookup picks the
-    side.
+    ``p`` is a branch, or an integer array that broadcasts against ``xs``,
+    such as a column of branches, one per row. The germ is taken as segment
+    p's line ``slope_p x + intercept_p``, which is exact for every image
+    strictly inside the segment: all but the images of a raw level's first
+    and last points, x_0 and x_P, which may land on knots. With ``ends``,
+    the first and last image along the last axis take the germ's own
+    lookup, which picks the side there.
     """
     germ = model.germ
-    alpha = model.alpha.alpha[p]
+    alpha = model.alpha.as_array()[p]
     # in-place steps, same operations and rounding as
     # lx = a_p x + b_p; ly = alpha_p y + germ(lx) - alpha_p base(x)
     lx = model.a[p] * xs
     lx += model.b[p]
     g = germ.slopes[p] * lx
     g += germ.intercepts[p]
-    g[[0, -1]] = germ(lx[[0, -1]])
+    if ends:
+        g[..., [0, -1]] = germ(lx[..., [0, -1]])
     ly = alpha * ys
     ly += g
     ly -= np.multiply(alpha, base_vals, out=g)
@@ -434,24 +498,47 @@ def _drop_seam_twins(
     return grid_x[:, :-1], grid_y[:, :-1]
 
 
+class _Runs(NamedTuple):
+    """Consecutive runs of one IFS level, from run ``start`` on.
+
+    ``x``, ``y`` and ``base`` hold each run's first and last point and the
+    base there, as flat (first, last) pairs. Every point of run r has
+    y - base(x) within [d_lo[r], d_hi[r]].
+    """
+
+    start: int
+    x: np.ndarray
+    y: np.ndarray
+    base: np.ndarray
+    d_lo: np.ndarray
+    d_hi: np.ndarray
+
+
 class AttractorBlocks:
     """The points of ``generate_attractor_points``, one branch block at a time.
 
-    The IFS is expanded to depth - 1 once (the inner level, seam twins
-    included). Each iteration then yields, for every branch p in order, the
-    branch-p image of that level with its seam twins dropped, in pieces of
-    about ``PIECE_POINTS`` points. A piece is a pair of equal-shape arrays
-    whose points, in C order, are sorted by x. Pieces come in x order and
-    the blocks join at the data nodes, which are included exactly: block p
-    starts at node p, and a last one-point piece holds node P. Only the
-    inner level, (P + 1) * P^(depth - 1) points, is held.
+    IFS level j is P^j runs of P + 1 points: run (p_j ... p_1) is the image
+    of the data nodes under F_{p_j} o ... o F_{p_1}, and level j + 1 is the
+    branch-p image of level j for each p in turn. The stream is level
+    ``depth`` in that order, every run without its last point, which twins
+    the next run's first: block p starts exactly at node p, and a last
+    one-point piece holds node P. Each iteration yields, for every branch p
+    in order, pieces of whole runs of about ``PIECE_POINTS`` points. A
+    piece is a pair of equal-shape arrays whose points, in C order, are
+    sorted by x, and pieces come in x order.
 
-    ``len()``, ``bounds`` and ``occupancy`` describe the whole stream
-    without generating it. The last two share one box per branch and group
-    of ``BOUND_GROUP_RUNS`` inner runs that holds every point the group
-    maps to. Every branch image except each level's first and last point
-    lies strictly inside its germ segment, so a point's value does not
-    depend on the piece or gathered pass that computes it.
+    No array whose length grows with P^depth is held. Iteration, ``bounds``
+    and ``occupancy`` are one walk of the IFS address tree: level depth - 1
+    in x order, in chunks of at most ``PIECE_POINTS`` runs, each run
+    carrying only its two end points (the branch images of its parent's)
+    and a range of y - base that one map of its parent's range bounds. From
+    a chunk come the first point the stream keeps from each run below it,
+    boxes for groups of those runs, and, only for the runs a caller wants,
+    the interior points, sent through the runs' maps from the deepest level
+    that fits in one piece, which is held. Every image except those of each
+    raw level's first and last point lies strictly inside its germ segment,
+    so a point's value does not depend on the chunk or gathered pass that
+    computes it.
     """
 
     def __init__(
@@ -468,20 +555,8 @@ class AttractorBlocks:
             )
         self.model = model
         self.depth = depth
-        xs, ys = model.data.x, model.data.y
-        for _ in range(depth - 1):
-            base_vals = np.asarray(model.base(xs))
-            n = len(xs)
-            new_x, new_y = np.empty(n * p_count), np.empty(n * p_count)
-            for p in range(p_count):
-                new_x[p * n : (p + 1) * n], new_y[p * n : (p + 1) * n] = _branch_image(
-                    model, p, xs, ys, base_vals
-                )
-            xs, ys = new_x, new_y
-        self._inner = (xs, ys, np.asarray(model.base(xs)))
-        # the inner level is P^(depth - 1) runs of P + 1 points
-        self._run = p_count + 1
-        self._rows = len(xs) // self._run
+        # runs of level depth - 1: the stream holds their images in every block
+        self._rows = p_count ** max(depth - 1, 0)
 
     def __len__(self) -> int:
         p_count = self.model.data.intervals
@@ -492,114 +567,241 @@ class AttractorBlocks:
 
     def _step(self) -> int:
         """Runs per piece: whole runs, few enough to keep temporaries in cache."""
-        return max(1, PIECE_POINTS // self._run)
+        return max(1, PIECE_POINTS // (self.model.data.intervals + 1))
 
-    def _piece(self, p: int, start: int) -> tuple[np.ndarray, np.ndarray]:
-        """Branch p's piece of the runs from ``start``, seam twins dropped."""
+    @functools.cached_property
+    def _held(self) -> tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The deepest raw level below ``depth`` that fits in one piece, the
+        nodes at least: its number and its x, y and base(x) as one row of
+        P + 1 points per run."""
+        model = self.model
+        branches = np.arange(model.data.intervals)[:, None]
+        level, xs, ys = 0, model.data.x, model.data.y
+        while level < self.depth - 1 and xs.size * len(branches) <= PIECE_POINTS:
+            image = _branch_image(model, branches, xs, ys, np.asarray(model.base(xs)), ends=True)
+            level, xs, ys = level + 1, image[0].ravel(), image[1].ravel()
+        run = len(branches) + 1
+        return level, tuple(v.reshape(-1, run) for v in (xs, ys, np.asarray(model.base(xs))))
+
+    @functools.cached_property
+    def _margin(self) -> float:
+        """How far an interval bound is widened: rounding, and a germ lookup
+        landing on a neighbouring segment at a knot, move a computed point by
+        far less than this."""
+        model = self.model
+        data, germ = model.data, model.germ
+        s = model.alpha.max_abs
+        _, base_lo, base_hi = _base_span(model.base, data.x[[0, -1]])
+        base_bound = max(float(base_hi[0]), -float(base_lo[0]))
+        # |y| <= s |y| + max|germ| + s max|base| at every level, so no point of
+        # the attractor, nor a computed one up to rounding, is further out
+        y_bound = (np.abs(data.y).max() + s * base_bound) / (1.0 - s)
+        x_bound = np.abs(model.a).max() * np.abs(data.x).max() + np.abs(model.b).max()
+        scale = (
+            s * (y_bound + base_bound)
+            + np.abs(germ.slopes).max() * x_bound
+            + np.abs(germ.intercepts).max()
+        )
+        return 1e-9 * scale + CONTINUITY_TOL
+
+    def _image_box(
+        self,
+        p: int | np.ndarray,
+        d_lo: np.ndarray,
+        d_hi: np.ndarray,
+        x_first: np.ndarray,
+        x_last: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds on the y of branch-p images of points with y - base in
+        [d_lo, d_hi] whose images' x lie between x_first and x_last: by
+        interval arithmetic on alpha_p (y - base) + germ_p(l_p(x)), widened
+        by the margin."""
+        model = self.model
+        alpha = model.alpha.as_array()[p]
+        slope, intercept = model.germ.slopes[p], model.germ.intercepts[p]
+        terms = alpha * d_lo, alpha * d_hi
+        line = slope * x_first + intercept, slope * x_last + intercept
+        return (
+            np.minimum(*terms) + np.minimum(*line) - self._margin,
+            np.maximum(*terms) + np.maximum(*line) + self._margin,
+        )
+
+    def _children(self, runs: _Runs, p: int | np.ndarray, start: int) -> _Runs:
+        """The branch-p image of ``runs``; with a column of every branch for
+        ``p``, the next level of a whole level."""
+        model = self.model
+        x, y = _branch_image(model, p, runs.x, runs.y, runs.base, ends=True)
+        y_lo, y_hi = self._image_box(p, runs.d_lo, runs.d_hi, x[..., 0::2], x[..., 1::2])
+        base, base_lo, base_hi = _base_span(model.base, x)
+        d_lo, d_hi = y_lo - base_hi - self._margin, y_hi - base_lo + self._margin
+        return _Runs(start, *(v.ravel() for v in (x, y, base, d_lo, d_hi)))
+
+    @functools.cached_property
+    def _top(self) -> tuple[int, _Runs]:
+        """The deepest level below ``depth`` with at most ``PIECE_POINTS``
+        runs, held whole, and its number."""
         data = self.model.data
-        xs, ys, base_vals = self._inner
-        run = self._run
-        piece = slice(start * run, min(start + self._step(), self._rows) * run)
-        lx, ly = _branch_image(self.model, p, xs[piece], ys[piece], base_vals[piece])
-        grid_x, grid_y = lx.reshape(-1, run), ly.reshape(-1, run)
-        if start == 0:
-            # the block starts at node p; its end twins node p + 1
-            grid_x[0, 0], grid_y[0, 0] = data.x[p], data.y[p]
+        rest = data.y - np.asarray(self.model.base(data.x))
+        x = data.x[[0, -1]]
+        base = np.asarray(self.model.base(x))
+        d_lo, d_hi = rest.min(keepdims=True), rest.max(keepdims=True)
+        level, runs = 0, _Runs(0, x, data.y[[0, -1]], base, d_lo, d_hi)
+        branches = np.arange(data.intervals)[:, None]
+        while level < self.depth - 1 and runs.d_lo.size * len(branches) <= PIECE_POINTS:
+            level, runs = level + 1, self._children(runs, branches, 0)
+        return level, runs
+
+    def _levels(self, j: int) -> Iterator[_Runs]:
+        """Level j's runs in x order, in chunks of at most ``PIECE_POINTS``."""
+        top, runs = self._top
+        if j == top:
+            yield runs
+            return
+        p_count = self.model.data.intervals
+        for p in range(p_count):
+            for parent in self._levels(j - 1):
+                yield self._children(parent, p, p * p_count ** (j - 1) + parent.start)
+
+    def _chunks(self) -> Iterator[tuple[_Runs, tuple[np.ndarray, ...] | None]]:
+        """Level depth - 1 in x order, each chunk with the last point, and
+        the base there, of the run before it (None for the first chunk)."""
+        before = None
+        for runs in self._levels(self.depth - 1):
+            yield runs, before
+            before = runs.x[-1:], runs.y[-1:], runs.base[-1:]
+
+    def _firsts(
+        self, runs: _Runs, p: int, before: tuple[np.ndarray, ...] | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The first point the stream keeps from the branch-p image of each
+        run: node p for the block's first, else the seam twin that
+        ``_drop_seam_twins`` keeps."""
+        lx, ly = _branch_image(self.model, p, runs.x, runs.y, runs.base)
+        kept_x, kept_y = _drop_seam_twins(lx.reshape(-1, 2), ly.reshape(-1, 2))
+        if before is None:
+            data = self.model.data
+            kept_x[0, 0], kept_y[0, 0] = data.x[p], data.y[p]
         else:
-            # the previous piece's last point, with the same end lookup
-            twin = slice(piece.start - 1, piece.start)
-            last_x, last_y = _branch_image(self.model, p, xs[twin], ys[twin], base_vals[twin])
-            if last_x[0] <= grid_x[0, 0]:
-                grid_x[0, 0], grid_y[0, 0] = last_x[0], last_y[0]
-        return _drop_seam_twins(grid_x, grid_y)
+            twin_x, twin_y = _branch_image(self.model, p, *before)
+            if twin_x[0] <= kept_x[0, 0]:
+                kept_x[0, 0], kept_y[0, 0] = twin_x[0], twin_y[0]
+        return kept_x[:, 0], kept_y[:, 0]
+
+    def _interiors(
+        self, runs: np.ndarray, level: int
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Points 1..P-1 of the given runs of ``level``, as grids of one run
+        a row and at most a piece each: the held level's interior points sent
+        through the maps the runs' addresses add to it."""
+        model = self.model
+        p_count = model.data.intervals
+        held_level, held = self._held
+        step = self._step()
+        for start in range(0, runs.size, step):
+            address = runs[start : start + step]
+            x, y, base = (v[address % p_count**held_level, 1:-1] for v in held)
+            address = address // p_count**held_level
+            for j in range(held_level, level):
+                if j > held_level:
+                    base = np.asarray(model.base(x))
+                x, y = _branch_image(model, (address % p_count)[:, None], x, y, base)
+                address //= p_count
+            yield x, y
+
+    def _survivors(
+        self, runs: _Runs, wanted: Callable[..., np.ndarray]
+    ) -> np.ndarray:
+        """The stream runs below ``runs`` whose boxes ``wanted`` keeps.
+
+        ``wanted(x_lo, x_hi, y_lo, y_hi)`` judges boxes that hold every
+        interior point of a group of P^i consecutive runs in one block, from
+        the whole chunk down to single runs, each group only if the group it
+        splits was kept. A box's x-ends are the stream's own first and last
+        x of the group, exact since the map never decreases in x; its y-ends
+        come from ``_image_box``.
+        """
+        model = self.model
+        p_count = model.data.intervals
+        ends = runs.x.reshape(-1, 2)
+        d_lo, d_hi = [runs.d_lo], [runs.d_hi]
+        while d_lo[-1].size > 1:
+            d_lo.append(d_lo[-1].reshape(-1, p_count).min(axis=1))
+            d_hi.append(d_hi[-1].reshape(-1, p_count).max(axis=1))
+        branch, group = np.arange(p_count), np.zeros(p_count, dtype=np.intp)
+        for i in range(len(d_lo) - 1, -1, -1):
+            if not branch.size:
+                break
+            width = p_count**i
+            x_lo = model.a[branch] * ends[group * width, 0]
+            x_lo += model.b[branch]
+            x_hi = model.a[branch] * ends[group * width + width - 1, 1]
+            x_hi += model.b[branch]
+            y_lo, y_hi = self._image_box(branch, d_lo[i][group], d_hi[i][group], x_lo, x_hi)
+            keep = wanted(x_lo, x_hi, y_lo, y_hi)
+            branch, group = branch[keep], group[keep]
+            if i:
+                branch = np.repeat(branch, p_count)
+                group = (group[:, None] * p_count + np.arange(p_count)).ravel()
+        return branch * self._rows + runs.start + group
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         data = self.model.data
         if self.depth == 0:
             yield data.x, data.y
             return
+        step = self._step()
+        inner = None
         for p in range(data.intervals):
-            for start in range(0, self._rows, self._step()):
-                yield self._piece(p, start)
+            for runs, before in self._chunks():
+                # the chunk's interior points and the base there, kept across
+                # branches while level depth - 1 is one chunk
+                if inner is None or inner[0] != runs.start:
+                    count = runs.d_lo.size
+                    level = self.depth - 1
+                    pieces = self._interiors(np.arange(runs.start, runs.start + count), level)
+                    inner = runs.start, [(x, y, np.asarray(self.model.base(x))) for x, y in pieces]
+                kept_x, kept_y = self._firsts(runs, p, before)
+                for start, piece in zip(range(0, kept_x.size, step), inner[1]):
+                    x, y = _branch_image(self.model, p, *piece)
+                    kept = slice(start, start + len(x))
+                    yield np.column_stack((kept_x[kept], x)), np.column_stack((kept_y[kept], y))
         yield data.x[-1:], data.y[-1:]
 
     @functools.cached_property
-    def _groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Each group of ``BOUND_GROUP_RUNS`` inner runs' x-range and
-        (y - base)-range, and each branch's margin for rounding."""
-        model = self.model
-        xs, ys, base_vals = self._inner
-        starts = np.arange(0, len(xs), BOUND_GROUP_RUNS * self._run)
-        gx_lo, gx_hi = np.minimum.reduceat(xs, starts), np.maximum.reduceat(xs, starts)
-        rest = ys - base_vals
-        gd_lo, gd_hi = np.minimum.reduceat(rest, starts), np.maximum.reduceat(rest, starts)
-        del rest
-        alpha, a, b = model.alpha.as_array(), model.a, model.b
-        slopes, intercepts = model.germ.slopes, model.germ.intercepts
-        # rounding, and a germ lookup landing on a neighbouring segment at a
-        # knot, move a computed point by far less than this
-        scale = (
-            np.abs(alpha) * (max(ys.max(), -ys.min()) + max(base_vals.max(), -base_vals.min()))
-            + np.abs(slopes).max() * (np.abs(a) * max(xs.max(), -xs.min()) + np.abs(b))
-            + np.abs(intercepts).max()
-        )
-        return gx_lo, gx_hi, gd_lo, gd_hi, 1e-9 * scale + CONTINUITY_TOL
-
-    def _envelope(self, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(x_lo, x_hi, y_lo, y_hi) per group: a box holding the branch-p
-        image of every point of the group.
-
-        The x-ends are the images of the group's x-range under the stream's
-        own operations, which never decrease in x, so they hold exactly.
-        The y-ends come from interval arithmetic on ly = alpha_p (y - base) +
-        germ_p(l_p(x)), widened by the margin.
-        """
-        gx_lo, gx_hi, gd_lo, gd_hi, margin = self._groups
-        model = self.model
-        x_lo, x_hi = model.a[p] * gx_lo + model.b[p], model.a[p] * gx_hi + model.b[p]
-        slope, intercept = model.germ.slopes[p], model.germ.intercepts[p]
-        ends = slope * x_lo + intercept, slope * x_hi + intercept
-        alpha = model.alpha.alpha[p]
-        terms = alpha * gd_lo, alpha * gd_hi
-        y_lo = np.minimum(*terms) + np.minimum(*ends) - margin[p]
-        y_hi = np.maximum(*terms) + np.maximum(*ends) + margin[p]
-        return x_lo, x_hi, y_lo, y_hi
-
-    @property
     def bounds(self) -> tuple[float, float, float, float]:
         """(x_min, x_max, y_min, y_max) of the stream, bit for bit, without
         generating it.
 
         The stream is sorted by x, so the x-bounds are nodes 0 and P. For y,
-        each branch's group envelopes (``_envelope``) bound its points.
-        Every piece that meets a group able to hold an extreme is generated
-        exactly, with the piece after it, which may keep its last point as a
-        seam twin.
+        the walk keeps a group of runs only while its box (``_survivors``)
+        can reach past the extremes seen so far. It generates the interior
+        points of the runs it keeps exactly, and every first kept point of
+        their blocks' chunks, since a run's first kept point lies in its own
+        box or, as a seam twin, in that of the run before.
         """
         data = self.model.data
         x_min, x_max = float(data.x[0]), float(data.x[-1])
+        y_min, y_max = data.y.min(), data.y.max()
         if self.depth == 0:
-            return x_min, x_max, float(data.y.min()), float(data.y.max())
-        ranges = [self._envelope(p)[2:] for p in range(data.intervals)]
-        # every group keeps points of its own, so the extremes are at least
-        # as far out as every group's inner bound and every node
-        y_floor, y_ceil = data.y.max(), data.y.min()
-        for lo, hi in ranges:
-            y_floor = np.fmax(y_floor, np.fmax.reduce(lo))
-            y_ceil = np.fmin(y_ceil, np.fmin.reduce(hi))
-        step = self._step()
-        piece_starts = np.arange(0, self._rows, step)
-        y_lows, y_highs = [data.y.min()], [data.y.max()]
-        for p, (lo, hi) in enumerate(ranges):
-            wanted = (hi >= y_floor) | (lo <= y_ceil) | ~(np.isfinite(lo) & np.isfinite(hi))
-            runs = np.repeat(wanted, BOUND_GROUP_RUNS)[: self._rows]
-            pieces = np.logical_or.reduceat(runs, piece_starts)
-            pieces[1:] |= pieces[:-1]
-            for start in piece_starts[pieces]:
-                _, kept_y = self._piece(p, int(start))
-                y_lows.append(kept_y.min())
-                y_highs.append(kept_y.max())
-        return x_min, x_max, float(np.min(y_lows)), float(np.max(y_highs))
+            return x_min, x_max, float(y_min), float(y_max)
+        # every run keeps interior points of its own, so the extremes are at
+        # least as far out as every group's inner bound and every node
+        y_floor, y_ceil = y_max, y_min
+
+        def wanted(x_lo, x_hi, y_lo, y_hi):
+            nonlocal y_floor, y_ceil
+            y_floor = np.fmax(y_floor, np.fmax.reduce(y_lo))
+            y_ceil = np.fmin(y_ceil, np.fmin.reduce(y_hi))
+            return (y_hi >= y_floor) | (y_lo <= y_ceil) | ~(np.isfinite(y_lo) & np.isfinite(y_hi))
+
+        for runs, before in self._chunks():
+            kept = self._survivors(runs, wanted)
+            for p in sorted(set((kept // self._rows).tolist())):
+                _, first_y = self._firsts(runs, p, before)
+                y_min, y_max = min(y_min, first_y.min()), max(y_max, first_y.max())
+            for _, y in self._interiors(kept, self.depth):
+                y_min, y_max = min(y_min, y.min()), max(y_max, y.max())
+        return x_min, x_max, float(y_min), float(y_max)
 
     def occupancy(
         self, cells: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]], m: int
@@ -608,52 +810,43 @@ class AttractorBlocks:
         stream point, bit for bit, without generating every point.
 
         ``cells(x, y)`` gives each point's column and row, each
-        non-decreasing in its coordinate. The first point the stream keeps
-        from each branch image of an inner run (node p for run 0, the seam
-        twin after that) and node P are marked exactly. The other points of
-        a group lie in its ``_envelope``, so a group whose envelope sits in
-        one column with every cell between its quantized ends marked can add
-        nothing. Only the remaining groups' points are generated, through the
-        same branch map as the stream, one gathered pass per branch and
-        ``PIECE_POINTS`` at most at a time, and marked.
+        non-decreasing in its coordinate. A first walk marks exactly the
+        first point the stream keeps from every run, and node P. The other
+        points of a group of runs lie in its box (``_survivors``), so a
+        group whose box sits in one column with every cell between its
+        quantized ends marked can add nothing. A second walk generates the
+        interior points of the runs no such group holds, through the same
+        branch maps as the stream, and marks them.
         """
         bitmap = np.zeros((m, m), dtype=bool)
 
         def mark(x: np.ndarray, y: np.ndarray) -> None:
             bitmap[cells(x, y)] = True
 
-        model, data = self.model, self.model.data
+        data = self.model.data
         if self.depth == 0:
             mark(data.x, data.y)
             return bitmap
-        run, rows, step = self._run, self._rows, self._step()
-        grids = [v.reshape(rows, run) for v in self._inner]
         mark(data.x[-1:], data.y[-1:])
-        for start in range(0, rows, step):
-            # each run's two end points, from the run before on: its last
-            # point may be the seam twin this piece's first run keeps
-            first = max(start - 1, 0)
-            ends = [g[first : start + step, :: run - 1].ravel() for g in grids]
+        for runs, before in self._chunks():
             for p in range(data.intervals):
-                lx, ly = _branch_image(model, p, *ends)
-                kept_x, kept_y = _drop_seam_twins(lx.reshape(-1, 2), ly.reshape(-1, 2))
-                if start == 0:
-                    kept_x[0, 0], kept_y[0, 0] = data.x[p], data.y[p]
-                mark(kept_x[start - first :, 0], kept_y[start - first :, 0])
+                mark(*self._firsts(runs, p, before))
         # 1 + the highest empty cell at or below each cell of its column, 0 if none
         gap = np.where(bitmap, 0, np.arange(1, m + 1, dtype=np.min_scalar_type(m)))
         np.maximum.accumulate(gap, axis=1, out=gap)
-        for p in range(data.intervals):
-            x_lo, x_hi, y_lo, y_hi = self._envelope(p)
-            # an envelope end lost to overflow bounds nothing: the whole column
-            col_lo, row_lo = cells(x_lo, np.where(np.isnan(y_lo), -np.inf, y_lo))
-            col_hi, row_hi = cells(x_hi, np.where(np.isnan(y_hi), np.inf, y_hi))
-            known = (col_lo == col_hi) & (gap[col_hi, row_hi] <= row_lo)
-            runs = np.add.outer(np.flatnonzero(~known) * BOUND_GROUP_RUNS, range(BOUND_GROUP_RUNS))
-            runs = runs[runs < rows]
-            for start in range(0, runs.size, step):
-                chunk = runs[start : start + step]
-                mark(*_branch_image(model, p, *(g[chunk, 1:-1].ravel() for g in grids)))
+
+        y_min, y_max = self.bounds[2:]
+
+        def unknown(x_lo, x_hi, y_lo, y_hi):
+            # a box end past the stream's y-range quantizes as that bound, and
+            # one lost to overflow bounds nothing: the whole column
+            col_lo, row_lo = cells(x_lo, np.minimum(np.fmax(y_lo, y_min), y_max))
+            col_hi, row_hi = cells(x_hi, np.maximum(np.fmin(y_hi, y_max), y_min))
+            return ~((col_lo == col_hi) & (gap[col_hi, row_hi] <= row_lo))
+
+        for runs, _ in self._chunks():
+            for x, y in self._interiors(self._survivors(runs, unknown), self.depth):
+                mark(x, y)
         return bitmap
 
 

@@ -89,11 +89,8 @@ def write_series_outputs(
     results: dict[float, dict] = {}
     for alpha in DIMENSION_ALPHAS:
         model = fif.build_fif_model(data, alpha)
-        # unnamed, so one estimate's inner level is freed before the next is built
-        estimate = boxdim.estimate_dimension(
-            boxdim.StreamedCloud(fif.AttractorBlocks(model, dimension_depth)),
-            k_min, k_max, min_points_per_box,
-        )
+        cloud = boxdim.StreamedCloud(fif.AttractorBlocks(model, dimension_depth))
+        estimate = boxdim.estimate_dimension(cloud, k_min, k_max, min_points_per_box)
         tag = f"a{str(alpha).replace('.', '')}"
         payload = boxdim.report_dict(estimate)
         if not 1.0 <= estimate.dimension <= 2.0:

@@ -6,6 +6,7 @@ stream must reproduce its points bit for bit, and the streamed cloud must
 reproduce the point count, bounds and box counts of normalizing its sample.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -31,6 +32,7 @@ from fractalmark.fif import (
     build_fif_model,
 )
 from fractalmark.fif import generate_attractor_points as streamed_attractor_points
+from fractalmark.fixtures import nifty50_2024_grid
 
 DEDUP_TOL = 1e-13
 
@@ -174,16 +176,10 @@ def test_streamed_cloud_counts_like_the_normalized_sample(model, depth, piece):
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    model_depth=shallow_models(),
-    piece=st.sampled_from([1, 7, 50, fif.PIECE_POINTS]),
-    group=st.sampled_from([1, 3, fif.BOUND_GROUP_RUNS]),
-)
-def test_length_and_bounds_match_the_stream(model_depth, piece, group):
+@given(model_depth=shallow_models(), piece=st.sampled_from([1, 7, 50, fif.PIECE_POINTS]))
+def test_length_and_bounds_match_the_stream(model_depth, piece):
     model, depth = model_depth
-    with mock.patch.object(fif, "PIECE_POINTS", piece), mock.patch.object(
-        fif, "BOUND_GROUP_RUNS", group
-    ):
+    with mock.patch.object(fif, "PIECE_POINTS", piece):
         blocks = AttractorBlocks(model, depth)
         x = np.concatenate([x.ravel() for x, _ in blocks])
         y = np.concatenate([y.ravel() for _, y in blocks])
@@ -202,16 +198,13 @@ def flat_model(level, alpha, intervals=10):
     model_depth=shallow_models(),
     k_max=st.integers(0, 10),
     piece=st.sampled_from([1, 7, fif.PIECE_POINTS]),
-    group=st.sampled_from([1, 3, 8]),
 )
 # flat data whose y-range is one ulp of rounding: counted as constant y
-@example(model_depth=(flat_model(0.1, 0.5), 4), k_max=8, piece=fif.PIECE_POINTS, group=8)
-def test_occupancy_equals_the_scatter_of_the_stream(model_depth, k_max, piece, group):
+@example(model_depth=(flat_model(0.1, 0.5), 4), k_max=8, piece=fif.PIECE_POINTS)
+def test_occupancy_equals_the_scatter_of_the_stream(model_depth, k_max, piece):
     model, depth = model_depth
     m = 1 << k_max
-    with mock.patch.object(fif, "PIECE_POINTS", piece), mock.patch.object(
-        fif, "BOUND_GROUP_RUNS", group
-    ):
+    with mock.patch.object(fif, "PIECE_POINTS", piece):
         cloud = StreamedCloud(AttractorBlocks(model, depth))
         got = cloud.occupancy(m)
         blocks = AttractorBlocks(model, depth)
@@ -223,6 +216,18 @@ def test_occupancy_equals_the_scatter_of_the_stream(model_depth, k_max, piece, g
     assert np.array_equal(got, scattered.occupancy(m))
 
 
+def test_occupancy_quantizes_boxes_past_a_subnormal_y_range():
+    # the y-range is 2.2e-320, so a box end a margin away from it overflows
+    # when rescaled; it quantizes as the bound it lies past
+    data = InterpolationData(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.0, 2.2253e-320]))
+    blocks = AttractorBlocks(build_fif_model(data, [0.0, 0.0]), 1)
+    x = np.concatenate([x.ravel() for x, _ in blocks])
+    y = np.concatenate([y.ravel() for _, y in blocks])
+    cloud = StreamedCloud(blocks)
+    for m in (1, 4):
+        assert np.array_equal(cloud.occupancy(m), StreamedCloud(HeldBlocks([(x, y)])).occupancy(m))
+
+
 @pytest.mark.parametrize(
     "level, alpha, depth",
     [(2.09389959e-13, [0.3, 0.5], 4), (0.1, [0.0, 0.5, -0.8125, 0.75, 0.3], 2)],
@@ -232,11 +237,10 @@ def test_bounds_where_rounding_alone_sets_the_extremes(level, alpha, depth):
     # bounds round differently from the points they bound
     p_count = len(alpha)
     data = InterpolationData(np.linspace(0.0, 1.0, p_count + 1), np.full(p_count + 1, level))
-    with mock.patch.object(fif, "BOUND_GROUP_RUNS", 1):
-        blocks = AttractorBlocks(build_fif_model(data, alpha), depth)
-        y = np.concatenate([y.ravel() for _, y in blocks])
-        assert y.min() < y.max()
-        assert blocks.bounds[2:] == (y.min(), y.max())
+    blocks = AttractorBlocks(build_fif_model(data, alpha), depth)
+    y = np.concatenate([y.ravel() for _, y in blocks])
+    assert y.min() < y.max()
+    assert blocks.bounds[2:] == (y.min(), y.max())
 
 
 def _without_seam_twins(x, y, run):
@@ -263,6 +267,19 @@ def test_tied_seam_keeps_the_earlier_point():
     got_x, got_y = _without_seam_twins(x, np.array([0.0, 1.0, 2.0, 3.0]), 2)
     assert np.array_equal(got_x, [0.0, 0.5, 1.0])
     assert np.array_equal(got_y, [0.0, 1.0, 3.0])
+
+
+def test_depth_six_estimate_holds_no_level():
+    # 10,000,001 stream points, counted without holding any level of them
+    model = build_fif_model(nifty50_2024_grid("aar"), 0.5)
+    tracemalloc.start()
+    try:
+        estimate = estimate_dimension(StreamedCloud(AttractorBlocks(model, 6)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert estimate.curve.levels[-1].count == 18265
+    assert peak < 12e6
 
 
 def test_budget_refused_before_any_block():

@@ -197,6 +197,16 @@ def test_writer_refuses_unequal_lengths(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "x, y", [(np.zeros((3, 2)), np.ones((3, 2))), (np.zeros((1, 3)), np.ones((1, 5))), (1.0, 2.0)]
+)
+def test_writer_refuses_arrays_that_are_not_1d(tmp_path, x, y):
+    path = tmp_path / "xy.csv"
+    with pytest.raises(InputError, match=r"^x and y must be 1-D, got shapes"):
+        write_xy_csv(path, x, y)
+    assert not path.exists()
+
+
 def test_writer_accepts_lists_and_empty_input(tmp_path):
     path = tmp_path / "xy.csv"
     write_xy_csv(path, [1, 2.5], [3, -0.0])
