@@ -9,12 +9,13 @@ bit for bit or refuse with their message.
 import csv
 import io
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fractalmark import csvio
@@ -162,11 +163,57 @@ int_arrays = st.integers(0, 40).flatmap(
         arrays(np.int64, n, elements=st.integers(-(2**53), 2**53)),
     )
 )
+# Any double, from its sign, biased exponent and fraction: every NaN sign and
+# payload, subnormals, and the exponents at both ends.
+double_bits = st.builds(
+    lambda sign, exponent, fraction: sign << 63 | exponent << 52 | fraction,
+    st.integers(0, 1),
+    st.one_of(
+        st.sampled_from([0, 1, 2, 0x3FE, 0x3FF, 0x400, 0x7FD, 0x7FE, 0x7FF]),
+        st.integers(0, 0x7FF),
+    ),
+    st.one_of(
+        st.sampled_from([0, 1, 2, 1 << 51, (1 << 52) - 1]),
+        st.integers(0, (1 << 52) - 1),
+    ),
+)
+bit_pattern_arrays = st.integers(0, 40).flatmap(
+    lambda n: st.tuples(
+        arrays(np.uint64, n, elements=double_bits).map(lambda a: a.view(np.float64)),
+        arrays(np.uint64, n, elements=double_bits).map(lambda a: a.view(np.float64)),
+    )
+)
+big_endian_arrays = st.one_of(float64_arrays, bit_pattern_arrays).map(
+    lambda xy: (xy[0].astype(">f8"), xy[1].astype(">f8"))
+)
+strided_arrays = st.integers(0, 40).flatmap(
+    lambda n: st.tuples(
+        arrays(np.float64, 2 * n, elements=finite_or_not).map(lambda a: a[::2]),
+        arrays(np.uint64, 3 * n, elements=double_bits).map(
+            lambda a: a.view(np.float64)[1::3]
+        ),
+    )
+)
 chunk_rows = st.sampled_from([1, 3, 7, csvio.CHUNK_ROWS])
+# Where repr switches between positional and exponent form, and the ends of
+# the doubles.
+REPR_BOUNDARIES = np.array([
+    1e16, 9999999999999998.0, 0.0001, 9.999999999999999e-05, 5e-324,
+    2.2250738585072014e-308, np.nextafter(2.2250738585072014e-308, 0.0),
+    1.7976931348623157e308, 2.0**-1022, 2.0**1023, -0.0, float("-nan"),
+])
 
 
 @settings(max_examples=200, deadline=None)
-@given(xy=st.one_of(float64_arrays, float32_arrays, int_arrays), chunk=chunk_rows)
+@given(
+    xy=st.one_of(
+        float64_arrays, float32_arrays, int_arrays, bit_pattern_arrays, big_endian_arrays,
+        strided_arrays,
+    ),
+    chunk=chunk_rows,
+)
+@example(xy=(REPR_BOUNDARIES, -REPR_BOUNDARIES), chunk=csvio.CHUNK_ROWS)
+@example(xy=(REPR_BOUNDARIES[::-1], REPR_BOUNDARIES), chunk=3)
 def test_writer_bytes_match_oracle(xy, chunk):
     x, y = xy
     with tempfile.TemporaryDirectory() as directory:
@@ -205,6 +252,22 @@ def test_writer_refuses_arrays_that_are_not_1d(tmp_path, x, y):
     with pytest.raises(InputError, match=r"^x and y must be 1-D, got shapes"):
         write_xy_csv(path, x, y)
     assert not path.exists()
+
+
+def test_writer_holds_one_chunk_not_the_sample(tmp_path):
+    """A 1,000,001-row write allocates at most about 1 MB above its inputs."""
+    x = np.linspace(0.0, 1.0, 1_000_001)
+    y = np.sin(x * 1e3) * 1e-3
+    write_xy_csv(tmp_path / "warm.csv", x[:3], y[:3])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_xy_csv(tmp_path / "xy.csv", x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "xy.csv").stat().st_size > 30 * len(x)
+    assert peak - before <= 1 << 20
 
 
 def test_writer_accepts_lists_and_empty_input(tmp_path):
