@@ -8,7 +8,8 @@ Algorithm:
 
 Every cloud is a ``StreamedCloud``: (x, y) blocks that report their point
 count and bounds up front, so the rescale needs no first pass. Blocks come
-from ``HeldBlocks`` for arrays in memory, or from a generator such as
+from ``HeldBlocks`` for arrays in memory, in views of at most
+``fif.PIECE_POINTS`` points, or from a generator such as
 ``fif.AttractorBlocks`` for attractor samples too large to hold. One
 quantizer, ``StreamedCloud.cells``, rescales points by the cloud's bounds
 and gives their cells. A box count quantizes one block at a time, except
@@ -38,6 +39,7 @@ from typing import Iterable, Iterator, NamedTuple, Protocol
 
 import numpy as np
 
+from . import fif
 from .errors import ComputationError, InputError
 from .fif import AttractorBlocks, ScalingVector
 
@@ -68,7 +70,10 @@ class HeldBlocks:
 
     ``bounds`` may declare the frame instead, such as the unit square for
     coordinates normalized already; every point must then be finite and
-    inside it.
+    inside it. Iteration yields each pair as views of at most
+    ``fif.PIECE_POINTS`` points, so a count's temporaries (the normalized
+    copies and the cell indices) stay the size of one piece, not of the
+    pair.
     """
 
     def __init__(
@@ -99,7 +104,10 @@ class HeldBlocks:
         return self._n
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        return iter(self._blocks)
+        piece = fif.PIECE_POINTS
+        for x, y in self._blocks:
+            for start in range(0, x.size, piece):
+                yield x[start : start + piece], y[start : start + piece]
 
 
 class StreamedCloud:

@@ -1,10 +1,12 @@
 """Two-column ``x,y`` CSV readers/writers shared by the sample and cloud tools.
 
-Neither direction holds a Python object for every row of a file. The writer
-formats fixed chunks of rows in numpy, into the bytes ``repr`` gives each
-float; the reader hands the body, less its whitespace-only lines, to
-``np.loadtxt`` once, and reruns the row-by-row ``csv`` loop only when numpy
-refuses it. That loop alone decides refusals and their row numbers.
+Neither direction holds a Python object for every row of a file, nor more
+than one chunk of rows beside the columns. The writer formats fixed chunks of
+rows in numpy, into the bytes ``repr`` gives each float; the reader hands the
+body, less its whitespace-only lines, to ``np.loadtxt`` a chunk at a time,
+straight into two columns sized by the file's line breaks, and reruns the
+row-by-row ``csv`` loop only when numpy refuses a chunk. That loop alone
+decides refusals and their row numbers.
 
 The ``repr`` of a float is the shortest decimal that reads back as the same
 double, the nearest to it where several are that short. The writer finds
@@ -382,43 +384,79 @@ def read_xy_csv(source: str | Path | io.TextIOBase) -> tuple[np.ndarray, np.ndar
     """
     if isinstance(source, (str, Path)):
         reopen = partial(open, source, "r", encoding="utf-8", newline="")
+        ends = _line_breaks(source)
     else:
-        reopen = partial(io.StringIO, source.read(), newline="")
+        text = source.read()
+        reopen = partial(io.StringIO, text, newline="")
+        ends = text.count("\n") + text.count("\r")
     with reopen() as handle:
-        columns = _load_columns(handle)
+        columns = _load_columns(handle, ends)
     if columns is not None:
         return columns
     with reopen() as handle:
         return _read_rows(handle)
 
 
-def _load_columns(handle) -> tuple[np.ndarray, np.ndarray] | None:
+def _line_breaks(path: str | Path) -> int:
+    """The ``\\n`` and ``\\r`` bytes of a file, counted in numpy in blocks
+    of about ``CHUNK_ROWS`` lines of 32 bytes."""
+    breaks = 0
+    with open(path, "rb") as raw:
+        for block in iter(partial(raw.read, 32 * CHUNK_ROWS), b""):
+            codes = np.frombuffer(block, dtype=np.uint8)
+            breaks += np.count_nonzero(codes == ord("\n"))
+            if b"\r" in block:
+                breaks += np.count_nonzero(codes == ord("\r"))
+    return breaks
+
+
+def _load_columns(handle, ends: int) -> tuple[np.ndarray, np.ndarray] | None:
     """The two columns parsed by numpy, or None where it refuses the input.
 
-    Whitespace-only lines are dropped on the way in, as the row loop skips
-    them. Reading the lines through that filter costs nothing measurable:
-    on a 1,000,001-row sample it took 0.65 s against 0.70-0.75 s straight
-    from the handle.
+    Each line but the last ends in one of the ``ends`` line breaks, and the
+    header takes a line, so no more than ``ends`` rows follow it. Two
+    columns of that length are filled by one ``np.loadtxt`` call per
+    ``CHUNK_ROWS`` rows, then trimmed to the rows read: the columns and one
+    chunk are all that is held. Whitespace-only lines are dropped on the
+    way in, as the row loop skips them.
     """
     header = [name.strip() for name in next(csv.reader(handle), [])]
     if "x" not in header or "y" not in header:
         return None
+    usecols = (header.index("x"), header.index("y"))
+    lines = filterfalse(str.isspace, handle)
+    x, y = np.empty(ends), np.empty(ends)
+    rows = 0
     try:
         with warnings.catch_warnings():
-            # An empty body is a refusal, not a warning.
-            warnings.simplefilter("error", UserWarning)
-            data = np.loadtxt(
-                filterfalse(str.isspace, handle),
-                delimiter=",",
-                usecols=(header.index("x"), header.index("y")),
-                quotechar='"',
-                comments=None,
-                ndmin=2,
-                dtype=float,
-            )
-    except (ValueError, UserWarning):
+            # A chunk begun after the last line is empty, and numpy warns.
+            warnings.simplefilter("ignore", UserWarning)
+            while True:
+                # numpy takes from an iterator only the lines of ``max_rows``
+                # rows, so each chunk starts where the last ended, and a
+                # short chunk is the last.
+                chunk = np.loadtxt(
+                    lines,
+                    delimiter=",",
+                    usecols=usecols,
+                    quotechar='"',
+                    comments=None,
+                    max_rows=CHUNK_ROWS,
+                    ndmin=2,
+                    dtype=float,
+                )
+                x[rows : rows + len(chunk)] = chunk[:, 0]
+                y[rows : rows + len(chunk)] = chunk[:, 1]
+                rows += len(chunk)
+                if len(chunk) < CHUNK_ROWS:
+                    break
+    except ValueError:
         return None
-    return data[:, 0].copy(), data[:, 1].copy()
+    if not rows:
+        return None
+    x.resize(rows, refcheck=False)
+    y.resize(rows, refcheck=False)
+    return x, y
 
 
 def _read_rows(handle) -> tuple[np.ndarray, np.ndarray]:

@@ -867,15 +867,29 @@ def generate_attractor_points(
     Every produced point lies exactly on the attractor graph (up to
     floating-point arithmetic), because the nodes do and the maps send graph
     points to graph points. Output is sorted by x with coincident interval
-    endpoints deduplicated; the P+1 data nodes are included exactly.
+    endpoints deduplicated; the P+1 data nodes are included exactly. The
+    ``AttractorBlocks`` stream is copied into x and y arrays of its declared
+    length as it comes, so no block is held past its copy.
+
+    Raises
+    ------
+    ComputationError
+        If the stream yields more or fewer points than it declares.
     """
-    blocks = list(AttractorBlocks(model, depth, max_points))
-    return GraphSample(
-        x=np.concatenate([x.ravel() for x, _ in blocks]),
-        y=np.concatenate([y.ravel() for _, y in blocks]),
-        generation=depth,
-        max_error_bound=0.0,
-    )
+    blocks = AttractorBlocks(model, depth, max_points)
+    x, y = np.empty(len(blocks)), np.empty(len(blocks))
+    filled = 0
+    for block_x, block_y in blocks:
+        end = filled + block_x.size
+        if end <= len(x):
+            x[filled:end] = block_x.ravel()
+            y[filled:end] = block_y.ravel()
+        filled = end
+    if filled != len(x):
+        raise ComputationError(
+            f"the attractor stream yielded {filled} points, not the {len(x)} it declares"
+        )
+    return GraphSample(x=x, y=y, generation=depth, max_error_bound=0.0)
 
 
 def verify_interpolation(sample: GraphSample, data: InterpolationData) -> float:

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from fractalmark import fif
 from fractalmark.boxdim import (
     DENSE_CELLS,
     HeldBlocks,
@@ -177,8 +180,10 @@ class TestCountBoxes:
         rng = np.random.default_rng(8)
         pts = rng.random((500, 2))
         cloud = normalize_to_unit_square(pts[:, 0], pts[:, 1])
-        for k in range(0, 7):
-            assert count_boxes(cloud, k) == brute_force_count(cloud, k)
+        want = [brute_force_count(cloud, k) for k in range(0, 7)]
+        for piece in (1, 7, fif.PIECE_POINTS):
+            with mock.patch.object(fif, "PIECE_POINTS", piece):
+                assert [count_boxes(cloud, k) for k in range(0, 7)] == want
 
     def test_matches_brute_force_above_the_dense_limit(self):
         # 4^20 cells is far above max(points, DENSE_CELLS): counted from sorted keys
@@ -186,8 +191,10 @@ class TestCountBoxes:
         pts = rng.random((1_000, 2))
         cloud = normalize_to_unit_square(pts[:, 0], pts[:, 1])
         assert 4**20 > max(len(cloud), DENSE_CELLS)
-        assert count_boxes(cloud, 20) == brute_force_count(cloud, 20)
-        assert count_boxes(cloud, 30) == brute_force_count(cloud, 30)
+        want = [brute_force_count(cloud, 20), brute_force_count(cloud, 30)]
+        for piece in (1, 7, fif.PIECE_POINTS):
+            with mock.patch.object(fif, "PIECE_POINTS", piece):
+                assert [count_boxes(cloud, 20), count_boxes(cloud, 30)] == want
 
     def test_boundary_points_assigned_to_last_cell(self):
         cloud = unit_cloud([1.0, 0.999999], [1.0, 1.0])
@@ -215,6 +222,21 @@ class TestEstimateDimension:
         cloud = normalize_to_unit_square(pts[:, 0], pts[:, 1])
         estimate = estimate_dimension(cloud, 2, 6)
         assert estimate.dimension == pytest.approx(2.0, abs=0.05)
+
+    def test_held_count_holds_one_piece(self):
+        """Counting 1 M held points allocates at most 4 MiB above them."""
+        x = np.linspace(0.0, 1.0, 1_000_000)
+        y = np.sin(x * 50.0)
+        estimate_dimension(normalize_to_unit_square(x[:1000], y[:1000]), 2, 4, 1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            estimate = estimate_dimension(normalize_to_unit_square(x, y))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert estimate.levels_used == (2, 7)
+        assert peak - before <= 4 << 20
 
     def test_counts_agree_with_count_boxes(self):
         rng = np.random.default_rng(4)

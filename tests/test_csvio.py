@@ -132,14 +132,17 @@ def csv_texts(draw) -> str:
 
 
 @settings(max_examples=400, deadline=None)
-@given(text=csv_texts(), from_path=st.booleans())
-def test_reader_matches_oracle(text, from_path):
+@given(text=csv_texts(), from_path=st.booleans(), chunk=st.sampled_from([1, 7, csvio.CHUNK_ROWS]))
+def test_reader_matches_oracle(text, from_path, chunk):
     if from_path:
         with tempfile.TemporaryDirectory() as directory:
             path = write_text(directory, text)
-            assert outcome(read_xy_csv, path) == outcome(oracle_read_xy_csv, path)
+            with mock.patch.object(csvio, "CHUNK_ROWS", chunk):
+                got = outcome(read_xy_csv, path)
+            assert got == outcome(oracle_read_xy_csv, path)
     else:
-        got = outcome(read_xy_csv, io.StringIO(text, newline=""))
+        with mock.patch.object(csvio, "CHUNK_ROWS", chunk):
+            got = outcome(read_xy_csv, io.StringIO(text, newline=""))
         assert got == outcome(oracle_read_xy_csv, io.StringIO(text, newline=""))
 
 
@@ -268,6 +271,22 @@ def test_writer_holds_one_chunk_not_the_sample(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "xy.csv").stat().st_size > 30 * len(x)
     assert peak - before <= 1 << 20
+
+
+def test_reader_holds_the_columns_and_one_chunk(tmp_path):
+    """A 1,000,001-row read allocates its two columns and at most 4 MiB more."""
+    x = np.linspace(0.0, 1.0, 1_000_001)
+    write_xy_csv(tmp_path / "xy.csv", x, np.sin(x * 1e3) * 1e-3)
+    read_xy_csv(io.StringIO("x,y\n1,2\n"))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        x, y = read_xy_csv(tmp_path / "xy.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(x) == len(y) == 1_000_001
+    assert peak - before <= 16 * len(x) + (4 << 20)
 
 
 def test_writer_accepts_lists_and_empty_input(tmp_path):

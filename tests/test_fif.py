@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from fractalmark.errors import ComputationError, InputError
 from fractalmark.event_study import InterpolationData
 from fractalmark.fif import (
+    AttractorBlocks,
     FifModel,
     GraphSample,
     PiecewiseLinear,
@@ -346,6 +349,28 @@ class TestAttractor:
         model = build_fif_model(AAR, 0.3)
         with pytest.raises(InputError, match="budget"):
             generate_attractor_points(model, 9, max_points=1_000_000)
+
+    def test_generation_holds_the_sample_and_one_piece(self):
+        """A depth-5 sample allocates its two columns and at most 8 MiB more."""
+        model = build_fif_model(CAAR, 0.5)
+        generate_attractor_points(model, 1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sample = generate_attractor_points(model, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sample) == 10**6 + 1
+        assert peak - before <= 16 * len(sample) + (8 << 20)
+
+    @pytest.mark.parametrize("skew", [-1, 1])
+    def test_stream_of_another_length_refused(self, skew):
+        model = build_fif_model(AAR, 0.3)
+        declared = AttractorBlocks.__len__
+        with mock.patch.object(AttractorBlocks, "__len__", lambda self: declared(self) + skew):
+            with pytest.raises(ComputationError, match="not the"):
+                generate_attractor_points(model, 3)
 
     def test_cross_validation_against_fixed_point(self):
         # exact attractor points against the converged grid at shared abscissae
