@@ -14,7 +14,6 @@ from .event_study import (
     AbnormalReturnPanel,
     InterpolationData,
     build_panel,
-    estimate_capm,
     subsample_to_grid,
 )
 from .fif import (
@@ -47,7 +46,6 @@ __all__ = [
     "daily_returns",
     "AbnormalReturnPanel",
     "InterpolationData",
-    "estimate_capm",
     "build_panel",
     "subsample_to_grid",
     "ScalingVector",

@@ -28,20 +28,6 @@ DEFAULT_POST_DAYS = 15
 DEFAULT_ESTIMATION_WINDOW_DAYS = 120
 
 
-@dataclass(frozen=True)
-class CapmParams:
-    """Fitted market-model parameters: slope (beta), intercept, daily risk-free rate."""
-
-    beta: float
-    intercept: float
-    risk_free_daily: float
-
-    def __post_init__(self) -> None:
-        for name in ("beta", "intercept", "risk_free_daily"):
-            if not math.isfinite(getattr(self, name)):
-                raise InputError(f"{name} must be finite")
-
-
 @dataclass(frozen=True, eq=False)
 class AbnormalReturnPanel:
     """Per-security abnormal returns with cross-sectional AAR and running CAAR.
@@ -139,37 +125,6 @@ def fit_market_model(
     beta = np.sum(x * y, axis=1) / np.sum(x * x, axis=1)
     intercept = y_mean[:, 0] - beta * x_mean[:, 0]
     return beta, intercept
-
-
-def estimate_capm(
-    asset: ReturnSeries, market: ReturnSeries, risk_free_daily: float = 0.0
-) -> CapmParams:
-    """OLS of asset excess returns on market excess returns.
-
-    Series are paired on their common dates first; at least 3 paired
-    observations are required. The slope is beta, the intercept is alpha.
-
-    Raises
-    ------
-    ComputationError
-        If the series share no dates, fewer than 3 paired observations exist
-        or the market excess returns have zero variance (degenerate
-        regression).
-    """
-    values, present = align_on_calendar([asset], market.dates)
-    shared = present[0]
-    if not shared.any():
-        raise ComputationError(
-            f"series {asset.instrument_id!r} and {market.instrument_id!r} share no dates"
-        )
-    if shared.sum() < 3:
-        raise ComputationError(
-            f"beta estimation needs >= 3 paired observations, got {shared.sum()}"
-        )
-    beta, intercept = fit_market_model(
-        values[:1, shared], market.values[None, shared], risk_free_daily
-    )
-    return CapmParams(float(beta[0]), float(intercept[0]), risk_free_daily)
 
 
 def abnormal_returns(

@@ -9,7 +9,7 @@ Pairing l_p with the vertical map F_p(x, y) = alpha_p y + q_p(x), where
 yields an iterated function system whose unique attractor is the graph of a
 continuous function interpolating the data. The germ is a continuous
 interpolant of the data (here its piecewise-linear interpolant); the base is
-any continuous function agreeing with the data at both endpoints (here
+a continuous function agreeing with the data at both endpoints (here
 ``germ(x^2)``, or the straight chord for the classical affine construction).
 
 Two evaluators are provided. ``generate_attractor_points`` iterates the IFS
@@ -38,7 +38,7 @@ CONTINUITY_TOL = 1e-10
 DEFAULT_GRID_SIZE = 6401
 DEFAULT_TOL = 1e-9
 DEFAULT_ITERATION_CAP = 200
-DEFAULT_MAX_POINTS = 30_000_000
+MAX_POINTS = 30_000_000
 # points per piece of an attractor block, and runs per chunk of the walk of
 # the IFS address tree (about 0.5 MB per coordinate array)
 PIECE_POINTS = 1 << 16
@@ -183,9 +183,9 @@ class FifModel:
     scaling vector and the base function, plus what they determine.
 
     ``germ`` is the data's piecewise-linear interpolant, one segment per data
-    interval. ``base`` is given as ``"square"`` (x -> germ(x^2)),
-    ``"chord"`` (the straight line through the end nodes) or a callable
-    matching the data at both endpoints, and is held as the callable.
+    interval. ``base`` is given as ``"square"`` (x -> germ(x^2)) or
+    ``"chord"`` (the straight line through the end nodes), and is held as
+    that function, which bounds itself between two points (``span``).
     ``a`` and ``b`` hold the domain maps l_p(x) = a_p x + b_p, which take
     [x_0, x_P] onto [x_{p-1}, x_p]: a_p = (x_p - x_{p-1}) / (x_P - x_0) and
     b_p = (x_P x_{p-1} - x_0 x_p) / (x_P - x_0). All are computed from the
@@ -194,24 +194,27 @@ class FifModel:
 
     data: InterpolationData
     alpha: ScalingVector
-    base: str | Callable[[np.ndarray], np.ndarray]
+    base: str | PiecewiseLinear | SquaredGerm
     germ: PiecewiseLinear = field(init=False, repr=False)
     a: np.ndarray = field(init=False, repr=False)
     b: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         germ = germ_piecewise_linear(self.data)
-        if self.base == "square":
-            object.__setattr__(self, "base", base_from_germ(germ))
-        elif self.base == "chord":
+        spec = self.base if isinstance(self.base, str) else None
+        if spec == "square":
+            object.__setattr__(self, "base", SquaredGerm(germ))
+        elif spec == "chord":
             object.__setattr__(self, "base", endpoint_chord(self.data))
-        elif not callable(self.base):
-            raise InputError(f"unknown base spec {self.base!r}")
+        else:
+            raise InputError(f"unknown base spec: use 'square' or 'chord', not {self.base!r}")
         if len(self.alpha) != self.data.intervals:
             raise InputError(
                 f"scaling vector has {len(self.alpha)} entries for "
                 f"{self.data.intervals} intervals"
             )
+        # x_0 and x_P may sit up to 1e-12 off 0 and 1, where germ(x^2) need
+        # not match the end nodes
         ends = self.base(np.array([self.data.x[0], self.data.x[-1]]))
         if abs(ends[0] - self.data.y[0]) > NODE_TOL or abs(ends[1] - self.data.y[-1]) > NODE_TOL:
             raise InputError("base function must match the data at both endpoints")
@@ -266,37 +269,21 @@ def germ_piecewise_linear(data: InterpolationData) -> PiecewiseLinear:
 
 @dataclass(frozen=True, eq=False)
 class SquaredGerm:
-    """The base x -> germ(x^2), which shares the germ's endpoint values on [0, 1]."""
+    """The base x -> germ(x^2), which shares the germ's endpoint values on [0, 1].
 
-    germ: Callable[[np.ndarray], np.ndarray]
+    Its ``span`` is the germ's at the squares. A pair around 0 misses the
+    germ between 0 and the smaller square, at most 1e-24 wide, where the
+    germ moves by far less than the walk's margin.
+    """
+
+    germ: PiecewiseLinear
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         arr = np.asarray(x, dtype=float)
         return self.germ(arr * arr)
 
-
-def base_from_germ(germ: Callable[[np.ndarray], np.ndarray]) -> SquaredGerm:
-    """Base function x -> germ(x^2); shares the germ's endpoint values on [0, 1]."""
-    return SquaredGerm(germ)
-
-
-def _base_span(
-    base: Callable[[np.ndarray], np.ndarray], x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The base at ``x``, and over each pair of points along its last axis
-    the least and greatest base value between them: from the breakpoints of
-    a piecewise-linear base or germ, unbounded for any other callable.
-
-    A pair around 0 under the squared germ misses the germ between 0 and the
-    smaller square, at most 1e-24 wide, where the germ moves by far less
-    than the walk's margin.
-    """
-    if isinstance(base, PiecewiseLinear):
-        return base.span(x)
-    if isinstance(base, SquaredGerm) and isinstance(base.germ, PiecewiseLinear):
-        return base.germ.span(x * x)
-    unbounded = np.full(x.shape[:-1] + (x.shape[-1] // 2,), np.inf)
-    return np.asarray(base(x), dtype=float), -unbounded, unbounded
+    def span(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.germ.span(x * x)
 
 
 def endpoint_chord(data: InterpolationData) -> PiecewiseLinear:
@@ -316,14 +303,13 @@ def data_is_collinear(data: InterpolationData, rtol: float = 1e-9) -> bool:
 def build_fif_model(
     data: InterpolationData,
     alpha: ScalingVector | float | str | Sequence[float],
-    base: str | Callable[[np.ndarray], np.ndarray] = "square",
+    base: str = "square",
 ) -> FifModel:
     """Assemble a model from data and scaling spec.
 
     ``base`` selects the base function: ``"square"`` for germ(x^2) (the
-    default construction here), ``"chord"`` for the straight line through
-    the endpoints (classical affine interpolant), or any callable matching
-    the data at both endpoints.
+    default construction here) or ``"chord"`` for the straight line through
+    the endpoints (classical affine interpolant).
     """
     if not isinstance(alpha, ScalingVector):
         alpha = ScalingVector.from_spec(alpha, data.intervals)
@@ -366,7 +352,7 @@ def _operator_terms(
     inv = (grid_x - model.b[p]) / model.a[p]
     scale = model.alpha.as_array()[p]
     # q_p(l_p^{-1}(x)) = germ(x) - alpha_p * base(l_p^{-1}(x)), since l_p(l_p^{-1}(x)) = x
-    return inv, scale, np.asarray(model.germ(grid_x)), scale * np.asarray(model.base(inv))
+    return inv, scale, np.asarray(model.germ(grid_x)), scale * model.base(inv)
 
 
 def _operator_step(
@@ -540,27 +526,19 @@ class AttractorBlocks:
     so a point's value does not depend on the chunk or gathered pass that
     computes it.
 
-    The range of y - base comes from the base's breakpoints, so only the
-    bases ``"square"``, ``"chord"``, a ``PiecewiseLinear`` and
-    ``base_from_germ`` of one have it. Any other callable has no bound: no
-    group can be skipped, and counting generates every point (in chunks, so
-    memory stays bounded). On the 2024 AAR model at alpha 0.5, one depth-6
-    estimate took 2.4-2.6 s with ``base=lambda v: germ(v * v)`` against
-    0.12 s with ``base_from_germ(germ)``, the same function. Build a squared
-    germ with ``base_from_germ``.
+    The range of y - base comes from the base's own bound (``span``).
+    A stream of more than ``MAX_POINTS`` points is refused.
     """
 
-    def __init__(
-        self, model: FifModel, depth: int, max_points: int = DEFAULT_MAX_POINTS
-    ) -> None:
+    def __init__(self, model: FifModel, depth: int) -> None:
         if depth < 0:
             raise InputError("depth must be non-negative")
         p_count = model.data.intervals
         expected = (p_count + 1) * p_count**depth
-        if expected > max_points:
+        if expected > MAX_POINTS:
             raise InputError(
                 f"depth {depth} would generate ~{expected} points, over the "
-                f"budget of {max_points}"
+                f"budget of {MAX_POINTS}"
             )
         self.model = model
         self.depth = depth
@@ -587,10 +565,10 @@ class AttractorBlocks:
         branches = np.arange(model.data.intervals)[:, None]
         level, xs, ys = 0, model.data.x, model.data.y
         while level < self.depth - 1 and xs.size * len(branches) <= PIECE_POINTS:
-            image = _branch_image(model, branches, xs, ys, np.asarray(model.base(xs)), ends=True)
+            image = _branch_image(model, branches, xs, ys, model.base(xs), ends=True)
             level, xs, ys = level + 1, image[0].ravel(), image[1].ravel()
         run = len(branches) + 1
-        return level, tuple(v.reshape(-1, run) for v in (xs, ys, np.asarray(model.base(xs))))
+        return level, tuple(v.reshape(-1, run) for v in (xs, ys, model.base(xs)))
 
     @functools.cached_property
     def _margin(self) -> float:
@@ -600,7 +578,7 @@ class AttractorBlocks:
         model = self.model
         data, germ = model.data, model.germ
         s = model.alpha.max_abs
-        _, base_lo, base_hi = _base_span(model.base, data.x[[0, -1]])
+        _, base_lo, base_hi = model.base.span(data.x[[0, -1]])
         base_bound = max(float(base_hi[0]), -float(base_lo[0]))
         # |y| <= s |y| + max|germ| + s max|base| at every level, so no point of
         # the attractor, nor a computed one up to rounding, is further out
@@ -641,7 +619,7 @@ class AttractorBlocks:
         model = self.model
         x, y = _branch_image(model, p, runs.x, runs.y, runs.base, ends=True)
         y_lo, y_hi = self._image_box(p, runs.d_lo, runs.d_hi, x[..., 0::2], x[..., 1::2])
-        base, base_lo, base_hi = _base_span(model.base, x)
+        base, base_lo, base_hi = model.base.span(x)
         d_lo, d_hi = y_lo - base_hi - self._margin, y_hi - base_lo + self._margin
         return _Runs(start, *(v.ravel() for v in (x, y, base, d_lo, d_hi)))
 
@@ -650,9 +628,9 @@ class AttractorBlocks:
         """The deepest level below ``depth`` with at most ``PIECE_POINTS``
         runs, held whole, and its number."""
         data = self.model.data
-        rest = data.y - np.asarray(self.model.base(data.x))
+        rest = data.y - self.model.base(data.x)
         x = data.x[[0, -1]]
-        base = np.asarray(self.model.base(x))
+        base = self.model.base(x)
         d_lo, d_hi = rest.min(keepdims=True), rest.max(keepdims=True)
         level, runs = 0, _Runs(0, x, data.y[[0, -1]], base, d_lo, d_hi)
         branches = np.arange(data.intervals)[:, None]
@@ -712,7 +690,7 @@ class AttractorBlocks:
             address = address // p_count**held_level
             for j in range(held_level, level):
                 if j > held_level:
-                    base = np.asarray(model.base(x))
+                    base = model.base(x)
                 x, y = _branch_image(model, (address % p_count)[:, None], x, y, base)
                 address //= p_count
             yield x, y
@@ -768,7 +746,7 @@ class AttractorBlocks:
                     count = runs.d_lo.size
                     level = self.depth - 1
                     pieces = self._interiors(np.arange(runs.start, runs.start + count), level)
-                    inner = runs.start, [(x, y, np.asarray(self.model.base(x))) for x, y in pieces]
+                    inner = runs.start, [(x, y, self.model.base(x)) for x, y in pieces]
                 kept_x, kept_y = self._firsts(runs, p, before)
                 for start, piece in zip(range(0, kept_x.size, step), inner[1]):
                     x, y = _branch_image(self.model, p, *piece)
@@ -859,9 +837,7 @@ class AttractorBlocks:
         return bitmap
 
 
-def generate_attractor_points(
-    model: FifModel, depth: int, max_points: int = DEFAULT_MAX_POINTS
-) -> GraphSample:
+def generate_attractor_points(model: FifModel, depth: int) -> GraphSample:
     """Apply every IFS branch to the node set for ``depth`` rounds.
 
     Every produced point lies exactly on the attractor graph (up to
@@ -876,7 +852,7 @@ def generate_attractor_points(
     ComputationError
         If the stream yields more or fewer points than it declares.
     """
-    blocks = AttractorBlocks(model, depth, max_points)
+    blocks = AttractorBlocks(model, depth)
     x, y = np.empty(len(blocks)), np.empty(len(blocks))
     filled = 0
     for block_x, block_y in blocks:

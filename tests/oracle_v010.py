@@ -2,8 +2,8 @@
 
 It is the reference the columnar code is tested against: one frozen object
 per price bar, tuple-backed return series, dict-based alignment and the
-per-asset market-model loop of ``compute_abnormal_panel``. ``CapmParams``
-and ``build_panel`` did not change and are imported from the package.
+per-asset market-model loop of ``compute_abnormal_panel``. ``build_panel``
+did not change and is imported from the package.
 """
 
 from __future__ import annotations
@@ -21,11 +21,24 @@ from fractalmark.event_study import (
     DEFAULT_POST_DAYS,
     DEFAULT_PRE_DAYS,
     AbnormalReturnPanel,
-    CapmParams,
     build_panel,
 )
 
 REQUIRED_COLUMNS = ("date", "open", "close")
+
+
+@dataclass(frozen=True)
+class CapmParams:
+    """Fitted market-model parameters: slope (beta), intercept, daily risk-free rate."""
+
+    beta: float
+    intercept: float
+    risk_free_daily: float
+
+    def __post_init__(self) -> None:
+        for name in ("beta", "intercept", "risk_free_daily"):
+            if not math.isfinite(getattr(self, name)):
+                raise InputError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)

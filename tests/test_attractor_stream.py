@@ -24,7 +24,7 @@ from fractalmark.boxdim import (
 from fractalmark.errors import InputError
 from fractalmark.event_study import InterpolationData
 from fractalmark.fif import (
-    DEFAULT_MAX_POINTS,
+    MAX_POINTS,
     AttractorBlocks,
     FifModel,
     GraphSample,
@@ -38,7 +38,7 @@ DEDUP_TOL = 1e-13
 
 
 def generate_attractor_points(
-    model: FifModel, depth: int, max_points: int = DEFAULT_MAX_POINTS
+    model: FifModel, depth: int, max_points: int = MAX_POINTS
 ) -> GraphSample:
     """Apply every IFS branch to the node set for ``depth`` rounds.
 
@@ -163,16 +163,20 @@ def test_blocks_reproduce_the_sorted_sample(model, depth, piece):
 def test_streamed_cloud_counts_like_the_normalized_sample(model, depth, piece):
     sample = generate_attractor_points(model, depth)
     want = normalize_to_unit_square(sample.x, sample.y)
+    # levels 0..10 pool a dense bitmap; 14..16 pool sorted cell keys. The
+    # oracle's counts are taken before the patch, which would cut the held
+    # sample into views of ``piece`` points too
+    k_ranges = ((0, 10), (14, 16))
+    want_counts = {k: count_boxes(want, k) for lo, hi in k_ranges for k in range(lo, hi + 1)}
     with mock.patch.object(fif, "PIECE_POINTS", piece):
         cloud = StreamedCloud(AttractorBlocks(model, depth))
         assert len(cloud) == len(want)
         assert cloud.original_bounds == want.original_bounds
         assert cloud.degenerate_y == want.degenerate_y
-        # levels 0..10 pool a dense bitmap; 14..16 pool sorted cell keys
-        for k_min, k_max in ((0, 10), (14, 16)):
+        for k_min, k_max in k_ranges:
             curve = estimate_dimension(cloud, k_min, k_max, min_points_per_box=1).curve
             for level in curve.levels:
-                assert level.count == count_boxes(want, level.k)
+                assert level.count == want_counts[level.k]
 
 
 @settings(max_examples=300, deadline=None)
@@ -285,4 +289,4 @@ def test_depth_six_estimate_holds_no_level():
 def test_budget_refused_before_any_block():
     model = build_fif_model(InterpolationData(np.arange(11) / 10, np.arange(11.0) % 3), 0.3)
     with pytest.raises(InputError, match="budget"):
-        AttractorBlocks(model, 9, max_points=1_000_000)
+        AttractorBlocks(model, 9)

@@ -13,7 +13,6 @@ from fractalmark.event_study import (
     abnormal_returns,
     build_panel,
     compute_abnormal_panel,
-    estimate_capm,
     fit_market_model,
     panel_csv,
     subsample_to_grid,
@@ -27,53 +26,63 @@ def series_from(values, name="s", start=dt.date(2024, 1, 1)):
     return ReturnSeries(name, dates, tuple(float(v) for v in values))
 
 
+def market_model(asset, market):
+    """One security's (beta, intercept), from ``fit_market_model``."""
+    beta, intercept = fit_market_model(np.array([asset], float), np.array([market], float))
+    return float(beta[0]), float(intercept[0])
+
+
 class TestEstimateCapm:
+    """Each beta's market-model fit: by ``fit_market_model``, and by
+    ``compute_abnormal_panel`` where the dates are paired first."""
+
     def test_asset_equals_market(self):
-        market = series_from([0.01, -0.02, 0.005, 0.0, 0.015])
-        params = estimate_capm(market, market, risk_free_daily=0.0)
-        assert params.beta == pytest.approx(1.0, abs=1e-12)
-        assert params.intercept == pytest.approx(0.0, abs=1e-12)
+        market = [0.01, -0.02, 0.005, 0.0, 0.015]
+        beta, intercept = market_model(market, market)
+        assert beta == pytest.approx(1.0, abs=1e-12)
+        assert intercept == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_asset_gives_zero_beta(self):
-        market = series_from([0.01, -0.02, 0.005, 0.003])
-        asset = series_from([0.0, 0.0, 0.0, 0.0], name="flat")
-        params = estimate_capm(asset, market)
-        assert params.beta == pytest.approx(0.0, abs=1e-12)
+        beta, _ = market_model([0.0, 0.0, 0.0, 0.0], [0.01, -0.02, 0.005, 0.003])
+        assert beta == pytest.approx(0.0, abs=1e-12)
 
     def test_exact_linear_relation(self):
         # closed-form OLS on exactly linear data recovers slope and intercept
         rng = np.random.default_rng(5)
         m = rng.normal(0.0, 0.01, 50)
-        a = 2.0 * m + 0.001
-        params = estimate_capm(series_from(a, "a"), series_from(m, "m"))
-        assert params.beta == pytest.approx(2.0, abs=1e-12)
-        assert params.intercept == pytest.approx(0.001, abs=1e-14)
+        beta, intercept = market_model(2.0 * m + 0.001, m)
+        assert beta == pytest.approx(2.0, abs=1e-12)
+        assert intercept == pytest.approx(0.001, abs=1e-14)
 
     def test_zero_variance_market_degenerate(self):
-        market = series_from([0.01, 0.01, 0.01, 0.01])
-        asset = series_from([0.0, 0.1, 0.2, 0.3], name="a")
         with pytest.raises(ComputationError, match="degenerate"):
-            estimate_capm(asset, market)
+            market_model([0.0, 0.1, 0.2, 0.3], [0.01, 0.01, 0.01, 0.01])
 
     def test_too_few_observations(self):
-        with pytest.raises(ComputationError, match=">= 3"):
-            estimate_capm(series_from([0.1, 0.2]), series_from([0.2, 0.1], "m"))
+        # a one-day window on the third date leaves two paired dates before it
+        market = series_from([0.2, 0.1, 0.3], "m")
+        with pytest.raises(ComputationError, match="only 2 trading days"):
+            compute_abnormal_panel(
+                [series_from([0.1, 0.2, 0.4])], market, dt.date(2024, 1, 3), pre_days=0, post_days=0
+            )
 
     def test_affine_equivariance(self):
         rng = np.random.default_rng(17)
         m = rng.normal(0.0, 0.01, 120)
         a = 1.3 * m + rng.normal(0.0, 0.002, 120)
-        base = estimate_capm(series_from(a, "a"), series_from(m, "m"))
+        beta, intercept = market_model(a, m)
         for shift in (0.004, -0.02, 1.5):
-            shifted = estimate_capm(series_from(a + shift, "a"), series_from(m, "m"))
-            assert shifted.beta == pytest.approx(base.beta, abs=1e-12)
-            assert shifted.intercept - base.intercept == pytest.approx(shift, abs=1e-12 * max(1, abs(shift)))
+            shifted_beta, shifted_intercept = market_model(a + shift, m)
+            assert shifted_beta == pytest.approx(beta, abs=1e-12)
+            assert shifted_intercept - intercept == pytest.approx(shift, abs=1e-12 * max(1, abs(shift)))
 
     def test_aligns_mismatched_dates(self):
-        m = series_from([0.01, 0.02, -0.01, 0.005])
-        a = ReturnSeries("a", m.dates[1:], (0.02, -0.01, 0.005))
-        params = estimate_capm(a, m)
-        assert params.beta == pytest.approx(1.0, abs=1e-12)
+        # the asset misses the market's first date and follows the market up
+        # to the event day, where it returns 0: beta 1, so AR = -r_m there
+        m = series_from([0.01, 0.02, -0.01, 0.005, 0.01], "m")
+        a = ReturnSeries("a", m.dates[1:], (0.02, -0.01, 0.005, 0.0))
+        panel, _, _ = compute_abnormal_panel([a], m, dt.date(2024, 1, 5), pre_days=0, post_days=0)
+        assert panel.ar[0, 0] == pytest.approx(-0.01, abs=1e-14)
 
 
 def expected_return(beta, risk_free_daily, market_return):

@@ -9,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 from fractalmark.errors import ComputationError, InputError
 from fractalmark.event_study import InterpolationData
 from fractalmark.fif import (
+    CONTINUITY_TOL,
     AttractorBlocks,
     FifModel,
     GraphSample,
     PiecewiseLinear,
     ScalingVector,
-    base_from_germ,
+    SquaredGerm,
     build_eval_grid,
     build_fif_model,
     data_is_collinear,
@@ -127,12 +128,12 @@ class TestGerm:
 class TestBase:
     def test_square_composition_identity_germ(self):
         germ = PiecewiseLinear.interpolating([0.0, 1.0], [0.0, 1.0])
-        base = base_from_germ(germ)
+        base = SquaredGerm(germ)
         assert base(np.array([0.5]))[0] == pytest.approx(0.25, abs=1e-15)
 
     def test_endpoint_values(self):
         germ = germ_piecewise_linear(AAR)
-        base = base_from_germ(germ)
+        base = SquaredGerm(germ)
         assert base(np.array([1.0]))[0] == pytest.approx(0.00172, abs=1e-12)
         assert base(np.array([0.0]))[0] == germ(np.array([0.0]))[0]
 
@@ -171,7 +172,7 @@ class TestScalingVector:
 
 class TestModelValidation:
     def test_germ_is_the_data_interpolant(self):
-        model = FifModel(data=AAR, alpha=ScalingVector.from_spec(0.3, 10), base=endpoint_chord(AAR))
+        model = FifModel(data=AAR, alpha=ScalingVector.from_spec(0.3, 10), base="chord")
         want = germ_piecewise_linear(AAR)
         assert model.germ.breakpoints.tobytes() == AAR.x.tobytes()
         assert model.germ.slopes.tobytes() == want.slopes.tobytes()
@@ -183,22 +184,21 @@ class TestModelValidation:
         alpha = ScalingVector.from_spec(0.5, 10)
         square = FifModel(data=AAR, alpha=alpha, base="square")
         chord = FifModel(data=AAR, alpha=alpha, base="chord")
-        given = FifModel(data=AAR, alpha=alpha, base=base_from_germ(germ_piecewise_linear(AAR)))
         x = np.linspace(0.0, 1.0, 101)
-        assert square.base(x).tobytes() == given.base(x).tobytes()
+        assert isinstance(square.base, SquaredGerm) and square.base.germ is square.germ
+        assert square.base(x).tobytes() == SquaredGerm(germ_piecewise_linear(AAR))(x).tobytes()
         assert chord.base(x).tobytes() == endpoint_chord(AAR)(x).tobytes()
-        assert (
-            generate_attractor_points(square, 3).y.tobytes()
-            == generate_attractor_points(given, 3).y.tobytes()
-        )
-        for bad in ("cube", 5):
-            with pytest.raises(InputError, match="unknown base spec"):
+        # only a name is taken: no function, nor a base already built
+        for bad in ("cube", 5, lambda v: v, endpoint_chord(AAR), square.base):
+            with pytest.raises(InputError, match="unknown base spec: use 'square' or 'chord'"):
                 FifModel(data=AAR, alpha=alpha, base=bad)
 
     def test_base_endpoints_checked(self):
-        bad_base = PiecewiseLinear.interpolating([0.0, 1.0], [5.0, 5.0])
+        # x_0 is 1e-12 off 0, where germ(x^2) lies about 1e-6 below y_0
+        data = InterpolationData(np.array([1e-12, 1e-6, 0.5, 1.0]), np.array([0.0, 1.0, 0.0, 0.0]))
         with pytest.raises(InputError, match="endpoint"):
-            build_fif_model(AAR, 0.3, base=bad_base)
+            build_fif_model(data, 0.3)
+        assert build_fif_model(data, 0.3, base="chord").base(data.x[[0, -1]]).tolist() == [0.0, 0.0]
 
     def test_alpha_length_checked(self):
         with pytest.raises(InputError):
@@ -348,7 +348,7 @@ class TestAttractor:
     def test_memory_budget(self):
         model = build_fif_model(AAR, 0.3)
         with pytest.raises(InputError, match="budget"):
-            generate_attractor_points(model, 9, max_points=1_000_000)
+            generate_attractor_points(model, 9)
 
     def test_generation_holds_the_sample_and_one_piece(self):
         """A depth-5 sample allocates its two columns and at most 8 MiB more."""
@@ -423,15 +423,30 @@ class TestVerifyInterpolation:
 
 
 @st.composite
-def random_models(draw):
-    """Random partitions of [0, 1] (P 2..10, widths >= 1e-2), ordinates and signed scaling."""
+def random_models(draw, bases=("square",)):
+    """Random partitions of [0, 1] (P 2..10, widths >= 1e-2), ordinates, signed
+    scaling and one of ``bases``."""
     p_count = draw(st.integers(2, 10))
     weights = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=p_count, max_size=p_count)))
     x = np.concatenate([[0.0], np.cumsum(1e-2 + (1.0 - 1e-2 * p_count) * weights / weights.sum())])
     x[-1] = 1.0
     y = draw(st.lists(st.floats(-1.0, 1.0), min_size=p_count + 1, max_size=p_count + 1))
     alpha = draw(st.lists(st.floats(-0.9, 0.9), min_size=p_count, max_size=p_count))
-    return build_fif_model(InterpolationData(x, np.array(y)), alpha)
+    return build_fif_model(InterpolationData(x, np.array(y)), alpha, draw(st.sampled_from(bases)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=random_models(bases=("square", "chord")), data=st.data())
+def test_base_span_bounds_the_base_between_each_pair(model, data):
+    # pair ends anywhere on [0, 1] or on a knot, in either order
+    point = st.one_of(st.floats(0.0, 1.0), st.sampled_from(model.data.x.tolist()))
+    x = np.array(data.draw(st.lists(st.tuples(point, point), min_size=1, max_size=20)))
+    values, lo, hi = model.base.span(x)
+    assert values.tobytes() == model.base(x).tobytes()
+    t = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20)))
+    inside = model.base(x[:, :1] + t * (x[:, 1:] - x[:, :1]))
+    assert np.all(inside >= lo - CONTINUITY_TOL)
+    assert np.all(inside <= hi + CONTINUITY_TOL)
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracle_v010 as oracle
 from fractalmark.errors import ComputationError, InputError
-from fractalmark.event_study import estimate_capm
+from fractalmark.event_study import compute_abnormal_panel
 from fractalmark.market_data import (
     PRICE_DTYPE,
     PriceSeries,
@@ -216,8 +216,8 @@ class TestAlign:
         b = self._series("b", 10, [0.05, 0.06, 0.07])
         values, present = align_on_calendar([a], b.dates)
         assert not present.any() and np.isnan(values).all()
-        with pytest.raises(ComputationError, match="no dates"):
-            estimate_capm(a, b)
+        with pytest.raises(ComputationError, match="no return on"):
+            compute_abnormal_panel([a], b, b.dates[0], pre_days=0, post_days=0)
 
 
 class TestReturnsCsv:
