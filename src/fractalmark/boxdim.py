@@ -6,19 +6,21 @@ Algorithm:
       and count the cells holding at least one point
     - regress log2(count) on k; the slope estimates the box dimension
 
-Every cloud is a ``StreamedCloud``: (x, y) blocks that report their point
-count and bounds up front, so the rescale needs no first pass. Blocks come
-from ``HeldBlocks`` for arrays in memory, in views of at most
-``fif.PIECE_POINTS`` points, or from a generator such as
+Every cloud is a ``StreamedCloud`` over one of two sources of (x, y)
+blocks, each of which reports its point count and bounds up front, so the
+rescale needs no first pass: ``HeldBlocks`` for an array pair in memory,
+read in views of at most ``fif.PIECE_POINTS`` points, and
 ``fif.AttractorBlocks`` for attractor samples too large to hold. One
 quantizer, ``StreamedCloud.cells``, rescales points by the cloud's bounds
-and gives their cells. A box count quantizes one block at a time, except
-that ``fif.AttractorBlocks`` marks a dense bitmap by walking its IFS
-address tree: it marks the first point kept from every run, bounds groups
-of runs by interval arithmetic, and generates only the runs that could add
-a cell; since the quantizer never decreases in either coordinate, that
-bitmap is the point-by-point one, bit for bit. A y-range within
-``DEGENERATE_Y_ULPS`` ulps of max|y| is taken as constant y.
+and gives their cells, and each source marks its own dense bitmap with it.
+``HeldBlocks`` scatters its points a piece at a time. ``fif.AttractorBlocks``
+walks its IFS address tree: it marks the first point kept from every run,
+bounds groups of runs by interval arithmetic, and generates only the runs
+that could add a cell; since the quantizer never decreases in either
+coordinate, that bitmap is the point-by-point one, bit for bit. Levels too
+fine for a dense bitmap quantize one block at a time into sorted cell keys.
+A y-range within ``DEGENERATE_Y_ULPS`` ulps of max|y| is taken as constant
+y.
 
 Levels where the sample is too sparse to fill its cells (more occupied
 boxes than points / min_points_per_box) are excluded from the regression,
@@ -35,13 +37,13 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Protocol
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from . import fif
 from .errors import ComputationError, InputError
-from .fif import AttractorBlocks, ScalingVector
+from .fif import ScalingVector
 
 DEFAULT_K_MIN = 2
 DEFAULT_K_MAX = 8
@@ -53,45 +55,27 @@ DENSE_CELLS = 1 << 20
 DEGENERATE_Y_ULPS = 32
 
 
-class BoundedBlocks(Protocol):
-    """Equal-shape (x, y) array pairs, the same ones on every iteration, that
-    know their total point count and (x_min, x_max, y_min, y_max) bounds."""
-
-    bounds: tuple[float, float, float, float]
-
-    def __len__(self) -> int: ...
-
-    def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]: ...
-
-
 class HeldBlocks:
-    """(x, y) array pairs held in memory, whose ``len()`` and ``bounds`` are
-    those of their concatenation.
+    """An (x, y) array pair held in memory, with its point count and bounds.
 
     ``bounds`` may declare the frame instead, such as the unit square for
     coordinates normalized already; every point must then be finite and
-    inside it. Iteration yields each pair as views of at most
+    inside it. Iteration yields the pair as views of at most
     ``fif.PIECE_POINTS`` points, so a count's temporaries (the normalized
     copies and the cell indices) stay the size of one piece, not of the
     pair.
     """
 
     def __init__(
-        self,
-        blocks: Iterable[tuple[np.ndarray, np.ndarray]],
-        bounds: tuple[float, float, float, float] | None = None,
+        self, x: np.ndarray, y: np.ndarray, bounds: tuple[float, float, float, float] | None = None
     ) -> None:
-        pairs = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float)) for x, y in blocks]
-        if any(x.shape != y.shape or x.ndim != 1 for x, y in pairs):
+        self._x, self._y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if self._x.shape != self._y.shape or self._x.ndim != 1:
             raise InputError("cloud must hold matching 1-D x and y arrays")
-        self._blocks = [(x, y) for x, y in pairs if x.size]
-        if not self._blocks:
+        if self._x.size < 2:
             raise InputError("cloud must retain at least 2 points")
-        self._n = sum(x.size for x, _ in self._blocks)
         # numpy's min/max propagate nan, so a non-finite point shows in the bounds
-        lo = np.array([(x.min(), y.min()) for x, y in self._blocks]).min(axis=0)
-        hi = np.array([(x.max(), y.max()) for x, y in self._blocks]).max(axis=0)
-        data = (float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]))
+        data = tuple(float(f(v)) for v in (self._x, self._y) for f in (np.min, np.max))
         if not all(math.isfinite(b) for b in data):
             raise InputError("cloud coordinates must be finite")
         if bounds is not None:
@@ -101,13 +85,22 @@ class HeldBlocks:
         self.bounds = data if bounds is None else bounds
 
     def __len__(self) -> int:
-        return self._n
+        return self._x.size
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         piece = fif.PIECE_POINTS
-        for x, y in self._blocks:
-            for start in range(0, x.size, piece):
-                yield x[start : start + piece], y[start : start + piece]
+        for start in range(0, self._x.size, piece):
+            yield self._x[start : start + piece], self._y[start : start + piece]
+
+    def occupancy(
+        self, cells: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]], m: int
+    ) -> np.ndarray:
+        """The m x m bitmap, indexed [column, row], of the cells that
+        ``cells(x, y)`` gives the points, scattered a piece at a time."""
+        bitmap = np.zeros((m, m), dtype=bool)
+        for x, y in self:
+            bitmap[cells(x, y)] = True
+        return bitmap
 
 
 class StreamedCloud:
@@ -116,16 +109,14 @@ class StreamedCloud:
 
     The point count and the bounds come from ``len(blocks)`` and
     ``blocks.bounds``; every box count reads the blocks, so a streamed
-    source stays at one block in memory. A dense count of
-    ``fif.AttractorBlocks`` takes its bitmap from them instead.
+    source stays at one block in memory. A dense count asks the source
+    for its bitmap: ``HeldBlocks`` scatters its points, and
+    ``fif.AttractorBlocks`` marks boxes on its runs.
     """
 
-    def __init__(self, blocks: BoundedBlocks) -> None:
-        n = len(blocks)
-        if n < 2:
-            raise InputError("cloud must retain at least 2 points")
+    def __init__(self, blocks: HeldBlocks | fif.AttractorBlocks) -> None:
         self._blocks = blocks
-        self._n = n
+        self._n = len(blocks)
         self.original_bounds = tuple(float(v) for v in blocks.bounds)
         self.degenerate_y = _is_y_degenerate(self.original_bounds)
 
@@ -149,17 +140,9 @@ class StreamedCloud:
         return _cell_index(xn, m), _cell_index(yn, m)
 
     def occupancy(self, m: int) -> np.ndarray:
-        """The m x m bitmap, indexed [column, row], of the occupied cells.
-
-        ``fif.AttractorBlocks`` marks it from boxes on its runs; other
-        blocks are scattered point by point.
-        """
-        if isinstance(self._blocks, AttractorBlocks):
-            return self._blocks.occupancy(functools.partial(self.cells, m=m), m)
-        bitmap = np.zeros((m, m), dtype=bool)
-        for x, y in self._blocks:
-            bitmap[self.cells(x, y, m)] = True
-        return bitmap
+        """The m x m bitmap, indexed [column, row], of the occupied cells,
+        as the source marks it."""
+        return self._blocks.occupancy(functools.partial(self.cells, m=m), m)
 
 
 class BoxCountLevel(NamedTuple):
@@ -221,17 +204,13 @@ def _to_unit(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 
 def normalize_to_unit_square(x: np.ndarray, y: np.ndarray) -> StreamedCloud:
-    """The two arrays as a one-block cloud, rescaled per axis onto
+    """The two arrays as a one-pair cloud, rescaled per axis onto
     [0, 1] x [0, 1] whenever a count reads it.
 
     A constant-y input maps to y = 0.5 everywhere and is flagged; constant
     x (or a single repeated point) cannot be normalized.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1 or len(x) < 2:
-        raise InputError("need two matching 1-D coordinate arrays with >= 2 points")
-    return StreamedCloud(HeldBlocks([(x, y)]))
+    return StreamedCloud(HeldBlocks(x, y))
 
 
 def _cell_index(v: np.ndarray, m: int) -> np.ndarray:

@@ -197,7 +197,7 @@ def cmd_boxdim(args: argparse.Namespace) -> int:
     if normalize:
         cloud = boxdim.normalize_to_unit_square(x, y)
     else:
-        cloud = boxdim.StreamedCloud(boxdim.HeldBlocks([(x, y)], bounds=(0.0, 1.0, 0.0, 1.0)))
+        cloud = boxdim.StreamedCloud(boxdim.HeldBlocks(x, y, bounds=(0.0, 1.0, 0.0, 1.0)))
     estimate = boxdim.estimate_dimension(cloud, args.k_min, args.k_max, args.min_points_per_box)
     text = boxdim.report_json(boxdim.report_dict(estimate, normalized=normalize))
     if args.out:

@@ -172,10 +172,6 @@ class PiecewiseLinear:
         end_lo, end_hi = _pair_extremes(values)
         return values, np.minimum(end_lo, low[first, last]), np.maximum(end_hi, high[first, last])
 
-    @property
-    def segments(self) -> int:
-        return len(self.slopes)
-
 
 @dataclass(frozen=True, eq=False)
 class FifModel:
@@ -797,13 +793,16 @@ class AttractorBlocks:
         stream point, bit for bit, without generating every point.
 
         ``cells(x, y)`` gives each point's column and row, each
-        non-decreasing in its coordinate. A first walk marks exactly the
-        first point the stream keeps from every run, and node P. The other
+        non-decreasing in its coordinate. One walk takes level depth - 1
+        chunk by chunk. Each chunk first marks exactly the first point the
+        stream keeps from every run below it, for every branch. The other
         points of a group of runs lie in its box (``_survivors``), so a
         group whose box sits in one column with every cell between its
-        quantized ends marked can add nothing. A second walk generates the
-        interior points of the runs no such group holds, through the same
-        branch maps as the stream, and marks them.
+        quantized ends marked can add nothing; the chunk then generates
+        the interior points of the runs no such group holds, through the
+        same branch maps as the stream, and marks them. Every mark is a
+        stream point, so a box tested before a later chunk's marks can
+        only be skipped less often, never wrongly.
         """
         bitmap = np.zeros((m, m), dtype=bool)
 
@@ -815,14 +814,8 @@ class AttractorBlocks:
             mark(data.x, data.y)
             return bitmap
         mark(data.x[-1:], data.y[-1:])
-        for runs, before in self._chunks():
-            for p in range(data.intervals):
-                mark(*self._firsts(runs, p, before))
-        # 1 + the highest empty cell at or below each cell of its column, 0 if none
-        gap = np.where(bitmap, 0, np.arange(1, m + 1, dtype=np.min_scalar_type(m)))
-        np.maximum.accumulate(gap, axis=1, out=gap)
-
         y_min, y_max = self.bounds[2:]
+        fill = np.arange(1, m + 1, dtype=np.min_scalar_type(m))
 
         def unknown(x_lo, x_hi, y_lo, y_hi):
             # a box end past the stream's y-range quantizes as that bound, and
@@ -831,7 +824,12 @@ class AttractorBlocks:
             col_hi, row_hi = cells(x_hi, np.maximum(np.fmin(y_hi, y_max), y_min))
             return ~((col_lo == col_hi) & (gap[col_hi, row_hi] <= row_lo))
 
-        for runs, _ in self._chunks():
+        for runs, before in self._chunks():
+            for p in range(data.intervals):
+                mark(*self._firsts(runs, p, before))
+            # 1 + the highest empty cell at or below each cell of its column, 0 if none
+            gap = np.where(bitmap, 0, fill)
+            np.maximum.accumulate(gap, axis=1, out=gap)
             for x, y in self._interiors(self._survivors(runs, unknown), self.depth):
                 mark(x, y)
         return bitmap

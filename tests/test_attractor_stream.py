@@ -145,7 +145,7 @@ def shallow_models(draw):
 
 
 # one run per piece puts every seam twin across two pieces
-PIECE_SIZES = st.sampled_from([1, 50, fif.PIECE_POINTS])
+PIECE_SIZES = st.sampled_from([1, 7, 50, fif.PIECE_POINTS])
 
 
 @settings(max_examples=60, deadline=None)
@@ -183,12 +183,13 @@ def test_streamed_cloud_counts_like_the_normalized_sample(model, depth, piece):
 @given(model_depth=shallow_models(), piece=st.sampled_from([1, 7, 50, fif.PIECE_POINTS]))
 def test_length_and_bounds_match_the_stream(model_depth, piece):
     model, depth = model_depth
+    # the stream is taken before the patch: walking it in one-run chunks
+    # re-walks level depth - 1 for every branch
+    want = streamed_attractor_points(model, depth)
     with mock.patch.object(fif, "PIECE_POINTS", piece):
         blocks = AttractorBlocks(model, depth)
-        x = np.concatenate([x.ravel() for x, _ in blocks])
-        y = np.concatenate([y.ravel() for _, y in blocks])
-        assert len(blocks) == x.size
-        assert blocks.bounds == (x.min(), x.max(), y.min(), y.max())
+        assert len(blocks) == want.x.size
+        assert blocks.bounds == (want.x.min(), want.x.max(), want.y.min(), want.y.max())
 
 
 def flat_model(level, alpha, intervals=10):
@@ -208,13 +209,11 @@ def flat_model(level, alpha, intervals=10):
 def test_occupancy_equals_the_scatter_of_the_stream(model_depth, k_max, piece):
     model, depth = model_depth
     m = 1 << k_max
+    want = streamed_attractor_points(model, depth)
+    scattered = StreamedCloud(HeldBlocks(want.x, want.y))
     with mock.patch.object(fif, "PIECE_POINTS", piece):
         cloud = StreamedCloud(AttractorBlocks(model, depth))
         got = cloud.occupancy(m)
-        blocks = AttractorBlocks(model, depth)
-        x = np.concatenate([x.ravel() for x, _ in blocks])
-        y = np.concatenate([y.ravel() for _, y in blocks])
-    scattered = StreamedCloud(HeldBlocks([(x, y)]))
     assert scattered.original_bounds == cloud.original_bounds
     assert scattered.degenerate_y == cloud.degenerate_y
     assert np.array_equal(got, scattered.occupancy(m))
@@ -229,7 +228,7 @@ def test_occupancy_quantizes_boxes_past_a_subnormal_y_range():
     y = np.concatenate([y.ravel() for _, y in blocks])
     cloud = StreamedCloud(blocks)
     for m in (1, 4):
-        assert np.array_equal(cloud.occupancy(m), StreamedCloud(HeldBlocks([(x, y)])).occupancy(m))
+        assert np.array_equal(cloud.occupancy(m), StreamedCloud(HeldBlocks(x, y)).occupancy(m))
 
 
 @pytest.mark.parametrize(
@@ -284,6 +283,17 @@ def test_depth_six_estimate_holds_no_level():
         tracemalloc.stop()
     assert estimate.curve.levels[-1].count == 18265
     assert peak < 12e6
+
+
+def test_depth_six_estimate_walks_its_level_twice():
+    # once for the bounds and once for the count, which marks each chunk's
+    # first points and tests its boxes in the same pass
+    model = build_fif_model(nifty50_2024_grid("aar"), 0.5)
+    with mock.patch.object(
+        AttractorBlocks, "_chunks", autospec=True, side_effect=AttractorBlocks._chunks
+    ) as chunks:
+        estimate_dimension(StreamedCloud(AttractorBlocks(model, 6)))
+    assert chunks.call_count == 2
 
 
 def test_budget_refused_before_any_block():

@@ -27,7 +27,7 @@ UNIT_SQUARE = (0.0, 1.0, 0.0, 1.0)
 
 def unit_cloud(x, y):
     """Coordinates already in the unit square, counted as they are."""
-    return StreamedCloud(HeldBlocks([(np.array(x), np.array(y))], bounds=UNIT_SQUARE))
+    return StreamedCloud(HeldBlocks(np.array(x), np.array(y), bounds=UNIT_SQUARE))
 
 
 def normalized(cloud):
@@ -80,42 +80,20 @@ class TestNormalize:
         with pytest.raises(ComputationError, match="x-range"):
             normalize_to_unit_square(np.full(3, 2.0), np.array([1.0, 2.0, 3.0]))
 
-    def test_streamed_blocks_normalize_like_their_concatenation(self):
-        rng = np.random.default_rng(5)
-        x, y = rng.normal(size=2_000), rng.normal(size=2_000)
-        cloud = StreamedCloud(
-            HeldBlocks((x[i : i + 300], y[i : i + 300]) for i in range(0, 2_000, 300))
-        )
-        whole = normalize_to_unit_square(x, y)
-        assert len(cloud) == len(whole)
-        assert cloud.original_bounds == whole.original_bounds
-        for k in (0, 3, 6, 11, 20):
-            assert count_boxes(cloud, k) == count_boxes(whole, k)
-
     def test_streamed_blocks_refused_like_arrays(self):
-        with pytest.raises(ComputationError, match="identical"):
-            StreamedCloud(
-                HeldBlocks([(np.full(2, 2.0), np.full(2, 3.0)), (np.full(3, 2.0), np.full(3, 3.0))])
-            )
         with pytest.raises(InputError, match="finite"):
-            StreamedCloud(HeldBlocks([(np.array([0.0, 1.0]), np.array([0.0, np.nan]))]))
-
-    def test_held_blocks_bounds_come_from_every_block(self):
-        blocks = HeldBlocks([(np.array([0.2, 0.5]), np.array([3.0, -1.0])), (np.zeros(0), np.zeros(0)),
-                             (np.array([-4.0]), np.array([2.0]))])
-        assert len(blocks) == 3
-        assert blocks.bounds == (-4.0, 0.5, -1.0, 3.0)
+            StreamedCloud(HeldBlocks(np.array([0.0, 1.0]), np.array([0.0, np.nan])))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_declared_frame_refuses_non_finite_points(self, bad):
         for x, y in (([0.0, bad, 1.0], [0.5, 0.5, 0.5]), ([0.0, 0.5, 1.0], [0.5, bad, 0.5])):
             with pytest.raises(InputError, match="finite"):
-                HeldBlocks([(np.array(x), np.array(y))], bounds=UNIT_SQUARE)
+                HeldBlocks(np.array(x), np.array(y), bounds=UNIT_SQUARE)
 
     def test_declared_frame_refuses_points_outside_it(self):
         for x, y in (([0.0, 1.5], [0.0, 1.0]), ([0.0, 1.0], [-0.1, 1.0])):
             with pytest.raises(InputError, match="declared bounds"):
-                HeldBlocks([(np.array(x), np.array(y))], bounds=UNIT_SQUARE)
+                HeldBlocks(np.array(x), np.array(y), bounds=UNIT_SQUARE)
         cloud = unit_cloud([0.25, 0.75], [0.5, 0.5])
         assert cloud.original_bounds == UNIT_SQUARE
         assert not cloud.degenerate_y
