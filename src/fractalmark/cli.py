@@ -29,7 +29,7 @@ from .market_data import (
     parse_returns_csv,
     serialize_returns_csv,
 )
-from .report import DEFAULT_REPORT_DEPTH, DEFAULT_SAMPLE_DEPTH, run_report
+from .report import Settings, run_report
 from .svgplot import line_plot_svg
 
 
@@ -139,14 +139,15 @@ def cmd_event_study(args: argparse.Namespace) -> int:
         print(f"note: {note}", file=sys.stderr)
     (out / "panel.csv").write_text(panel_csv(panel, relative_days), encoding="utf-8")
     print(f"wrote {out / 'panel.csv'} ({panel.n_days} days, {panel.n_securities} securities)")
-    if panel.n_days == 31:
+    if panel.n_days == event_study.GRID_WINDOW_DAYS:
         for name, values in (("aar", panel.aar), ("caar", panel.caar)):
             data = subsample_to_grid(values)
             write_xy_csv(out / f"grid_{name}.csv", data.x, data.y)
             print(f"wrote {out / f'grid_{name}.csv'}")
     else:
         print(
-            f"note: window has {panel.n_days} days; 11-point grids need exactly 31, skipped",
+            f"note: window has {panel.n_days} days; 11-point grids need exactly "
+            f"{event_study.GRID_WINDOW_DAYS}, skipped",
             file=sys.stderr,
         )
     return 0
@@ -161,12 +162,12 @@ def cmd_fif(args: argparse.Namespace) -> int:
     out = _outdir(args)
 
     model = fif.build_fif_model(data, alpha)
+    # the evaluator refuses a bad tol, so it runs before any file is written
+    plot = fif.evaluate_fif_fixed_point(model, grid_size=args.grid_size, tol=args.tol)
     sample = fif.generate_attractor_points(model, args.depth)
     sample_path = out / f"{args.prefix}_sample.csv"
     write_xy_csv(sample_path, sample.x, sample.y)
     print(f"wrote {sample_path} ({len(sample)} points)")
-
-    plot = fif.evaluate_fif_fixed_point(model, grid_size=args.grid_size, tol=args.tol)
     if not plot.converged:
         print(
             f"note: fixed-point iteration hit the cap; error bound "
@@ -224,9 +225,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         if year in year_configs:
             raise InputError(f"--year-config gives year {year} twice")
         year_configs[year] = _require_file(path_text, f"year {year} config")
-    outdir = Path(args.outdir)
-    summary = run_report(
-        outdir,
+    settings = Settings(
         dimension_depth=args.depth,
         sample_depth=args.sample_depth,
         grid_size=args.grid_size,
@@ -234,8 +233,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         k_min=args.k_min,
         k_max=args.k_max,
         min_points_per_box=args.min_points_per_box,
-        year_configs=year_configs,
     )
+    outdir = Path(args.outdir)
+    summary = run_report(outdir, settings, year_configs)
     for warning in summary["warnings"]:
         print(f"warning: {warning}", file=sys.stderr)
     for year, info in sorted(summary["years"].items()):
@@ -298,8 +298,8 @@ COMMANDS: dict[str, tuple[Callable, str, tuple[tuple[str, Callable, object, str]
     )),
     "report": (cmd_report, "full reproduction bundle for the case study", (
         ("outdir", config.path, "report_out", "bundle directory"),
-        ("depth", int, DEFAULT_REPORT_DEPTH, "attractor depth for dimension estimation"),
-        ("sample_depth", int, DEFAULT_SAMPLE_DEPTH, "attractor depth for exported samples"),
+        ("depth", int, Settings.dimension_depth, "attractor depth for dimension estimation"),
+        ("sample_depth", int, Settings.sample_depth, "attractor depth for exported samples"),
         *_FIXED_POINT,
         *_COUNTING,
         ("year_config", config.year_paths, None,

@@ -26,6 +26,8 @@ from .market_data import ReturnSeries, _frozen, align_on_calendar
 DEFAULT_PRE_DAYS = 15
 DEFAULT_POST_DAYS = 15
 DEFAULT_ESTIMATION_WINDOW_DAYS = 120
+# the window length that ``subsample_to_grid`` maps onto the 11-point grid
+GRID_WINDOW_DAYS = 31
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,8 +173,10 @@ def subsample_to_grid(window_values: Sequence[float]) -> InterpolationData:
     values are mapped to the uniform unit grid.
     """
     values = np.asarray(window_values, dtype=float)
-    if values.shape != (31,):
-        raise InputError(f"expected exactly 31 window values, got {values.shape}")
+    if values.shape != (GRID_WINDOW_DAYS,):
+        raise InputError(
+            f"expected exactly {GRID_WINDOW_DAYS} window values, got {values.shape}"
+        )
     picked = values[::3]
     x = np.arange(11) / 10.0
     return InterpolationData(x, picked)

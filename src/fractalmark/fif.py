@@ -37,7 +37,7 @@ CONTINUITY_TOL = 1e-10
 
 DEFAULT_GRID_SIZE = 6401
 DEFAULT_TOL = 1e-9
-DEFAULT_ITERATION_CAP = 200
+ITERATION_CAP = 200
 MAX_POINTS = 30_000_000
 # points per piece of an attractor block, and runs per chunk of the walk of
 # the IFS address tree (about 0.5 MB per coordinate array)
@@ -389,19 +389,17 @@ def evaluate_fif_fixed_point(
     model: FifModel,
     grid_size: int = DEFAULT_GRID_SIZE,
     tol: float = DEFAULT_TOL,
-    iteration_cap: int = DEFAULT_ITERATION_CAP,
 ) -> GraphSample:
     """Iterate the contraction from the germ until the sup-norm change drops
     below ``tol * (1 - max|alpha|)``, which bounds the remaining distance to
     the fixed point by ``tol`` (a posteriori contraction estimate).
 
-    If the iteration cap (at least 1) is reached first, the sample is
-    returned with ``converged = False`` and the achieved bound.
+    If ``ITERATION_CAP`` passes do not reach that bound, the sample is
+    returned with ``converged = False`` and the achieved bound. A ``tol``
+    that is not finite and positive is refused.
     """
-    if tol <= 0.0:
-        raise InputError("tol must be positive")
-    if iteration_cap < 1:
-        raise InputError(f"iteration_cap must be >= 1, got {iteration_cap}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InputError(f"tol must be finite and positive, got {tol!r}")
     grid = build_eval_grid(model.data, grid_size)
     terms = _operator_terms(grid, model)
     h = np.asarray(model.germ(grid), dtype=float)
@@ -409,7 +407,7 @@ def evaluate_fif_fixed_point(
     threshold = tol * (1.0 - s)
     changes: list[float] = []
     converged = False
-    for _ in range(iteration_cap):
+    for _ in range(ITERATION_CAP):
         nxt = _operator_step(grid, h, terms)
         delta = float(np.max(np.abs(nxt - h)))
         changes.append(delta)

@@ -13,6 +13,7 @@ from importlib import resources
 
 import numpy as np
 
+from .errors import InputError
 from .event_study import InterpolationData
 
 # Per-interval scaling vector used for the mixed-scaling panels.
@@ -42,7 +43,7 @@ def nifty50_2024_panel() -> dict[str, np.ndarray]:
 def nifty50_2024_grid(series: str) -> InterpolationData:
     """The published 11-point grid for ``series`` in {"aar", "caar"}."""
     if series not in ("aar", "caar"):
-        raise ValueError(f"series must be 'aar' or 'caar', got {series!r}")
+        raise InputError(f"series must be 'aar' or 'caar', got {series!r}")
     rows = _rows(f"nifty50_2024_grid_{series}.csv")
     x = np.array([float(r["x"]) for r in rows])
     y = np.array([float(r["y"]) for r in rows])
@@ -53,7 +54,7 @@ def reference_germ_coefficients(series: str) -> tuple[np.ndarray, np.ndarray]:
     """Published (slopes, intercepts) of the piecewise-linear interpolant."""
     rows = [r for r in _rows("reference_germ_coeffs.csv") if r["series"] == series]
     if not rows:
-        raise ValueError(f"no reference coefficients for series {series!r}")
+        raise InputError(f"no reference coefficients for series {series!r}")
     rows.sort(key=lambda r: int(r["segment"]))
     slopes = np.array([float(r["slope"]) for r in rows])
     intercepts = np.array([float(r["intercept"]) for r in rows])

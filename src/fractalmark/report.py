@@ -13,6 +13,8 @@ import json
 import os
 import shutil
 import tempfile
+from collections import defaultdict
+from dataclasses import asdict, dataclass
 from datetime import date as Date
 from pathlib import Path
 
@@ -20,7 +22,8 @@ from . import boxdim, config, fif, fixtures
 from .csvio import write_xy_csv
 from .errors import InputError
 from .event_study import (
-    InterpolationData, build_panel, compute_abnormal_panel, panel_csv, subsample_to_grid,
+    GRID_WINDOW_DAYS, AbnormalReturnPanel, InterpolationData, build_panel,
+    compute_abnormal_panel, panel_csv, subsample_to_grid,
 )
 from .market_data import ReturnSeries, daily_returns, parse_price_csv
 from .svgplot import grouped_bar_svg, line_plot_svg
@@ -35,8 +38,6 @@ SCALING_PANELS: tuple[tuple[str, str, object], ...] = (
 # the two scaling factors whose box dimensions are compared
 DIMENSION_ALPHAS = (0.3, 0.5)
 
-DEFAULT_REPORT_DEPTH = 6
-DEFAULT_SAMPLE_DEPTH = 3
 # a computed dimension further than this from its reference value is warned about
 DELTA_TARGET = 0.15
 
@@ -53,30 +54,36 @@ YEAR_CONFIG_KINDS = {
 }
 
 
+@dataclass(frozen=True)
+class Settings:
+    """The sampling and counting protocol of one report, recorded in
+    ``summary.json`` as ``parameters``."""
+
+    dimension_depth: int = 6  # attractor depth for dimension estimation
+    sample_depth: int = 3  # attractor depth for exported samples
+    grid_size: int = fif.DEFAULT_GRID_SIZE
+    tol: float = fif.DEFAULT_TOL
+    k_min: int = boxdim.DEFAULT_K_MIN
+    k_max: int = boxdim.DEFAULT_K_MAX
+    min_points_per_box: int = boxdim.DEFAULT_MIN_POINTS_PER_BOX
+
+
 def write_series_outputs(
-    outdir: Path,
-    series_name: str,
-    data: InterpolationData,
-    *,
-    grid_size: int,
-    tol: float,
-    sample_depth: int,
-    dimension_depth: int,
-    k_min: int,
-    k_max: int,
-    min_points_per_box: int,
+    outdir: Path, series_name: str, data: InterpolationData, settings: Settings
 ) -> dict:
     """Interpolants, plots and dimension reports for one 11-point series.
 
-    Returns the dimension results keyed by scaling factor.
+    ``settings`` gives the attractor depths, the fixed-point grid and
+    tolerance, and the box-counting levels and sparsity guard. Returns the
+    dimension results keyed by scaling factor.
     """
     write_xy_csv(outdir / f"grid_{series_name}.csv", data.x, data.y)
 
     for tag, label, spec in SCALING_PANELS:
         model = fif.build_fif_model(data, spec)
-        sample = fif.generate_attractor_points(model, sample_depth)
+        sample = fif.generate_attractor_points(model, settings.sample_depth)
         write_xy_csv(outdir / f"fif_{series_name}_{tag}_sample.csv", sample.x, sample.y)
-        plot = fif.evaluate_fif_fixed_point(model, grid_size=grid_size, tol=tol)
+        plot = fif.evaluate_fif_fixed_point(model, grid_size=settings.grid_size, tol=settings.tol)
         svg = line_plot_svg(
             plot.x,
             plot.y,
@@ -89,8 +96,10 @@ def write_series_outputs(
     results: dict[float, dict] = {}
     for alpha in DIMENSION_ALPHAS:
         model = fif.build_fif_model(data, alpha)
-        cloud = boxdim.StreamedCloud(fif.AttractorBlocks(model, dimension_depth))
-        estimate = boxdim.estimate_dimension(cloud, k_min, k_max, min_points_per_box)
+        cloud = boxdim.StreamedCloud(fif.AttractorBlocks(model, settings.dimension_depth))
+        estimate = boxdim.estimate_dimension(
+            cloud, settings.k_min, settings.k_max, settings.min_points_per_box
+        )
         tag = f"a{str(alpha).replace('.', '')}"
         payload = boxdim.report_dict(estimate)
         if not 1.0 <= estimate.dimension <= 2.0:
@@ -135,8 +144,26 @@ def read_year_config(year: int, config_path: Path) -> tuple[list[Path], Path, di
     return assets, market, cfg
 
 
+def _write_year(
+    outdir: Path,
+    panel: AbnormalReturnPanel,
+    relative_days: tuple[int, ...],
+    grids: dict[str, InterpolationData],
+    settings: Settings,
+) -> dict:
+    """``panel.csv``, then each grid's series outputs; the dimensions by series."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "panel.csv").write_text(panel_csv(panel, relative_days), encoding="utf-8")
+    return {name: write_series_outputs(outdir, name, data, settings)
+            for name, data in grids.items()}
+
+
 def run_year_from_config(
-    asset_paths: list[Path], market_path: Path, panel_kwargs: dict, outdir: Path, **series_kwargs
+    asset_paths: list[Path],
+    market_path: Path,
+    panel_kwargs: dict,
+    outdir: Path,
+    settings: Settings,
 ) -> dict:
     """Run the full pipeline for one user-supplied year read by ``read_year_config``."""
 
@@ -148,40 +175,30 @@ def run_year_from_config(
     assets = [_price_series(p) for p in asset_paths]
     market = _price_series(market_path)
     panel, relative_days, notes = compute_abnormal_panel(assets, market, **panel_kwargs)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "panel.csv").write_text(panel_csv(panel, relative_days), encoding="utf-8")
-    if panel.n_days != 31:
-        return {
-            "status": "partial",
-            "notes": notes
-            + [f"window has {panel.n_days} days; 11-point grids need exactly 31"],
-        }
-    dims = {}
-    for series_name, values in (("aar", panel.aar), ("caar", panel.caar)):
-        data = subsample_to_grid(values)
-        dims[series_name] = write_series_outputs(outdir, series_name, data, **series_kwargs)
+    if panel.n_days != GRID_WINDOW_DAYS:
+        _write_year(outdir, panel, relative_days, {}, settings)
+        notes.append(f"window has {panel.n_days} days; "
+                     f"11-point grids need exactly {GRID_WINDOW_DAYS}")
+        return {"status": "partial", "notes": notes}
+    grids = {"aar": subsample_to_grid(panel.aar), "caar": subsample_to_grid(panel.caar)}
+    dims = _write_year(outdir, panel, relative_days, grids, settings)
     return {"status": "ok", "notes": notes, "dimensions": dims}
 
 
 def run_report(
     outdir: str | Path,
-    *,
-    dimension_depth: int = DEFAULT_REPORT_DEPTH,
-    sample_depth: int = DEFAULT_SAMPLE_DEPTH,
-    grid_size: int = fif.DEFAULT_GRID_SIZE,
-    tol: float = fif.DEFAULT_TOL,
-    k_min: int = boxdim.DEFAULT_K_MIN,
-    k_max: int = boxdim.DEFAULT_K_MAX,
-    min_points_per_box: int = boxdim.DEFAULT_MIN_POINTS_PER_BOX,
+    settings: Settings = Settings(),
     year_configs: dict[int, Path] | None = None,
 ) -> dict:
     """Produce the reproduction bundle and return the summary dictionary.
 
-    ``year_configs`` maps each year other than the embedded reference year
-    to its ``read_year_config`` file. The bundle is written to a temporary
-    directory beside ``outdir`` and moved in only once ``summary.json`` is
-    written, so a refused run leaves no bundle file behind. Files already in
-    ``outdir`` that the bundle does not write are left alone.
+    ``settings`` is the sampling and counting protocol of every year, and
+    ``summary.json`` records it as ``parameters``. ``year_configs`` maps each
+    year other than the embedded reference year to its ``read_year_config``
+    file. The bundle is written to a temporary directory beside ``outdir``
+    and moved in only once ``summary.json`` is written, so a refused run
+    leaves no bundle file behind. Files already in ``outdir`` that the
+    bundle does not write are left alone.
     """
     year_configs = year_configs or {}
     ref_year = fixtures.REFERENCE_YEAR
@@ -190,20 +207,11 @@ def run_report(
             f"year {ref_year} comes from the embedded reference data and takes no year config"
         )
     years = {year: read_year_config(year, path) for year, path in sorted(year_configs.items())}
-    series_kwargs = dict(
-        grid_size=grid_size,
-        tol=tol,
-        sample_depth=sample_depth,
-        dimension_depth=dimension_depth,
-        k_min=k_min,
-        k_max=k_max,
-        min_points_per_box=min_points_per_box,
-    )
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=f".{outdir.name}-", dir=outdir.parent))
     try:
-        summary = _write_bundle(staging, years, series_kwargs)
+        summary = _write_bundle(staging, years, settings)
         for staged in sorted(p for p in staging.rglob("*") if p.is_file()):
             target = outdir / staged.relative_to(staging)
             target.parent.mkdir(parents=True, exist_ok=True)
@@ -213,59 +221,49 @@ def run_report(
     return summary
 
 
-def _write_bundle(outdir: Path, years: dict[int, tuple], series_kwargs: dict) -> dict:
+def _write_bundle(outdir: Path, years: dict[int, tuple], settings: Settings) -> dict:
     """Every bundle file under ``outdir``, ``summary.json`` last; returns the summary."""
     ref_year = fixtures.REFERENCE_YEAR
     reference = fixtures.reference_dimensions()
     summary: dict = {
-        "parameters": dict(series_kwargs),
+        "parameters": asdict(settings),
         "years": {str(year): {"status": "data not supplied"} for year in fixtures.OTHER_YEARS},
         "warnings": [],
     }
-    delta_rows: list[tuple[int, str, float, float, float]] = []
 
     # reference year from the embedded tables: the published AAR column is
     # treated as a single-security abnormal-return panel
-    ref_dir = outdir / str(ref_year)
-    ref_dir.mkdir(parents=True, exist_ok=True)
     table = fixtures.nifty50_2024_panel()
     panel = build_panel(table["aar"].reshape(1, -1), ["NIFTY50"])
-    (ref_dir / "panel.csv").write_text(
-        panel_csv(panel, tuple(int(d) for d in table["relative_day"])), encoding="utf-8"
-    )
-    year_dims: dict[str, dict] = {}
-    for series_name in ("aar", "caar"):
-        data = fixtures.nifty50_2024_grid(series_name)
-        year_dims[series_name] = write_series_outputs(
-            ref_dir, series_name, data, **series_kwargs
-        )
+    relative_days = tuple(int(d) for d in table["relative_day"])
+    grids = {name: fixtures.nifty50_2024_grid(name) for name in ("aar", "caar")}
+    ref_dims = _write_year(outdir / str(ref_year), panel, relative_days, grids, settings)
     summary["years"][str(ref_year)] = {
         "status": "ok",
         "source": "embedded reference data",
-        "dimensions": year_dims,
+        "dimensions": ref_dims,
     }
+    populated = {ref_year: ref_dims}
 
     for year, year_inputs in years.items():
-        summary["years"][str(year)] = run_year_from_config(
-            *year_inputs, outdir / str(year), **series_kwargs
-        )
+        info = run_year_from_config(*year_inputs, outdir / str(year), settings)
+        summary["years"][str(year)] = info
+        if info["status"] == "ok":
+            populated[year] = info["dimensions"]
 
     # delta table and comparison chart over every populated year
-    populated = [
-        (int(year), info)
-        for year, info in summary["years"].items()
-        if info.get("status") == "ok"
-    ]
-    populated.sort(key=lambda item: item[0])
-    for year, info in populated:
+    lines = ["year,series,alpha,reference_value,computed_value,delta"]
+    chart_series: defaultdict[str, list[float]] = defaultdict(list)
+    for year, dims in sorted(populated.items()):
         for series_name in ("aar", "caar"):
             for alpha in DIMENSION_ALPHAS:
-                computed = info["dimensions"][series_name][alpha]["dimension"]
+                computed = dims[series_name][alpha]["dimension"]
+                chart_series[f"{series_name.upper()} scaling {alpha}"].append(computed)
                 ref = reference.get((year, series_name, alpha))
                 if ref is None:
                     continue
                 delta = computed - ref
-                delta_rows.append((year, series_name, alpha, ref, computed))
+                lines.append(f"{year},{series_name},{alpha!r},{ref!r},{computed!r},{delta!r}")
                 if abs(delta) > DELTA_TARGET:
                     tag = f"a{str(alpha).replace('.', '')}"
                     summary["warnings"].append(
@@ -275,33 +273,15 @@ def _write_bundle(outdir: Path, years: dict[int, tuple], series_kwargs: dict) ->
                         f"{year}/dimension_{series_name}_{tag}.json and "
                         f"{year}/loglog_{series_name}_{tag}.csv"
                     )
-
-    lines = ["year,series,alpha,reference_value,computed_value,delta"]
-    for year, series_name, alpha, ref, computed in delta_rows:
-        lines.append(f"{year},{series_name},{alpha!r},{ref!r},{computed!r},{computed - ref!r}")
     (outdir / "dimension_deltas.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    if populated:
-        groups = [str(year) for year, _ in populated]
-        series = []
-        for series_name in ("aar", "caar"):
-            for alpha in DIMENSION_ALPHAS:
-                series.append(
-                    (
-                        f"{series_name.upper()} scaling {alpha}",
-                        [
-                            info["dimensions"][series_name][alpha]["dimension"]
-                            for _, info in populated
-                        ],
-                    )
-                )
-        chart = grouped_bar_svg(
-            groups,
-            series,
-            title="Box dimension of AAR and CAAR by year and scaling factor",
-            y_max=2.0,
-        )
-        (outdir / "dimension_comparison.svg").write_text(chart, encoding="utf-8")
+    chart = grouped_bar_svg(
+        [str(year) for year in sorted(populated)],
+        list(chart_series.items()),
+        title="Box dimension of AAR and CAAR by year and scaling factor",
+        y_max=2.0,
+    )
+    (outdir / "dimension_comparison.svg").write_text(chart, encoding="utf-8")
 
     (outdir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -13,7 +13,7 @@ from fractalmark.event_study import compute_abnormal_panel
 from fractalmark.fif import evaluate_fif_fixed_point
 from fractalmark.fixtures import nifty50_2024_grid, nifty50_2024_panel
 from fractalmark.market_data import parse_returns_csv
-from fractalmark.report import run_report
+from fractalmark.report import Settings, run_report
 
 
 def write_price_csv(path, bars):
@@ -295,6 +295,17 @@ class TestFif:
         assert code == 2
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_bad_tol_exit_2_before_any_file(self, tmp_path, grid_csv, capsys, tol):
+        out = tmp_path / "out"
+        code = main(
+            ["fif", "--data", str(grid_csv), "--alpha", "0.3", "--tol", tol, "--out", str(out)]
+        )
+        assert code == 2
+        message = single_error_line(capsys.readouterr().err)
+        assert message == f"error: tol must be finite and positive, got {float(tol)!r}"
+        assert list(out.iterdir()) == []
+
 
 class TestBoxdim:
     def test_fif_sample_round_trip(self, tmp_path):
@@ -401,6 +412,23 @@ class TestReport:
         assert panel_lines[0] == "relative_day,x,aar,caar"
         assert len(panel_lines) == 32
 
+    def test_every_setting_flag_reaches_its_parameter(self, tmp_path):
+        code = main(
+            ["report", "--outdir", str(tmp_path), "--depth", "4", "--sample-depth", "2",
+             "--grid-size", "2001", "--tol", "1e-8", "--k-min", "3", "--k-max", "6",
+             "--min-points-per-box", "10"]
+        )
+        assert code == 0
+        parameters = json.loads((tmp_path / "summary.json").read_text())["parameters"]
+        assert parameters == {
+            "dimension_depth": 4, "sample_depth": 2, "grid_size": 2001, "tol": 1e-8,
+            "k_min": 3, "k_max": 6, "min_points_per_box": 10,
+        }
+        defaults = vars(Settings())
+        assert all(parameters[name] != defaults[name] for name in defaults)
+        sx, _ = read_xy_csv(tmp_path / "2024" / "fif_aar_a03_sample.csv")
+        assert len(sx) == 1001
+
     def test_year_config_pipeline(self, tmp_path):
         # list items are stripped: a space after the comma names the same file
         cfg = write_year_config(tmp_path, prices="idx2023.csv, idx2023.csv", beta=0.9)
@@ -413,8 +441,25 @@ class TestReport:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["years"]["2023"]["status"] == "ok"
         assert (out / "2023" / "panel.csv").is_file()
-        deltas = (out / "dimension_deltas.csv").read_text()
-        assert "2023" in deltas
+        deltas = (out / "dimension_deltas.csv").read_text().splitlines()
+        assert [line[:5] for line in deltas[1:]] == ["2023,"] * 4 + ["2024,"] * 4
+
+    def test_short_window_year_writes_only_its_panel(self, tmp_path):
+        cfg = write_year_config(tmp_path, pre_days=5, post_days=5)
+        out = tmp_path / "rep"
+        code = main(
+            ["report", "--outdir", str(out), "--depth", "4", "--sample-depth", "2",
+             "--k-max", "6", "--year-config", f"2023={cfg}"]
+        )
+        assert code == 0
+        info = json.loads((out / "summary.json").read_text())["years"]["2023"]
+        assert info["status"] == "partial"
+        assert info["notes"][-1] == "window has 11 days; 11-point grids need exactly 31"
+        assert [p.name for p in (out / "2023").iterdir()] == ["panel.csv"]
+        assert len((out / "2023" / "panel.csv").read_text().splitlines()) == 12
+        deltas = (out / "dimension_deltas.csv").read_text().splitlines()
+        assert [line[:5] for line in deltas[1:]] == ["2024,"] * 4
+        assert ">2023<" not in (out / "dimension_comparison.svg").read_text()
 
 
     def test_year_config_asset_missing_a_window_day_exit_1(self, tmp_path, capsys):
@@ -434,7 +479,9 @@ class TestReport:
         assert code == 1
         assert f"asset 'stock' has no return on {days[155].isoformat()}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fault", ["too few levels", "unparseable prices"])
+    @pytest.mark.parametrize(
+        "fault", ["too few levels", "unparseable prices", "tol nan", "tol inf"]
+    )
     def test_refused_run_leaves_no_bundle_file(self, tmp_path, capsys, fault):
         out = tmp_path / "r1"
         out.mkdir()
@@ -443,13 +490,17 @@ class TestReport:
         if fault == "too few levels":
             argv += ["--depth", "2", "--sample-depth", "1", "--k-max", "4"]
             code, message = 1, "error: only 1 usable levels after exclusions; need at least 3"
+        elif fault.startswith("tol"):
+            tol = fault.split()[1]
+            argv += ["--tol", tol]
+            code, message = 2, f"error: tol must be finite and positive, got {tol}"
         else:
             cfg = write_year_config(tmp_path)
             (tmp_path / "idx2023.csv").write_text("date,open,close\n2023-01-02,abc,1.0\n")
             argv += ["--depth", "4", "--sample-depth", "2", "--k-max", "6",
                      "--year-config", f"2023={cfg}"]
             code, message = 2, "error: row 2: malformed number 'abc' in column 'open'"
-        # both faults surface after the 2024 files are written
+        # every fault surfaces after some 2024 files are written
         assert main(argv) == code
         assert single_error_line(capsys.readouterr().err).startswith(message)
         assert [p.name for p in out.rglob("*")] == ["keep.txt"]
@@ -566,28 +617,29 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "command, function, options, unexposed",
         [
-            (
-                "report",
-                run_report,
-                {"depth": "dimension_depth", "sample_depth": "sample_depth",
-                 "grid_size": "grid_size", "tol": "tol", "k_min": "k_min", "k_max": "k_max",
-                 "min_points_per_box": "min_points_per_box", "year_config": "year_configs"},
-                set(),
-            ),
+            # the report's settings are checked field by field in the last row
+            ("report", run_report, {"year_config": "year_configs"}, {"settings"}),
             (
                 "boxdim",
                 estimate_dimension,
                 {"k_min": "k_min", "k_max": "k_max", "min_points_per_box": "min_points_per_box"},
                 set(),
             ),
-            ("fif", evaluate_fif_fixed_point, {"grid_size": "grid_size", "tol": "tol"},
-             {"iteration_cap"}),
+            ("fif", evaluate_fif_fixed_point, {"grid_size": "grid_size", "tol": "tol"}, set()),
             (
                 "event-study",
                 compute_abnormal_panel,
                 {"pre_days": "pre_days", "post_days": "post_days",
                  "risk_free_daily": "risk_free_daily", "beta": "beta_override",
                  "estimation_window_days": "estimation_window_days"},
+                set(),
+            ),
+            (
+                "report",
+                Settings,
+                {"depth": "dimension_depth", "sample_depth": "sample_depth",
+                 "grid_size": "grid_size", "tol": "tol", "k_min": "k_min", "k_max": "k_max",
+                 "min_points_per_box": "min_points_per_box"},
                 set(),
             ),
         ],

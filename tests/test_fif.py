@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fractalmark import fif
 from fractalmark.errors import ComputationError, InputError
 from fractalmark.event_study import InterpolationData
 from fractalmark.fif import (
@@ -89,6 +90,11 @@ class TestDomainMaps:
 
 
 class TestGerm:
+    @pytest.mark.parametrize("loader", [nifty50_2024_grid, reference_germ_coefficients])
+    def test_unknown_series_refused(self, loader):
+        with pytest.raises(InputError, match="'aar2'"):
+            loader("aar2")
+
     def test_published_coefficients_both_series(self):
         # the published piecewise coefficients are rounded; 1e-3 absolute
         for series_name, data in (("aar", AAR), ("caar", CAAR)):
@@ -278,15 +284,16 @@ class TestFixedPoint:
         sample = evaluate_fif_fixed_point(model, grid_size=6401, tol=1e-9)
         assert sample.max_error_bound < 1e-9
 
-    @pytest.mark.parametrize("cap", [0, -1])
-    def test_iteration_cap_below_one_refused(self, cap):
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf, -math.inf])
+    def test_tol_not_finite_and_positive_refused(self, tol):
         model = build_fif_model(AAR, 0.5)
-        with pytest.raises(InputError, match="iteration_cap must be >= 1"):
-            evaluate_fif_fixed_point(model, grid_size=2001, iteration_cap=cap)
+        with pytest.raises(InputError, match="tol must be finite and positive"):
+            evaluate_fif_fixed_point(model, grid_size=2001, tol=tol)
 
     def test_iteration_cap_reports_unconverged(self, nonuniform_data):
         model = build_fif_model(nonuniform_data, 0.5)
-        sample = evaluate_fif_fixed_point(model, grid_size=6401, tol=1e-12, iteration_cap=3)
+        with mock.patch.object(fif, "ITERATION_CAP", 3):
+            sample = evaluate_fif_fixed_point(model, grid_size=6401, tol=1e-12)
         assert not sample.converged
         assert sample.generation == 3
         assert sample.max_error_bound > 0.0
@@ -454,7 +461,8 @@ def test_base_span_bounds_the_base_between_each_pair(model, data):
 def test_both_evaluators_interpolate_random_data(model):
     attractor = generate_attractor_points(model, 3)
     assert verify_interpolation(attractor, model.data) < 1e-7
-    fixed = evaluate_fif_fixed_point(model, grid_size=20 * model.data.intervals, iteration_cap=40)
+    with mock.patch.object(fif, "ITERATION_CAP", 40):
+        fixed = evaluate_fif_fixed_point(model, grid_size=20 * model.data.intervals)
     assert verify_interpolation(fixed, model.data) < 1e-7
 
 
