@@ -259,6 +259,16 @@ def count_boxes(cloud: StreamedCloud, k: int) -> int:
     return _level_counts(cloud, k, k)[k]
 
 
+def check_levels(k_min: int, k_max: int, min_points_per_box: int) -> None:
+    """Refuse a level range or sparsity guard ``estimate_dimension`` cannot use."""
+    if k_min >= k_max:
+        raise InputError(f"k_min must be below k_max, got [{k_min}, {k_max}]")
+    if not (0 <= k_min and k_max <= MAX_LEVEL):
+        raise InputError(f"levels must lie in [0, {MAX_LEVEL}]")
+    if min_points_per_box < 1:
+        raise InputError("min_points_per_box must be >= 1")
+
+
 def estimate_dimension(
     cloud: StreamedCloud,
     k_min: int = DEFAULT_K_MIN,
@@ -277,13 +287,7 @@ def estimate_dimension(
     ComputationError
         If fewer than 3 usable levels remain after exclusions.
     """
-    if k_min >= k_max:
-        raise InputError(f"k_min must be below k_max, got [{k_min}, {k_max}]")
-    if not (0 <= k_min and k_max <= MAX_LEVEL):
-        raise InputError(f"levels must lie in [0, {MAX_LEVEL}]")
-    if min_points_per_box < 1:
-        raise InputError("min_points_per_box must be >= 1")
-
+    check_levels(k_min, k_max, min_points_per_box)
     warnings: list[str] = []
     n = len(cloud)
     requested_k_max = k_max

@@ -34,6 +34,7 @@ from .event_study import InterpolationData
 
 NODE_TOL = 1e-10
 CONTINUITY_TOL = 1e-10
+COLLINEAR_RTOL = 1e-9
 
 DEFAULT_GRID_SIZE = 6401
 DEFAULT_TOL = 1e-9
@@ -196,7 +197,7 @@ class FifModel:
     b: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        germ = germ_piecewise_linear(self.data)
+        germ = PiecewiseLinear.interpolating(self.data.x, self.data.y)
         spec = self.base if isinstance(self.base, str) else None
         if spec == "square":
             object.__setattr__(self, "base", SquaredGerm(germ))
@@ -222,10 +223,6 @@ class FifModel:
         object.__setattr__(self, "germ", germ)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-
-    @property
-    def collinear(self) -> bool:
-        return data_is_collinear(self.data)
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,11 +255,6 @@ class GraphSample:
         return len(self.x)
 
 
-def germ_piecewise_linear(data: InterpolationData) -> PiecewiseLinear:
-    """The piecewise-linear interpolant through the data nodes."""
-    return PiecewiseLinear.interpolating(data.x, data.y)
-
-
 @dataclass(frozen=True, eq=False)
 class SquaredGerm:
     """The base x -> germ(x^2), which shares the germ's endpoint values on [0, 1].
@@ -289,11 +281,11 @@ def endpoint_chord(data: InterpolationData) -> PiecewiseLinear:
     )
 
 
-def data_is_collinear(data: InterpolationData, rtol: float = 1e-9) -> bool:
-    """True if every node lies on the chord through the endpoints."""
+def data_is_collinear(data: InterpolationData) -> bool:
+    """True if every node lies within COLLINEAR_RTOL * max|y| of the endpoint chord."""
     chord = endpoint_chord(data)
     scale = max(np.max(np.abs(data.y)), 1e-300)
-    return bool(np.max(np.abs(chord(data.x) - data.y)) <= rtol * scale)
+    return bool(np.max(np.abs(chord(data.x) - data.y)) <= COLLINEAR_RTOL * scale)
 
 
 def build_fif_model(
@@ -313,8 +305,8 @@ def build_fif_model(
 
 
 def build_eval_grid(data: InterpolationData, grid_size: int) -> np.ndarray:
-    """A grid of about ``grid_size`` points covering [0, 1] that contains every
-    partition knot exactly (so nodal values stay pinned during iteration)."""
+    """A strictly increasing grid of about ``grid_size`` points from x_0 to x_P holding
+    every knot exactly, so nodal values stay pinned and every interval holds a point."""
     if grid_size < 10 * data.intervals:
         raise InputError(
             f"grid_size must be at least 10 * P = {10 * data.intervals}, got {grid_size}"
@@ -332,17 +324,9 @@ def build_eval_grid(data: InterpolationData, grid_size: int) -> np.ndarray:
 def _operator_terms(
     grid_x: np.ndarray, model: FifModel
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The h-independent terms of T on a grid: l_p^{-1}(x), alpha_p, germ(x)
-    and alpha_p * base(l_p^{-1}(x)), with p the interval of each grid point."""
-    if np.any(np.diff(grid_x) <= 0.0):
-        raise InputError("grid abscissae must be strictly increasing")
+    """The h-independent terms of T on a ``build_eval_grid`` grid: l_p^{-1}(x), alpha_p,
+    germ(x) and alpha_p * base(l_p^{-1}(x)), with p the interval of each grid point."""
     data = model.data
-    if abs(grid_x[0] - data.x[0]) > 1e-9 or abs(grid_x[-1] - data.x[-1]) > 1e-9:
-        raise InputError("grid must cover [x_0, x_P]")
-    # every interval needs a grid point, otherwise some branch is never sampled
-    per_interval = np.diff(np.searchsorted(grid_x, data.x))
-    if np.any(per_interval < 1):
-        raise InputError("grid too coarse: an interval contains no grid point")
     # x in [x_p, x_{p+1}) lies in interval p; x_P lies in the last one
     p = np.clip(np.searchsorted(data.x, grid_x, side="right") - 1, 0, data.intervals - 1)
     inv = (grid_x - model.b[p]) / model.a[p]
@@ -363,26 +347,6 @@ def _operator_step(
     out += germ_vals
     out -= base_term
     return out
-
-
-def rb_operator_apply(
-    grid_x: np.ndarray, h_y: np.ndarray, model: FifModel
-) -> np.ndarray:
-    """One pass of the contraction T(h)(x) = alpha_p h(l_p^{-1}(x)) + q_p(l_p^{-1}(x)).
-
-    ``h`` is given by its values on ``grid_x``; off-grid evaluations use
-    linear interpolation between grid samples. Requires h to match the data
-    at both endpoints (the space on which T is a contraction).
-    """
-    grid_x = np.asarray(grid_x, dtype=float)
-    h_y = np.asarray(h_y, dtype=float)
-    if grid_x.shape != h_y.shape:
-        raise InputError("grid and values must have matching shapes")
-    terms = _operator_terms(grid_x, model)
-    data = model.data
-    if abs(h_y[0] - data.y[0]) > 1e-8 or abs(h_y[-1] - data.y[-1]) > 1e-8:
-        raise InputError("h must satisfy h(x_0) = y_0 and h(x_P) = y_P")
-    return _operator_step(grid_x, h_y, terms)
 
 
 def evaluate_fif_fixed_point(

@@ -247,12 +247,6 @@ def _csv_text(header: str, dates: np.ndarray, *columns: np.ndarray) -> str:
     return "\n".join([header, *lines]) + "\n"
 
 
-def serialize_price_csv(series: PriceSeries) -> str:
-    """Render a price series back to the CSV schema accepted by the parser."""
-    bars = series.bars
-    return _csv_text("date,open,close", bars["date"], bars["open"], bars["close"])
-
-
 def daily_returns(series: PriceSeries) -> ReturnSeries:
     """Intraday return per bar: (close - open) / open, dates preserved."""
     bars = series.bars

@@ -106,7 +106,7 @@ def write_series_outputs(
             payload["warnings"].append(
                 f"dimension {estimate.dimension:.4f} outside (1, 2) for a curve graph"
             )
-        if model.collinear:
+        if fif.data_is_collinear(data):
             payload["warnings"].append(
                 "interpolation data are collinear: dimension analysis assumes "
                 "a non-degenerate graph"
@@ -200,6 +200,12 @@ def run_report(
     leaves no bundle file behind. Files already in ``outdir`` that the
     bundle does not write are left alone.
     """
+    # every year's grids have 11 points, so the library's own checks on the
+    # reference model refuse a depth or level setting before any work
+    model = fif.build_fif_model(fixtures.nifty50_2024_grid("aar"), 0.0)
+    for depth in (settings.sample_depth, settings.dimension_depth):
+        fif.AttractorBlocks(model, depth)
+    boxdim.check_levels(settings.k_min, settings.k_max, settings.min_points_per_box)
     year_configs = year_configs or {}
     ref_year = fixtures.REFERENCE_YEAR
     if ref_year in year_configs:

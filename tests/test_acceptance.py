@@ -27,7 +27,6 @@ from fractalmark.fif import (
     build_fif_model,
     evaluate_fif_fixed_point,
     generate_attractor_points,
-    germ_piecewise_linear,
     verify_interpolation,
 )
 from fractalmark.fixtures import (
@@ -101,7 +100,7 @@ def test_criterion_3_germ_reconstruction():
     start = time.perf_counter()
     worst = 0.0
     for name, data in GRIDS.items():
-        germ = germ_piecewise_linear(data)
+        germ = build_fif_model(data, 0.0).germ
         slopes, intercepts = reference_germ_coefficients(name)
         worst = max(
             worst,

@@ -150,6 +150,10 @@ PIECE_SIZES = st.sampled_from([1, 7, 50, fif.PIECE_POINTS])
 
 @settings(max_examples=60, deadline=None)
 @given(model=models(), depth=st.integers(0, 4), piece=PIECE_SIZES)
+# the report's own models at depth 5: 2024 CAAR at 0.5, which fif-export
+# writes, and AAR at 0.3
+@example(model=build_fif_model(nifty50_2024_grid("caar"), 0.5), depth=5, piece=fif.PIECE_POINTS)
+@example(model=build_fif_model(nifty50_2024_grid("aar"), 0.3), depth=5, piece=fif.PIECE_POINTS)
 def test_blocks_reproduce_the_sorted_sample(model, depth, piece):
     want = generate_attractor_points(model, depth)
     with mock.patch.object(fif, "PIECE_POINTS", piece):

@@ -1,14 +1,16 @@
 import datetime as dt
 import inspect
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from fractalmark import cli, config
+from fractalmark import cli, config, fif
 from fractalmark.boxdim import estimate_dimension
 from fractalmark.cli import main
 from fractalmark.csvio import read_xy_csv
+from fractalmark.errors import InputError
 from fractalmark.event_study import compute_abnormal_panel
 from fractalmark.fif import evaluate_fif_fixed_point
 from fractalmark.fixtures import nifty50_2024_grid, nifty50_2024_panel
@@ -259,9 +261,9 @@ class TestFif:
         assert code == 0
         sx, sy = read_xy_csv(out / "aar_a0_sample.csv")
         data = nifty50_2024_grid("aar")
-        from fractalmark.fif import germ_piecewise_linear
+        from fractalmark.fif import PiecewiseLinear
 
-        germ = germ_piecewise_linear(data)
+        germ = PiecewiseLinear.interpolating(data.x, data.y)
         assert np.max(np.abs(sy - germ(sx))) < 1e-12
         svg = (out / "aar_a0_plot.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
@@ -506,6 +508,30 @@ class TestReport:
         assert [p.name for p in out.rglob("*")] == ["keep.txt"]
         assert (out / "keep.txt").read_text() == "kept\n"
         assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            (Settings(k_min=5, k_max=3), "k_min must be below k_max, got [5, 3]"),
+            (Settings(k_max=31), "levels must lie in [0, 30]"),
+            (Settings(min_points_per_box=0), "min_points_per_box must be >= 1"),
+            (Settings(dimension_depth=9), "depth 9 would generate ~11000000000 points"),
+            (Settings(sample_depth=-1), "depth must be non-negative"),
+        ],
+        ids=["k-range", "k_max", "sparsity guard", "dimension depth", "sample depth"],
+    )
+    def test_bad_settings_refused_before_any_work(self, tmp_path, settings, message):
+        out = tmp_path / "rep"
+        with (
+            mock.patch.object(fif, "generate_attractor_points") as generate,
+            mock.patch.object(fif, "evaluate_fif_fixed_point") as evaluate,
+            pytest.raises(InputError) as refused,
+        ):
+            run_report(out, settings)
+        assert str(refused.value).startswith(message)
+        assert generate.call_count == evaluate.call_count == 0
+        # no bundle directory, nor a staging directory beside it
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "year_args, message",

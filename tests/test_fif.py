@@ -23,9 +23,8 @@ from fractalmark.fif import (
     endpoint_chord,
     evaluate_fif_fixed_point,
     generate_attractor_points,
-    germ_piecewise_linear,
+    _operator_step,
     _operator_terms,
-    rb_operator_apply,
     verify_interpolation,
 )
 from fractalmark.fixtures import (
@@ -98,26 +97,26 @@ class TestGerm:
     def test_published_coefficients_both_series(self):
         # the published piecewise coefficients are rounded; 1e-3 absolute
         for series_name, data in (("aar", AAR), ("caar", CAAR)):
-            germ = germ_piecewise_linear(data)
+            germ = PiecewiseLinear.interpolating(data.x, data.y)
             slopes, intercepts = reference_germ_coefficients(series_name)
             assert np.max(np.abs(germ.slopes - slopes)) < 1e-3
             assert np.max(np.abs(germ.intercepts - intercepts)) < 1e-3
 
     def test_first_segment_hand_values(self):
-        germ = germ_piecewise_linear(AAR)
+        germ = PiecewiseLinear.interpolating(AAR.x, AAR.y)
         assert germ.slopes[0] == pytest.approx(-0.0714, abs=1e-12)
         assert germ.intercepts[0] == pytest.approx(0.00559, abs=1e-12)
-        caar_germ = germ_piecewise_linear(CAAR)
+        caar_germ = PiecewiseLinear.interpolating(CAAR.x, CAAR.y)
         assert caar_germ.slopes[-1] == pytest.approx(0.0499, abs=1e-12)
         assert caar_germ.intercepts[-1] == pytest.approx(-0.0499, abs=1e-12)
 
     def test_interpolates_nodes(self):
-        germ = germ_piecewise_linear(AAR)
+        germ = PiecewiseLinear.interpolating(AAR.x, AAR.y)
         np.testing.assert_allclose(germ(AAR.x), AAR.y, atol=1e-15)
 
     def test_collinear_data_single_slope(self):
         data = uniform_data([0.0, 0.5, 1.0])
-        germ = germ_piecewise_linear(data)
+        germ = PiecewiseLinear.interpolating(data.x, data.y)
         np.testing.assert_allclose(germ.slopes, 1.0, atol=1e-15)
         assert data_is_collinear(data)
         assert not data_is_collinear(AAR)
@@ -138,7 +137,7 @@ class TestBase:
         assert base(np.array([0.5]))[0] == pytest.approx(0.25, abs=1e-15)
 
     def test_endpoint_values(self):
-        germ = germ_piecewise_linear(AAR)
+        germ = PiecewiseLinear.interpolating(AAR.x, AAR.y)
         base = SquaredGerm(germ)
         assert base(np.array([1.0]))[0] == pytest.approx(0.00172, abs=1e-12)
         assert base(np.array([0.0]))[0] == germ(np.array([0.0]))[0]
@@ -179,7 +178,7 @@ class TestScalingVector:
 class TestModelValidation:
     def test_germ_is_the_data_interpolant(self):
         model = FifModel(data=AAR, alpha=ScalingVector.from_spec(0.3, 10), base="chord")
-        want = germ_piecewise_linear(AAR)
+        want = PiecewiseLinear.interpolating(AAR.x, AAR.y)
         assert model.germ.breakpoints.tobytes() == AAR.x.tobytes()
         assert model.germ.slopes.tobytes() == want.slopes.tobytes()
         assert model.germ.intercepts.tobytes() == want.intercepts.tobytes()
@@ -192,7 +191,8 @@ class TestModelValidation:
         chord = FifModel(data=AAR, alpha=alpha, base="chord")
         x = np.linspace(0.0, 1.0, 101)
         assert isinstance(square.base, SquaredGerm) and square.base.germ is square.germ
-        assert square.base(x).tobytes() == SquaredGerm(germ_piecewise_linear(AAR))(x).tobytes()
+        germ = PiecewiseLinear.interpolating(AAR.x, AAR.y)
+        assert square.base(x).tobytes() == SquaredGerm(germ)(x).tobytes()
         assert chord.base(x).tobytes() == endpoint_chord(AAR)(x).tobytes()
         # only a name is taken: no function, nor a base already built
         for bad in ("cube", 5, lambda v: v, endpoint_chord(AAR), square.base):
@@ -216,35 +216,30 @@ class TestRbOperator:
         model = build_fif_model(AAR, 0.0)
         grid = build_eval_grid(AAR, 2001)
         h = np.asarray(model.germ(grid))
-        out = rb_operator_apply(grid, h, model)
+        out = _operator_step(grid, h, _operator_terms(grid, model))
         np.testing.assert_allclose(out, h, atol=1e-15)
 
     def test_zero_data_zero_function(self):
         data = uniform_data(np.zeros(11))
         model = build_fif_model(data, 0.4)
         grid = build_eval_grid(data, 2001)
-        out = rb_operator_apply(grid, np.zeros_like(grid), model)
+        out = _operator_step(grid, np.zeros_like(grid), _operator_terms(grid, model))
         np.testing.assert_allclose(out, 0.0, atol=1e-18)
 
     def test_contraction_factor(self, nonuniform_data):
         # sup-distance between iterates shrinks by at most max|alpha| per pass
         model = build_fif_model(nonuniform_data, 0.5)
         grid = build_eval_grid(nonuniform_data, 3001)
+        terms = _operator_terms(grid, model)
         h1 = np.asarray(model.germ(grid))
-        h2 = rb_operator_apply(grid, h1, model)
+        h2 = _operator_step(grid, h1, terms)
         for _ in range(6):
-            n1 = rb_operator_apply(grid, h1, model)
-            n2 = rb_operator_apply(grid, h2, model)
+            n1 = _operator_step(grid, h1, terms)
+            n2 = _operator_step(grid, h2, terms)
             d_before = np.max(np.abs(h2 - h1))
             d_after = np.max(np.abs(n2 - n1))
             assert d_after <= 0.5 * d_before + 1e-15
             h1, h2 = n1, n2
-
-    def test_endpoint_precondition(self):
-        model = build_fif_model(AAR, 0.3)
-        grid = build_eval_grid(AAR, 2001)
-        with pytest.raises(InputError, match="h must satisfy"):
-            rb_operator_apply(grid, np.full_like(grid, 99.0), model)
 
 
 class TestFixedPoint:
@@ -319,7 +314,7 @@ class TestFixedPoint:
             model = build_fif_model(AAR, alpha)
             sample = evaluate_fif_fixed_point(model, grid_size=6401, tol=tol)
             assert sample.converged
-            again = rb_operator_apply(sample.x, sample.y, model)
+            again = _operator_step(sample.x, sample.y, _operator_terms(sample.x, model))
             assert np.max(np.abs(again - sample.y)) < 2 * tol
 
     def test_grid_size_precondition(self):
@@ -464,6 +459,23 @@ def test_both_evaluators_interpolate_random_data(model):
     with mock.patch.object(fif, "ITERATION_CAP", 40):
         fixed = evaluate_fif_fixed_point(model, grid_size=20 * model.data.intervals)
     assert verify_interpolation(fixed, model.data) < 1e-7
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_eval_grid_holds_what_the_operator_needs(data):
+    # _operator_terms takes its grid unchecked: it must be increasing, run
+    # from x_0 to x_P and give every interval a point, so each branch is sampled
+    p_count = data.draw(st.integers(2, 30))
+    inner = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    knots = data.draw(st.lists(inner, min_size=p_count - 1, max_size=p_count - 1, unique=True))
+    x = np.array([0.0, *sorted(knots), 1.0])
+    grid_size = data.draw(st.integers(10 * p_count, 20_000))
+    grid = build_eval_grid(InterpolationData(x, np.zeros_like(x)), grid_size)
+    assert np.all(np.diff(grid) > 0.0)
+    assert grid[0] == x[0] and grid[-1] == x[-1]
+    assert np.array_equal(grid[np.searchsorted(grid, x)], x)
+    assert np.all(np.diff(np.searchsorted(grid, x)) >= 1)
 
 
 @st.composite

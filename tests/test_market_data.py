@@ -11,14 +11,20 @@ from fractalmark.market_data import (
     PRICE_DTYPE,
     PriceSeries,
     ReturnSeries,
+    _csv_text,
     align_on_calendar,
     daily_returns,
     extra_columns,
     parse_price_csv,
     parse_returns_csv,
-    serialize_price_csv,
     serialize_returns_csv,
 )
+
+
+def serialize_price_csv(series: PriceSeries) -> str:
+    """Render a price series back to the CSV schema accepted by the parser."""
+    bars = series.bars
+    return _csv_text("date,open,close", bars["date"], bars["open"], bars["close"])
 
 
 def make_series(*rows):
