@@ -5,10 +5,18 @@ Input is a plain CSV with a header naming at least ``date``, ``open`` and
 dates are ``datetime64[D]`` arrays and prices or returns ``float64`` arrays.
 Every array is copied and made read-only on construction and every
 operation is a pure function, so values can be shared freely across threads.
+
+Price and return files are read in two tiers. One ``np.loadtxt`` call reads
+the body of a plain file, and vectorized checks accept its columns only
+where the row-by-row ``csv`` loop would read the same bits. Any other file,
+and every file numpy refuses, goes to that loop, which alone decides
+refusals, their order and their row numbers.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass, fields
 from datetime import date as Date
@@ -119,10 +127,71 @@ def _read_text(raw: bytes | str | BinaryIO | TextIO) -> str:
 
 
 def _split_rows(text: str) -> list[list[str]]:
-    import csv
-    import io
+    return list(csv.reader(io.StringIO(text, newline="")))
 
-    return [row for row in csv.reader(io.StringIO(text, newline=""))]
+
+def _header(text: str) -> list[str]:
+    """The stripped names of the first CSV record; none for an empty text."""
+    return [name.strip() for name in next(csv.reader(io.StringIO(text, newline="")), [])]
+
+
+# A date's bytes less _DATE_OFFSET lie below _DATE_LIMIT exactly where they
+# spell YYYY-MM-DD: digits give 0-9, a dash gives 0, and in uint8 any other
+# byte wraps round to at least 10.
+_DATE_OFFSET = np.frombuffer(b"0000-00-00", np.uint8)
+_DATE_LIMIT = np.where(_DATE_OFFSET == ord("-"), 1, 10).astype(np.uint8)
+_FIRST_DAY = np.datetime64("0001-01-01", "D")
+# Quotes and carriage returns, which ``csv`` reads otherwise than a split on
+# commas and newlines; NUL, which an ``S`` field drops at its end; and the
+# separators \x1c-\x1f, whitespace to numpy's number parser but not to float.
+_NOT_PLAIN = '"\r\0\x1c\x1d\x1e\x1f'
+
+
+def _load_columns(
+    text: str, date_col: int, value_cols: dict[str, int], *, positive: bool
+) -> tuple[np.ndarray, list[np.ndarray]] | None:
+    """What :func:`_columns` returns, read by one ``np.loadtxt`` call, or
+    None where the row loop might read the file otherwise or refuse it.
+
+    Only ASCII text free of :data:`_NOT_PLAIN` is tried, so a line is a row
+    and a comma ends a field, as for ``csv``, and numbers read as by
+    ``float``. The table has one dtype field per header column, so numpy
+    refuses a row with another field count, whitespace-only rows included,
+    and skips empty lines as the row loop does. Each date must be exactly
+    ``YYYY-MM-DD`` with a year from 1: numpy also reads ``20240705``,
+    ``NaT``, ``today``, ``2024-07`` or year 0, each otherwise than
+    ``date.fromisoformat``. Duplicate dates and, if ``positive``, values
+    that are not finite and > 0 are left to the row loop.
+    """
+    if not text.isascii() or any(c in text for c in _NOT_PLAIN):
+        return None
+    head, _, body = text.partition("\n")
+    if not body.strip():
+        return None  # no data row, and numpy would warn
+    kinds = ["S1"] * (head.count(",") + 1)  # a column not read may hold any text
+    kinds[date_col] = "S11"  # a byte past the date shows a longer field
+    for col in value_cols.values():
+        kinds[col] = "f8"
+    table_dtype = np.dtype([(f"f{col}", kind) for col, kind in enumerate(kinds)])
+    try:
+        table = np.loadtxt(
+            body.split("\n"), table_dtype, comments=None, delimiter=",", quotechar=None, ndmin=1
+        )
+        field = np.ascontiguousarray(table[f"f{date_col}"])
+        chars = field.view(np.uint8).reshape(-1, 11)
+        if chars[:, 10].any() or not (chars[:, :10] - _DATE_OFFSET < _DATE_LIMIT).all():
+            return None
+        dates = field.astype("datetime64[D]")  # refuses a day past its month's end
+    except ValueError:
+        return None
+    order = np.argsort(dates, kind="stable")
+    dates = dates[order]
+    if dates[0] < _FIRST_DAY or not (dates[1:] > dates[:-1]).all():
+        return None
+    columns = [table[f"f{col}"][order] for col in value_cols.values()]
+    if positive and not all(((0.0 < c) & (c < math.inf)).all() for c in columns):
+        return None
+    return dates, columns
 
 
 def _columns(
@@ -185,6 +254,23 @@ def _columns(
     return dates, [np.array(column, dtype=np.float64)[order] for column in columns]
 
 
+def _read_columns(
+    text: str,
+    date_col: int,
+    value_cols: dict[str, int],
+    *,
+    width: int,
+    positive: bool,
+    shown: Callable[[str], str],
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """:func:`_load_columns`' columns, else those of the row loop :func:`_columns`."""
+    loaded = _load_columns(text, date_col, value_cols, positive=positive)
+    if loaded is not None:
+        return loaded
+    rows = _split_rows(text)
+    return _columns(rows, date_col, value_cols, width=width, positive=positive, shown=shown)
+
+
 def parse_price_csv(raw: bytes | str | BinaryIO | TextIO, instrument_id: str = "series") -> PriceSeries:
     """Parse a daily price CSV into a :class:`PriceSeries`.
 
@@ -209,15 +295,15 @@ def parse_price_csv(raw: bytes | str | BinaryIO | TextIO, instrument_id: str = "
         date or non-positive price. Messages carry the 1-based row number
         (the header is row 1).
     """
-    rows = _split_rows(_read_text(raw))
-    if not rows:
+    text = _read_text(raw)
+    if not text:
         raise InputError("empty CSV: no header row")
-    header = [name.strip() for name in rows[0]]
+    header = _header(text)
     missing = [name for name in REQUIRED_COLUMNS if name not in header]
     if missing:
         raise InputError(f"row 1: missing required column(s): {', '.join(missing)}")
-    dates, (opens, closes) = _columns(
-        rows,
+    dates, (opens, closes) = _read_columns(
+        text,
         header.index("date"),
         {"open": header.index("open"), "close": header.index("close")},
         width=len(header),
@@ -234,11 +320,7 @@ def extra_columns(raw: bytes | str | BinaryIO | TextIO) -> tuple[str, ...]:
 
     Only the first CSV record is parsed.
     """
-    import csv
-    import io
-
-    header = next(csv.reader(io.StringIO(_read_text(raw), newline="")), [])
-    return tuple(name.strip() for name in header if name.strip() not in REQUIRED_COLUMNS)
+    return tuple(name for name in _header(_read_text(raw)) if name not in REQUIRED_COLUMNS)
 
 
 def _csv_text(header: str, dates: np.ndarray, *columns: np.ndarray) -> str:
@@ -287,15 +369,15 @@ def parse_returns_csv(raw: bytes | str | BinaryIO | TextIO, instrument_id: str =
     row too short to hold a column is refused by its field count where that
     column is read.
     """
-    rows = _split_rows(_read_text(raw))
-    if not rows:
+    text = _read_text(raw)
+    if not text:
         raise InputError("empty CSV: no header row")
-    header = [name.strip() for name in rows[0]]
+    header = _header(text)
     for name in ("date", "return"):
         if name not in header:
             raise InputError(f"row 1: missing required column {name!r}")
     d_i, v_i = header.index("date"), header.index("return")
-    dates, (values,) = _columns(
-        rows, d_i, {"return": v_i}, width=0, positive=False, shown=str
+    dates, (values,) = _read_columns(
+        text, d_i, {"return": v_i}, width=0, positive=False, shown=str
     )
     return ReturnSeries(instrument_id, dates, values)

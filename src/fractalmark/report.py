@@ -201,11 +201,13 @@ def run_report(
     bundle does not write are left alone.
     """
     # every year's grids have 11 points, so the library's own checks on the
-    # reference model refuse a depth or level setting before any work
+    # reference model refuse a depth, level, grid or tolerance setting before
+    # any work; at alpha 0 the fixed point is the germ, reached in one pass
     model = fif.build_fif_model(fixtures.nifty50_2024_grid("aar"), 0.0)
     for depth in (settings.sample_depth, settings.dimension_depth):
         fif.AttractorBlocks(model, depth)
     boxdim.check_levels(settings.k_min, settings.k_max, settings.min_points_per_box)
+    fif.evaluate_fif_fixed_point(model, grid_size=settings.grid_size, tol=settings.tol)
     year_configs = year_configs or {}
     ref_year = fixtures.REFERENCE_YEAR
     if ref_year in year_configs:

@@ -534,6 +534,25 @@ class TestReport:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "settings, message",
+        [
+            (Settings(tol=float("nan")), "tol must be finite and positive, got nan"),
+            (Settings(grid_size=5), "grid_size must be at least 10 * P = 100, got 5"),
+        ],
+        ids=["tol", "grid size"],
+    )
+    def test_bad_grid_or_tol_refused_before_any_sample(self, tmp_path, settings, message):
+        # the fixed-point evaluator runs here, on the reference model, to check them
+        with (
+            mock.patch.object(fif, "generate_attractor_points") as generate,
+            pytest.raises(InputError) as refused,
+        ):
+            run_report(tmp_path / "rep", settings)
+        assert str(refused.value) == message
+        assert generate.call_count == 0
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "year_args, message",
         [
             (["2024={cfg}"], "year 2024 comes from the embedded reference data"),

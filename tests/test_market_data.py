@@ -1,10 +1,13 @@
 import datetime as dt
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_v010 as oracle
+from fractalmark import market_data
 from fractalmark.errors import ComputationError, InputError
 from fractalmark.event_study import compute_abnormal_panel
 from fractalmark.market_data import (
@@ -257,6 +260,9 @@ date_token = st.one_of(
     st.sampled_from([
         "20240705", "2024-W27-5", "01/07/2024", "2024-02-30", "2024-7-1", "", " ", "x",
         '"2024-07-06"', "0001-01-01", "9999-12-31",
+        # forms numpy reads as dates, otherwise than date.fromisoformat
+        "2024-07", "2024", "NaT", "today", "now", "+2024-07-01", "2024-07-01T00:00",
+        "0000-01-01", "10000-01-01",
     ]),
 )
 number_token = st.one_of(
@@ -403,3 +409,116 @@ def test_refusal_order_and_wording(text, message):
     with pytest.raises(InputError) as info:
         old(text)
     assert str(info.value) == message
+
+
+# --- the numpy tier against the row loop ------------------------------------
+
+
+def row_loop_outcome(outcome, parse, text):
+    """``outcome`` of ``parse`` with the numpy tier declining every file."""
+    with mock.patch.object(market_data, "_load_columns", return_value=None):
+        return outcome(parse, text)
+
+
+def plain_price_text(days, opens, closes) -> str:
+    """A price file as the benchmark's panel writes one."""
+    rows = (f"{d},{o:.2f},{c:.2f}" for d, o, c in zip(days, opens, closes))
+    return "\n".join(["date,open,close", *rows]) + "\n"
+
+
+def test_plain_files_skip_the_row_loop():
+    rng = np.random.default_rng(3)
+    days = np.datetime64("2022-06-01") + np.arange(400)
+    opens = rng.uniform(50.0, 3000.0, 400)
+    bench_like = plain_price_text(days, opens, opens * rng.uniform(0.95, 1.05, 400))
+    returns = serialize_returns_csv(ReturnSeries("r", days, rng.normal(0.0, 0.01, 400)))
+    # columns in another order, an extra column, rows out of order, an empty
+    # line and no final newline
+    reordered = "close,volume,date,open\n2.5,7,2024-07-02,2\n\n1.25,8,2024-07-01,1e-3"
+    texts = [
+        (price_outcome, parse_price_csv, bench_like),
+        (returns_outcome, parse_returns_csv, returns),
+        (price_outcome, parse_price_csv, reordered),
+    ]
+    with mock.patch.object(market_data, "_columns", side_effect=AssertionError("row loop")):
+        got = [outcome(parse, text) for outcome, parse, text in texts]
+    assert got == [row_loop_outcome(*case) for case in texts]
+    assert got[0][0] == got[2][0] == "read" and len(got[0][1]) == 400
+
+
+PRICE_READ = (0, {"open": 1, "close": 2})
+RETURN_READ = (0, {"return": 1})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # dates numpy reads, each otherwise than date.fromisoformat, and one
+        # the row loop strips
+        *(f"date,open,close\n{day},1,2\n" for day in [
+            "20240705", "2024-07", "2024", "NaT", "today", "now", "+2024-07-01",
+            "2024-07-01T00:00", "0000-01-01", "10000-01-01", " 2024-07-01",
+        ]),
+        "date,return\n2024-07-01,0.1\n20240702,0.2\n",
+        # a row with more or fewer fields than the header
+        "date,open,close\n2024-07-01,1,2\n2024-07-02,1,2,3\n",
+        "date,open,close\n2024-07-01,1,2\n2024-07-02,1\n",
+        "date,return\n2024-07-01,0.1,note\n",
+        # a whitespace-only row, which the row loop skips
+        "date,open,close\n2024-07-01,1,2\n \t\n2024-07-02,1,2\n",
+        # a duplicate date
+        "date,open,close\n2024-07-01,1,2\n2024-07-01,1,2\n",
+        "date,return\n2024-07-01,0.1\n2024-07-01,0.1\n",
+        # a price that is not finite and > 0
+        *(f"date,open,close\n2024-07-01,1,{close}\n" for close in ["nan", "inf", "0", "-1"]),
+        # no data row: numpy would warn
+        "date,open,close\n", "date,open,close\n\n\n", "date,return",
+        # text a comma and newline split would read otherwise than csv
+        'date,open,close\n2024-07-01,"1",2\n', "date,open,close\r\n2024-07-01,1,2\r\n",
+        "date,open,close\n2024-07-01,1,2\x1c\n", "date,open,close\n2024-07-01,1,\u0662\n",
+    ],
+)
+def test_numpy_tier_declines_what_the_row_loop_must_decide(text):
+    parse, outcome, read = (
+        (parse_returns_csv, returns_outcome, RETURN_READ) if "return" in text
+        else (parse_price_csv, price_outcome, PRICE_READ)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert market_data._load_columns(text, *read, positive=parse is parse_price_csv) is None
+        got = outcome(parse, text)
+    assert got == row_loop_outcome(outcome, parse, text)
+
+
+@st.composite
+def plain_texts(draw):
+    """Files the numpy tier reads: any column order, an extra column, rows in
+    any order, empty lines and any final newline."""
+    header = draw(st.sampled_from(
+        ["date,open,close", "close,volume,date,open", "date,return", "note,return,date"]
+    ))
+    names = header.split(",")
+    days = draw(day_sets)
+    positive = st.floats(min_value=5e-324, allow_infinity=False)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    kinds = {"open": positive, "close": positive, "return": finite}
+    rows = []
+    for day in draw(st.permutations(days)):
+        fields = [dt.date.fromordinal(day).isoformat() if name == "date"
+                  else repr(draw(kinds.get(name, st.floats()))) for name in names]
+        rows += [",".join(fields)] + [""] * draw(st.integers(0, 1))
+    return "\n".join([header, *rows]) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=plain_texts())
+def test_numpy_tier_reads_plain_files_as_the_row_loop(text):
+    names = text.partition("\n")[0].split(",")
+    parse, outcome = (
+        (parse_returns_csv, returns_outcome) if "return" in names
+        else (parse_price_csv, price_outcome)
+    )
+    with mock.patch.object(market_data, "_columns", side_effect=AssertionError("row loop")):
+        got = outcome(parse, text)
+    assert got[0] == "read"
+    assert got == row_loop_outcome(outcome, parse, text)
