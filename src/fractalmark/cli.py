@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, boxdim, config, event_study, fif
-from .csvio import read_xy_csv, write_xy_csv
+from .csvio import read_records, read_xy_csv, write_xy_csv
 from .errors import ComputationError, InputError
 from .event_study import (
     InterpolationData, build_panel, compute_abnormal_panel, panel_csv, subsample_to_grid,
@@ -70,40 +70,34 @@ def _load_returns(path_text: str, what: str):
 
 
 def _read_ar_csv(path: Path) -> tuple[np.ndarray, tuple[int, ...], list[str]]:
-    import csv as _csv
-
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        rows = list(_csv.reader(handle))
-    if not rows:
-        raise InputError(f"{path}: empty CSV")
-    header = [h.strip() for h in rows[0]]
-    if not header or header[0] != "relative_day" or len(header) < 2:
-        raise InputError(f"{path}: expected header 'relative_day,<security>[,...]'")
-    labels = header[1:]
-    days: list[int] = []
-    values: list[list[float]] = []
-    for row_no, row in enumerate(rows[1:], start=2):
-        if not row or all(not f.strip() for f in row):
-            continue
-        if len(row) != len(header):
-            raise InputError(
-                f"{path}: row {row_no}: expected {len(header)} fields, got {len(row)}"
-            )
-        try:
-            day = int(row[0])
-            values.append([float(f) for f in row[1:]])
-        except ValueError:
-            raise InputError(f"{path}: row {row_no}: malformed abnormal-return row") from None
-        if days and day != days[-1] + 1:
-            raise InputError(
-                f"{path}: row {row_no}: relative_day {day} does not follow {days[-1]}; "
-                "days must increase by 1"
-            )
-        days.append(day)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            header, records = read_records(handle)
+            if header is None:
+                raise InputError("empty CSV")
+            if not header or header[0] != "relative_day" or len(header) < 2:
+                raise InputError("expected header 'relative_day,<security>[,...]'")
+            days: list[int] = []
+            values: list[list[float]] = []
+            for row_no, row in records:
+                if len(row) != len(header):
+                    raise InputError(f"row {row_no}: expected {len(header)} fields, got {len(row)}")
+                try:
+                    day = int(row[0])
+                    values.append([float(f) for f in row[1:]])
+                except ValueError:
+                    raise InputError(f"row {row_no}: malformed abnormal-return row") from None
+                if days and day != days[-1] + 1:
+                    raise InputError(
+                        f"row {row_no}: relative_day {day} does not follow {days[-1]}; "
+                        "days must increase by 1"
+                    )
+                days.append(day)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
     if not values:
         raise InputError(f"{path}: no abnormal-return rows")
-    matrix = np.asarray(values, dtype=float).T
-    return matrix, tuple(days), labels
+    return np.asarray(values, dtype=float).T, tuple(days), header[1:]
 
 
 def cmd_event_study(args: argparse.Namespace) -> int:

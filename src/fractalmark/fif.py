@@ -109,33 +109,28 @@ def _pair_extremes(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class PiecewiseLinear:
-    """Continuous piecewise-linear function y = slope_p * x + intercept_p on
-    [breakpoints[p], breakpoints[p+1]], defined on the whole breakpoint span."""
+    """The piecewise-linear interpolant of the knots (breakpoints[p], values[p]):
+    y = slope_p * x + intercept_p on [breakpoints[p], breakpoints[p+1]],
+    defined on the whole breakpoint span. Each segment is the line through
+    its two knots, so the segments meet at every knot up to rounding."""
 
     breakpoints: np.ndarray
-    slopes: np.ndarray
-    intercepts: np.ndarray
+    values: np.ndarray
+    slopes: np.ndarray = field(init=False)
+    intercepts: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        bx = np.asarray(self.breakpoints, dtype=float)
-        if np.any(np.diff(bx) <= 0.0):
+        x = np.asarray(self.breakpoints, dtype=float)
+        y = np.asarray(self.values, dtype=float)
+        if np.any(np.diff(x) <= 0.0):
             raise InputError("breakpoints must be strictly increasing")
-        if len(self.slopes) != len(bx) - 1 or len(self.intercepts) != len(bx) - 1:
-            raise InputError("need one (slope, intercept) pair per segment")
-        interior = bx[1:-1]
-        if interior.size:
-            left = self.slopes[:-1] * interior + self.intercepts[:-1]
-            right = self.slopes[1:] * interior + self.intercepts[1:]
-            if np.max(np.abs(left - right)) > CONTINUITY_TOL:
-                raise InputError("segments disagree at an interior breakpoint")
-
-    @classmethod
-    def interpolating(cls, x: Sequence[float], y: Sequence[float]) -> "PiecewiseLinear":
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        if y.shape != x.shape:
+            raise InputError("need one value per breakpoint")
         slopes = np.diff(y) / np.diff(x)
-        intercepts = y[:-1] - slopes * x[:-1]
-        return cls(x, slopes, intercepts)
+        object.__setattr__(self, "breakpoints", x)
+        object.__setattr__(self, "values", y)
+        object.__setattr__(self, "slopes", slopes)
+        object.__setattr__(self, "intercepts", y[:-1] - slopes * x[:-1])
 
     def _segment(self, arr: np.ndarray) -> np.ndarray:
         return np.clip(
@@ -165,7 +160,7 @@ class PiecewiseLinear:
     def span(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The values at ``x``, bit for bit, and over each pair of points
         along its last axis the least and greatest value between them, up
-        to the segments' disagreement at a breakpoint and rounding."""
+        to rounding."""
         i = self._segment(x)
         values = self.slopes[i] * x + self.intercepts[i]
         low, high = self._knot_extremes
@@ -197,7 +192,7 @@ class FifModel:
     b: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        germ = PiecewiseLinear.interpolating(self.data.x, self.data.y)
+        germ = PiecewiseLinear(self.data.x, self.data.y)
         spec = self.base if isinstance(self.base, str) else None
         if spec == "square":
             object.__setattr__(self, "base", SquaredGerm(germ))
@@ -211,11 +206,11 @@ class FifModel:
                 f"{self.data.intervals} intervals"
             )
         # x_0 and x_P may sit up to 1e-12 off 0 and 1, where germ(x^2) need
-        # not match the end nodes
-        ends = self.base(np.array([self.data.x[0], self.data.x[-1]]))
-        if abs(ends[0] - self.data.y[0]) > NODE_TOL or abs(ends[1] - self.data.y[-1]) > NODE_TOL:
+        # not match the end nodes; the tolerance scales with the data
+        x, y = self.data.x, self.data.y
+        miss = np.abs(self.base(x[[0, -1]]) - y[[0, -1]]).max()
+        if miss > NODE_TOL * max(1.0, np.abs(y).max()):
             raise InputError("base function must match the data at both endpoints")
-        x = self.data.x
         span = x[-1] - x[0]
         a = np.diff(x) / span
         b = (x[-1] * x[:-1] - x[0] * x[1:]) / span
@@ -276,9 +271,7 @@ class SquaredGerm:
 
 def endpoint_chord(data: InterpolationData) -> PiecewiseLinear:
     """The straight line through the first and last data node (affine base)."""
-    return PiecewiseLinear.interpolating(
-        np.array([data.x[0], data.x[-1]]), np.array([data.y[0], data.y[-1]])
-    )
+    return PiecewiseLinear(data.x[[0, -1]], data.y[[0, -1]])
 
 
 def data_is_collinear(data: InterpolationData) -> bool:

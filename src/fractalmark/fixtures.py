@@ -8,11 +8,11 @@ fully offline.
 
 from __future__ import annotations
 
-import csv
 from importlib import resources
 
 import numpy as np
 
+from .csvio import read_records
 from .errors import InputError
 from .event_study import InterpolationData
 
@@ -25,8 +25,9 @@ OTHER_YEARS = (2023, 2022, 2020)
 
 def _rows(name: str) -> list[dict[str, str]]:
     path = resources.files("fractalmark").joinpath("data", name)
-    with path.open("r", encoding="utf-8") as handle:
-        return list(csv.DictReader(handle))
+    with path.open("r", encoding="utf-8", newline="") as handle:
+        header, records = read_records(handle)
+        return [dict(zip(header, row)) for _, row in records]
 
 
 def nifty50_2024_panel() -> dict[str, np.ndarray]:

@@ -8,22 +8,25 @@ operation is a pure function, so values can be shared freely across threads.
 
 Price and return files are read in two tiers. One ``np.loadtxt`` call reads
 the body of a plain file, and vectorized checks accept its columns only
-where the row-by-row ``csv`` loop would read the same bits. Any other file,
-and every file numpy refuses, goes to that loop, which alone decides
-refusals, their order and their row numbers.
+where the row-by-row loop over :func:`csvio.read_records` would read the
+same bits. Any other file, and every file numpy refuses, goes to that loop,
+which alone decides refusals, their order and their row numbers. Field
+lengths are not scanned, so numpy may read a body field over
+``csv.field_size_limit()``, which the loop refuses, in a column it skips or
+as a number it parses as ``float`` would.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass, fields
 from datetime import date as Date
-from typing import BinaryIO, Callable, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
+from .csvio import SEPARATORS, read_records
 from .errors import InputError
 
 REQUIRED_COLUMNS = ("date", "open", "close")
@@ -126,13 +129,12 @@ def _read_text(raw: bytes | str | BinaryIO | TextIO) -> str:
     return data
 
 
-def _split_rows(text: str) -> list[list[str]]:
-    return list(csv.reader(io.StringIO(text, newline="")))
-
-
-def _header(text: str) -> list[str]:
-    """The stripped names of the first CSV record; none for an empty text."""
-    return [name.strip() for name in next(csv.reader(io.StringIO(text, newline="")), [])]
+def _records(text: str) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """:func:`csvio.read_records` of ``text``, refusing a text with no record."""
+    header, records = read_records(io.StringIO(text, newline=""))
+    if header is None:
+        raise InputError("empty CSV: no header row")
+    return header, records
 
 
 # A date's bytes less _DATE_OFFSET lie below _DATE_LIMIT exactly where they
@@ -143,8 +145,8 @@ _DATE_LIMIT = np.where(_DATE_OFFSET == ord("-"), 1, 10).astype(np.uint8)
 _FIRST_DAY = np.datetime64("0001-01-01", "D")
 # Quotes and carriage returns, which ``csv`` reads otherwise than a split on
 # commas and newlines; NUL, which an ``S`` field drops at its end; and the
-# separators \x1c-\x1f, whitespace to numpy's number parser but not to float.
-_NOT_PLAIN = '"\r\0\x1c\x1d\x1e\x1f'
+# separators, which numpy reads otherwise than ``float``.
+_NOT_PLAIN = '"\r\0' + SEPARATORS
 
 
 def _load_columns(
@@ -195,7 +197,7 @@ def _load_columns(
 
 
 def _columns(
-    rows: list[list[str]],
+    records: Iterator[tuple[int, list[str]]],
     date_col: int,
     value_cols: dict[str, int],
     *,
@@ -205,20 +207,18 @@ def _columns(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Sorted dates and float columns of the data rows after the header.
 
-    Blank rows are skipped. Each other row is checked as it is read, in this
-    order: at least ``width`` fields, its date, a date already seen, then
-    each value column's number and, if ``positive``, its sign. The first
-    failure is refused, naming its row; ``shown`` renders the quoted field.
-    A row too short for a column it reads is refused by its field count.
+    Each row is checked as it is read, in this order: at least ``width``
+    fields, its date, a date already seen, then each value column's number
+    and, if ``positive``, its sign. The first failure is refused, naming its
+    row; ``shown`` renders the quoted field. A row too short for a column it
+    reads is refused by its field count.
     """
     need = max(date_col, *value_cols.values()) + 1
     seen: dict[int, int] = {}  # date ordinal -> row, in row order
     columns: list[list[float]] = [[] for _ in value_cols]
     checked = list(zip(columns, value_cols.items()))
     fromisoformat = Date.fromisoformat
-    for row_no, row in enumerate(rows[1:], start=2):
-        if not "".join(row).strip():
-            continue
+    for row_no, row in records:
         if len(row) < width:
             raise InputError(f"row {row_no}: expected {width} fields, got {len(row)}")
         try:
@@ -254,23 +254,6 @@ def _columns(
     return dates, [np.array(column, dtype=np.float64)[order] for column in columns]
 
 
-def _read_columns(
-    text: str,
-    date_col: int,
-    value_cols: dict[str, int],
-    *,
-    width: int,
-    positive: bool,
-    shown: Callable[[str], str],
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """:func:`_load_columns`' columns, else those of the row loop :func:`_columns`."""
-    loaded = _load_columns(text, date_col, value_cols, positive=positive)
-    if loaded is not None:
-        return loaded
-    rows = _split_rows(text)
-    return _columns(rows, date_col, value_cols, width=width, positive=positive, shown=shown)
-
-
 def parse_price_csv(raw: bytes | str | BinaryIO | TextIO, instrument_id: str = "series") -> PriceSeries:
     """Parse a daily price CSV into a :class:`PriceSeries`.
 
@@ -296,19 +279,13 @@ def parse_price_csv(raw: bytes | str | BinaryIO | TextIO, instrument_id: str = "
         (the header is row 1).
     """
     text = _read_text(raw)
-    if not text:
-        raise InputError("empty CSV: no header row")
-    header = _header(text)
+    header, records = _records(text)
     missing = [name for name in REQUIRED_COLUMNS if name not in header]
     if missing:
         raise InputError(f"row 1: missing required column(s): {', '.join(missing)}")
-    dates, (opens, closes) = _read_columns(
-        text,
-        header.index("date"),
-        {"open": header.index("open"), "close": header.index("close")},
-        width=len(header),
-        positive=True,
-        shown=str.strip,
+    read = header.index("date"), {"open": header.index("open"), "close": header.index("close")}
+    dates, (opens, closes) = _load_columns(text, *read, positive=True) or _columns(
+        records, *read, width=len(header), positive=True, shown=str.strip
     )
     bars = np.empty(len(dates), dtype=PRICE_DTYPE)
     bars["date"], bars["open"], bars["close"] = dates, opens, closes
@@ -320,7 +297,8 @@ def extra_columns(raw: bytes | str | BinaryIO | TextIO) -> tuple[str, ...]:
 
     Only the first CSV record is parsed.
     """
-    return tuple(name for name in _header(_read_text(raw)) if name not in REQUIRED_COLUMNS)
+    header, _ = read_records(io.StringIO(_read_text(raw), newline=""))
+    return tuple(name for name in header or () if name not in REQUIRED_COLUMNS)
 
 
 def _csv_text(header: str, dates: np.ndarray, *columns: np.ndarray) -> str:
@@ -370,14 +348,12 @@ def parse_returns_csv(raw: bytes | str | BinaryIO | TextIO, instrument_id: str =
     column is read.
     """
     text = _read_text(raw)
-    if not text:
-        raise InputError("empty CSV: no header row")
-    header = _header(text)
+    header, records = _records(text)
     for name in ("date", "return"):
         if name not in header:
             raise InputError(f"row 1: missing required column {name!r}")
-    d_i, v_i = header.index("date"), header.index("return")
-    dates, (values,) = _read_columns(
-        text, d_i, {"return": v_i}, width=0, positive=False, shown=str
+    read = header.index("date"), {"return": header.index("return")}
+    dates, (values,) = _load_columns(text, *read, positive=False) or _columns(
+        records, *read, width=0, positive=False, shown=str
     )
     return ReturnSeries(instrument_id, dates, values)

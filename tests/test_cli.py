@@ -156,6 +156,30 @@ class TestEventStudy:
         assert f"row {bad + 2}: relative_day {days[bad]} does not follow" in capsys.readouterr().err
         assert not (out / "panel.csv").exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty CSV"),
+            ("day,NIFTY50\n0,0.1\n", "expected header 'relative_day,<security>[,...]'"),
+            ("\nrelative_day,A\n0,0.1\n", "expected header 'relative_day,<security>[,...]'"),
+            ("relative_day\n0\n", "expected header 'relative_day,<security>[,...]'"),
+            ("relative_day,A\n0,0.1,0.2\n", "row 2: expected 2 fields, got 3"),
+            ("relative_day,A\n\n \n0,x\n", "row 4: malformed abnormal-return row"),
+            ("relative_day,A\n\n , \n", "no abnormal-return rows"),
+            pytest.param(
+                "relative_day,A\n0,0.1\n1," + "9" * 200_000 + "\n",
+                "row 3: field larger than field limit (131072)",
+                id="long-field",
+            ),
+        ],
+    )
+    def test_ar_csv_refusals(self, tmp_path, text, message):
+        path = tmp_path / "ar.csv"
+        path.write_text(text)
+        with pytest.raises(InputError) as info:
+            cli._read_ar_csv(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_asset_equals_market_gives_zero_ar(self, tmp_path):
         prices = tmp_path / "idx.csv"
         days = synthetic_prices(prices, n=170)
@@ -263,7 +287,7 @@ class TestFif:
         data = nifty50_2024_grid("aar")
         from fractalmark.fif import PiecewiseLinear
 
-        germ = PiecewiseLinear.interpolating(data.x, data.y)
+        germ = PiecewiseLinear(data.x, data.y)
         assert np.max(np.abs(sy - germ(sx))) < 1e-12
         svg = (out / "aar_a0_plot.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
@@ -696,6 +720,33 @@ class TestConfigFile:
         assert with_defaults == set(options.values()) | unexposed
         for option, param in options.items():
             assert parsed[option] == params[param].default, option
+
+
+LONG_FIELD = "9" * 200_000 + "x"
+
+
+@pytest.mark.parametrize(
+    "command, text, row",
+    [
+        ("boxdim", f"x,y\n0,0\n1,{LONG_FIELD}\n", 3),
+        ("boxdim", f"x,y,{LONG_FIELD}\n0,0\n", 1),
+        ("fif", f"x,y\n0,0\n0.5,1\n1,{LONG_FIELD}\n", 4),
+        ("ingest", f"date,open,close\n2024-07-01,1,2\n2024-07-02,{LONG_FIELD},2\n", 3),
+        ("event-study", f"relative_day,A\n0,0.1\n1,{LONG_FIELD}\n", 3),
+    ],
+    ids=["boxdim-body", "boxdim-header", "fif", "ingest", "event-study"],
+)
+def test_over_limit_field_exit_2(tmp_path, capsys, command, text, row):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    options = {
+        "boxdim": ["--sample"], "fif": ["--alpha", "0.3", "--data"], "ingest": ["--input"],
+        "event-study": ["--ar-csv"],
+    }
+    assert main([command, *options[command], str(path), "--out", str(tmp_path / "out")]) == 2
+    prefix = f"{path}: " if command == "event-study" else ""
+    want = f"error: {prefix}row {row}: field larger than field limit (131072)"
+    assert single_error_line(capsys.readouterr().err) == want
 
 
 class TestUsageErrors:

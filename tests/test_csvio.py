@@ -6,6 +6,7 @@ produce their bytes, and the numpy-parsed reader must return their arrays
 bit for bit or refuse with their message.
 """
 
+import ast
 import csv
 import io
 import tempfile
@@ -95,6 +96,7 @@ good_token = st.one_of(
 )
 bad_token = st.sampled_from([
     "", " ", "abc", "0x10", "1e", "--1", "1,5", '"1,5"', '1"', '"1""2"', "1 2", "\x00", "1#2", "#",
+    "2\x1c", "\x1f1",
 ])
 token = st.one_of(good_token, good_token, good_token, bad_token)
 
@@ -318,12 +320,56 @@ def read_text(text: str):
         ("y,x,z\n1,2,3\n4,5\n6\n", "row 4: malformed x,y row ['6']"),
         ("x,y\n1,2\n3,4#5\n", "row 3: malformed x,y row ['3', '4#5']"),
         ("x,y\n# note\n1,2\n", "row 2: malformed x,y row ['# note']"),
+        pytest.param(
+            "x,y\n1,2\n3," + "a" * 200_000 + "\n", "row 3: field larger than field limit (131072)",
+            id="long-body-field",
+        ),
+        pytest.param(
+            "x,y," + "z" * 200_000 + "\n1,2\n", "row 1: field larger than field limit (131072)",
+            id="long-header-field",
+        ),
     ],
 )
 def test_refusal_messages(text, message):
     with pytest.raises(InputError) as info:
         read_text(text)
     assert str(info.value) == message
+
+
+def test_row_loop_streams_its_records(tmp_path):
+    """A file the numpy tier declines holds no list of its records: at most
+    120 bytes a row at the peak, the row loop's floats included."""
+    x = np.linspace(0.0, 1.0, 100_000)
+    write_xy_csv(tmp_path / "xy.csv", x, x)
+    with open(tmp_path / "xy.csv", "a", encoding="utf-8") as handle:
+        handle.write("1_0,2\n")
+    read_xy_csv(io.StringIO("x,y\n1_0,2\n"))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        x, y = read_xy_csv(tmp_path / "xy.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(x) == len(y) == 100_001 and x[-1] == 10.0
+    assert peak - before <= 120 * len(x)
+
+
+def test_only_csvio_imports_csv():
+    """Every reader takes its records from ``csvio.read_records``."""
+    package = Path(csvio.__file__).parent
+    importers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            if "csv" in modules:
+                importers.add(path.name)
+    assert importers == {"csvio.py"}
 
 
 def test_refusal_from_a_path_carries_the_row(tmp_path):

@@ -97,47 +97,45 @@ class TestGerm:
     def test_published_coefficients_both_series(self):
         # the published piecewise coefficients are rounded; 1e-3 absolute
         for series_name, data in (("aar", AAR), ("caar", CAAR)):
-            germ = PiecewiseLinear.interpolating(data.x, data.y)
+            germ = PiecewiseLinear(data.x, data.y)
             slopes, intercepts = reference_germ_coefficients(series_name)
             assert np.max(np.abs(germ.slopes - slopes)) < 1e-3
             assert np.max(np.abs(germ.intercepts - intercepts)) < 1e-3
 
     def test_first_segment_hand_values(self):
-        germ = PiecewiseLinear.interpolating(AAR.x, AAR.y)
+        germ = PiecewiseLinear(AAR.x, AAR.y)
         assert germ.slopes[0] == pytest.approx(-0.0714, abs=1e-12)
         assert germ.intercepts[0] == pytest.approx(0.00559, abs=1e-12)
-        caar_germ = PiecewiseLinear.interpolating(CAAR.x, CAAR.y)
+        caar_germ = PiecewiseLinear(CAAR.x, CAAR.y)
         assert caar_germ.slopes[-1] == pytest.approx(0.0499, abs=1e-12)
         assert caar_germ.intercepts[-1] == pytest.approx(-0.0499, abs=1e-12)
 
     def test_interpolates_nodes(self):
-        germ = PiecewiseLinear.interpolating(AAR.x, AAR.y)
+        germ = PiecewiseLinear(AAR.x, AAR.y)
         np.testing.assert_allclose(germ(AAR.x), AAR.y, atol=1e-15)
+
+    def test_knots_validated(self):
+        with pytest.raises(InputError, match="strictly increasing"):
+            PiecewiseLinear([0.0, 0.5, 0.5], [1.0, 2.0, 3.0])
+        with pytest.raises(InputError, match="one value per breakpoint"):
+            PiecewiseLinear([0.0, 0.5, 1.0], [1.0, 2.0])
 
     def test_collinear_data_single_slope(self):
         data = uniform_data([0.0, 0.5, 1.0])
-        germ = PiecewiseLinear.interpolating(data.x, data.y)
+        germ = PiecewiseLinear(data.x, data.y)
         np.testing.assert_allclose(germ.slopes, 1.0, atol=1e-15)
         assert data_is_collinear(data)
         assert not data_is_collinear(AAR)
 
-    def test_continuity_validated(self):
-        with pytest.raises(InputError, match="breakpoint"):
-            PiecewiseLinear(
-                np.array([0.0, 0.5, 1.0]),
-                np.array([1.0, 1.0]),
-                np.array([0.0, 0.5]),
-            )
-
 
 class TestBase:
     def test_square_composition_identity_germ(self):
-        germ = PiecewiseLinear.interpolating([0.0, 1.0], [0.0, 1.0])
+        germ = PiecewiseLinear([0.0, 1.0], [0.0, 1.0])
         base = SquaredGerm(germ)
         assert base(np.array([0.5]))[0] == pytest.approx(0.25, abs=1e-15)
 
     def test_endpoint_values(self):
-        germ = PiecewiseLinear.interpolating(AAR.x, AAR.y)
+        germ = PiecewiseLinear(AAR.x, AAR.y)
         base = SquaredGerm(germ)
         assert base(np.array([1.0]))[0] == pytest.approx(0.00172, abs=1e-12)
         assert base(np.array([0.0]))[0] == germ(np.array([0.0]))[0]
@@ -178,7 +176,7 @@ class TestScalingVector:
 class TestModelValidation:
     def test_germ_is_the_data_interpolant(self):
         model = FifModel(data=AAR, alpha=ScalingVector.from_spec(0.3, 10), base="chord")
-        want = PiecewiseLinear.interpolating(AAR.x, AAR.y)
+        want = PiecewiseLinear(AAR.x, AAR.y)
         assert model.germ.breakpoints.tobytes() == AAR.x.tobytes()
         assert model.germ.slopes.tobytes() == want.slopes.tobytes()
         assert model.germ.intercepts.tobytes() == want.intercepts.tobytes()
@@ -191,7 +189,7 @@ class TestModelValidation:
         chord = FifModel(data=AAR, alpha=alpha, base="chord")
         x = np.linspace(0.0, 1.0, 101)
         assert isinstance(square.base, SquaredGerm) and square.base.germ is square.germ
-        germ = PiecewiseLinear.interpolating(AAR.x, AAR.y)
+        germ = PiecewiseLinear(AAR.x, AAR.y)
         assert square.base(x).tobytes() == SquaredGerm(germ)(x).tobytes()
         assert chord.base(x).tobytes() == endpoint_chord(AAR)(x).tobytes()
         # only a name is taken: no function, nor a base already built
@@ -205,6 +203,14 @@ class TestModelValidation:
         with pytest.raises(InputError, match="endpoint"):
             build_fif_model(data, 0.3)
         assert build_fif_model(data, 0.3, base="chord").base(data.x[[0, -1]]).tolist() == [0.0, 0.0]
+
+    def test_large_magnitude_grids_build(self):
+        # at 1e6 rounding alone moves a knot or an end by more than 1e-10
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            y = 1e6 * (1.0 + 0.05 * rng.standard_normal(len(AAR.x)))
+            model = build_fif_model(InterpolationData(AAR.x, y), 0.5)
+            np.testing.assert_allclose(model.germ(AAR.x), y, rtol=1e-15)
 
     def test_alpha_length_checked(self):
         with pytest.raises(InputError):
