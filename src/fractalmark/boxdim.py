@@ -116,22 +116,16 @@ class StreamedCloud:
 
     def __init__(self, blocks: HeldBlocks | fif.AttractorBlocks) -> None:
         self._blocks = blocks
-        self._n = len(blocks)
         self.original_bounds = tuple(float(v) for v in blocks.bounds)
         self.degenerate_y = _is_y_degenerate(self.original_bounds)
 
     def __len__(self) -> int:
-        return self._n
+        return len(self._blocks)
 
     def _normalize(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x_min, x_max, y_min, y_max = self.original_bounds
         xn = _to_unit(x, x_min, x_max)
         return xn, np.full_like(xn, 0.5) if self.degenerate_y else _to_unit(y, y_min, y_max)
-
-    def normalized_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Each block rescaled by the bounds of the whole cloud."""
-        for x, y in self._blocks:
-            yield self._normalize(x, y)
 
     def cells(self, x: np.ndarray, y: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
         """The column and row of each point's cell on the m x m grid over
@@ -238,10 +232,10 @@ def _level_counts(cloud: StreamedCloud, k_min: int, k_max: int) -> dict[int, int
                 bitmap = bitmap.reshape(half, 2, half, 2).any(axis=(1, 3))
         return counts
     keys = []
-    for xn, yn in cloud.normalized_blocks():
-        cell = _cell_index(xn, m)
+    for x, y in cloud._blocks:
+        cell, row = cloud.cells(x, y, m)
         cell *= m
-        cell += _cell_index(yn, m)
+        cell += row
         keys.append(np.unique(cell))
     cells = np.unique(np.concatenate(keys))
     for k in range(k_max, k_min - 1, -1):

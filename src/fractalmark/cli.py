@@ -20,7 +20,7 @@ from . import __version__, boxdim, config, event_study, fif
 from .csvio import read_records, read_xy_csv, write_xy_csv
 from .errors import ComputationError, InputError
 from .event_study import (
-    InterpolationData, build_panel, compute_abnormal_panel, panel_csv, subsample_to_grid,
+    InterpolationData, build_panel, compute_abnormal_panel, panel_csv, panel_grids,
 )
 from .market_data import (
     daily_returns,
@@ -103,9 +103,8 @@ def _read_ar_csv(path: Path) -> tuple[np.ndarray, tuple[int, ...], list[str]]:
 def cmd_event_study(args: argparse.Namespace) -> int:
     out = _outdir(args)
     if args.ar_csv:
-        matrix, days, labels = _read_ar_csv(_require_file(args.ar_csv, "abnormal-return CSV"))
+        matrix, relative_days, labels = _read_ar_csv(_require_file(args.ar_csv, "abnormal-return CSV"))
         panel = build_panel(matrix, labels)
-        relative_days = days
         notes: list[str] = []
     else:
         if not args.asset or not args.market or not args.event_date:
@@ -133,17 +132,12 @@ def cmd_event_study(args: argparse.Namespace) -> int:
         print(f"note: {note}", file=sys.stderr)
     (out / "panel.csv").write_text(panel_csv(panel, relative_days), encoding="utf-8")
     print(f"wrote {out / 'panel.csv'} ({panel.n_days} days, {panel.n_securities} securities)")
-    if panel.n_days == event_study.GRID_WINDOW_DAYS:
-        for name, values in (("aar", panel.aar), ("caar", panel.caar)):
-            data = subsample_to_grid(values)
-            write_xy_csv(out / f"grid_{name}.csv", data.x, data.y)
-            print(f"wrote {out / f'grid_{name}.csv'}")
-    else:
-        print(
-            f"note: window has {panel.n_days} days; 11-point grids need exactly "
-            f"{event_study.GRID_WINDOW_DAYS}, skipped",
-            file=sys.stderr,
-        )
+    grids, skipped = panel_grids(panel)
+    for name, data in grids.items():
+        write_xy_csv(out / f"grid_{name}.csv", data.x, data.y)
+        print(f"wrote {out / f'grid_{name}.csv'}")
+    for note in skipped:
+        print(f"note: {note}, skipped", file=sys.stderr)
     return 0
 
 

@@ -45,10 +45,15 @@ class AbnormalReturnPanel:
     caar: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        ar = _frozen(self.ar, np.float64)
+        ragged = "abnormal-return matrix must be rectangular (ragged input?)"
+        try:
+            dims = np.ndim(self.ar)
+        except ValueError as exc:  # rows of unequal length have no shape
+            raise InputError(ragged) from exc
+        if dims != 2:
+            raise InputError(ragged)
+        ar = _frozen(self.ar, np.float64, "abnormal returns must be numbers")
         object.__setattr__(self, "ar", ar)
-        if ar.ndim != 2:
-            raise InputError("ar must be a 2-D matrix")
         if ar.size == 0:
             raise InputError("abnormal-return matrix must be non-empty")
         if not np.all(np.isfinite(ar)):
@@ -81,8 +86,9 @@ class InterpolationData:
     y: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", _frozen(self.x, np.float64))
-        object.__setattr__(self, "y", _frozen(self.y, np.float64))
+        for name in ("x", "y"):
+            values = _frozen(getattr(self, name), np.float64, "interpolation data must be numbers")
+            object.__setattr__(self, name, values)
         if self.x.ndim != 1 or self.x.shape != self.y.shape:
             raise InputError("x and y must be 1-D arrays of equal length")
         if len(self.x) < 3:
@@ -154,15 +160,9 @@ def build_panel(
     InputError
         If the matrix is ragged, empty or non-finite.
     """
-    # an ndarray cannot be ragged; nested lists with ragged rows give a 1-D
-    # object array
-    shaped = ar_matrix
-    if not isinstance(shaped, np.ndarray):
-        shaped = np.asarray(ar_matrix, dtype=object)
-    if shaped.ndim != 2:
-        raise InputError("abnormal-return matrix must be rectangular (ragged input?)")
     if securities is None:
-        securities = tuple(f"security_{i + 1}" for i in range(len(shaped)))
+        rows = len(ar_matrix) if np.iterable(ar_matrix) else 0
+        securities = tuple(f"security_{i + 1}" for i in range(rows))
     return AbnormalReturnPanel(tuple(securities), ar_matrix)
 
 
@@ -177,9 +177,15 @@ def subsample_to_grid(window_values: Sequence[float]) -> InterpolationData:
         raise InputError(
             f"expected exactly {GRID_WINDOW_DAYS} window values, got {values.shape}"
         )
-    picked = values[::3]
-    x = np.arange(11) / 10.0
-    return InterpolationData(x, picked)
+    return InterpolationData(np.arange(11) / 10.0, values[::3])
+
+
+def panel_grids(panel: AbnormalReturnPanel) -> tuple[dict[str, InterpolationData], list[str]]:
+    """The 11-point grids of a panel's AAR and CAAR, keyed ``aar`` and ``caar``, and no
+    note; for any other window length than ``GRID_WINDOW_DAYS``, no grid and a note why."""
+    if panel.n_days != GRID_WINDOW_DAYS:
+        return {}, [f"window has {panel.n_days} days; 11-point grids need exactly {GRID_WINDOW_DAYS}"]
+    return {"aar": subsample_to_grid(panel.aar), "caar": subsample_to_grid(panel.caar)}, []
 
 
 def compute_abnormal_panel(

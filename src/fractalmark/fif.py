@@ -33,7 +33,6 @@ from .errors import ComputationError, InputError
 from .event_study import InterpolationData
 
 NODE_TOL = 1e-10
-CONTINUITY_TOL = 1e-10
 COLLINEAR_RTOL = 1e-9
 
 DEFAULT_GRID_SIZE = 6401
@@ -319,9 +318,8 @@ def _operator_terms(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The h-independent terms of T on a ``build_eval_grid`` grid: l_p^{-1}(x), alpha_p,
     germ(x) and alpha_p * base(l_p^{-1}(x)), with p the interval of each grid point."""
-    data = model.data
-    # x in [x_p, x_{p+1}) lies in interval p; x_P lies in the last one
-    p = np.clip(np.searchsorted(data.x, grid_x, side="right") - 1, 0, data.intervals - 1)
+    # the germ's segments are the data intervals: x_P lies in the last one
+    p = model.germ._segment(grid_x)
     inv = (grid_x - model.b[p]) / model.a[p]
     scale = model.alpha.as_array()[p]
     # q_p(l_p^{-1}(x)) = germ(x) - alpha_p * base(l_p^{-1}(x)), since l_p(l_p^{-1}(x)) = x
@@ -347,8 +345,8 @@ def evaluate_fif_fixed_point(
     grid_size: int = DEFAULT_GRID_SIZE,
     tol: float = DEFAULT_TOL,
 ) -> GraphSample:
-    """Iterate the contraction from the germ until the sup-norm change drops
-    below ``tol * (1 - max|alpha|)``, which bounds the remaining distance to
+    """Iterate the contraction from the germ until the sup-norm change is at
+    most ``tol * (1 - max|alpha|)``, which bounds the remaining distance to
     the fixed point by ``tol`` (a posteriori contraction estimate).
 
     If ``ITERATION_CAP`` passes do not reach that bound, the sample is
@@ -369,7 +367,7 @@ def evaluate_fif_fixed_point(
         delta = float(np.max(np.abs(nxt - h)))
         changes.append(delta)
         h = nxt
-        if delta < threshold:
+        if delta <= threshold:
             converged = True
             break
     bound = changes[-1] / (1.0 - s)
@@ -497,11 +495,8 @@ class AttractorBlocks:
         self._rows = p_count ** max(depth - 1, 0)
 
     def __len__(self) -> int:
-        p_count = self.model.data.intervals
-        if self.depth == 0:
-            return p_count + 1
-        # every run loses its last point to a seam twin; node P ends the stream
-        return p_count * self._rows * p_count + 1
+        # P^depth runs of P + 1 points, each without its seam twin, then node P
+        return self.model.data.intervals ** (self.depth + 1) + 1
 
     def _step(self) -> int:
         """Runs per piece: whole runs, few enough to keep temporaries in cache."""
@@ -540,7 +535,7 @@ class AttractorBlocks:
             + np.abs(germ.slopes).max() * x_bound
             + np.abs(germ.intercepts).max()
         )
-        return 1e-9 * scale + CONTINUITY_TOL
+        return 1e-9 * scale + 1e-10
 
     def _image_box(
         self,

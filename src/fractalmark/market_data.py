@@ -35,8 +35,12 @@ PRICE_DTYPE = np.dtype([("date", "datetime64[D]"), ("open", np.float64), ("close
 _EPOCH_ORDINAL = 719163
 
 
-def _frozen(values, dtype) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
+def _frozen(values, dtype, refusal: str) -> np.ndarray:
+    """A read-only ``dtype`` copy of ``values``; ``InputError(refusal)`` where numpy cannot."""
+    try:
+        out = np.array(values, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise InputError(refusal) from exc
     out.flags.writeable = False
     return out
 
@@ -71,8 +75,10 @@ class PriceSeries:
     bars: np.ndarray
 
     def __post_init__(self) -> None:
-        # a tuple would be read as one record
-        bars = _frozen(self.bars if isinstance(self.bars, np.ndarray) else list(self.bars), PRICE_DTYPE)
+        bars = self.bars
+        if np.iterable(bars) and not isinstance(bars, np.ndarray):
+            bars = list(bars)  # a tuple would be read as one record
+        bars = _frozen(bars, PRICE_DTYPE, "bars must be (date, open, close) records")
         object.__setattr__(self, "bars", bars)
         if bars.ndim != 1 or not len(bars):
             raise InputError("price series must contain at least one bar")
@@ -99,8 +105,8 @@ class ReturnSeries:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        dates = _frozen(self.dates, "datetime64[D]")
-        values = _frozen(self.values, np.float64)
+        dates = _frozen(self.dates, "datetime64[D]", "return dates must be calendar dates")
+        values = _frozen(self.values, np.float64, "returns must be numbers")
         object.__setattr__(self, "dates", dates)
         object.__setattr__(self, "values", values)
         if dates.ndim != 1 or dates.shape != values.shape:

@@ -22,8 +22,8 @@ from . import boxdim, config, fif, fixtures
 from .csvio import write_xy_csv
 from .errors import InputError
 from .event_study import (
-    GRID_WINDOW_DAYS, AbnormalReturnPanel, InterpolationData, build_panel,
-    compute_abnormal_panel, panel_csv, subsample_to_grid,
+    AbnormalReturnPanel, InterpolationData, build_panel, compute_abnormal_panel, panel_csv,
+    panel_grids,
 )
 from .market_data import ReturnSeries, daily_returns, parse_price_csv
 from .svgplot import grouped_bar_svg, line_plot_svg
@@ -70,15 +70,17 @@ class Settings:
 
 def write_series_outputs(
     outdir: Path, series_name: str, data: InterpolationData, settings: Settings
-) -> dict:
+) -> tuple[dict, list[str]]:
     """Interpolants, plots and dimension reports for one 11-point series.
 
     ``settings`` gives the attractor depths, the fixed-point grid and
     tolerance, and the box-counting levels and sparsity guard. Returns the
-    dimension results keyed by scaling factor.
+    dimension results keyed by scaling factor, and a warning for each plot
+    whose fixed-point iteration hit the cap.
     """
     write_xy_csv(outdir / f"grid_{series_name}.csv", data.x, data.y)
 
+    warnings = []
     for tag, label, spec in SCALING_PANELS:
         model = fif.build_fif_model(data, spec)
         sample = fif.generate_attractor_points(model, settings.sample_depth)
@@ -92,6 +94,9 @@ def write_series_outputs(
             ylabel=series_name.upper(),
         )
         (outdir / f"fif_{series_name}_{tag}.svg").write_text(svg, encoding="utf-8")
+        if not plot.converged:
+            warnings.append(f"{outdir.name}/fif_{series_name}_{tag}.svg: fixed-point iteration "
+                            f"hit the cap; error bound {plot.max_error_bound:.3e}")
 
     results: dict[float, dict] = {}
     for alpha in DIMENSION_ALPHAS:
@@ -118,7 +123,7 @@ def write_series_outputs(
             boxdim.loglog_csv(estimate), encoding="utf-8"
         )
         results[alpha] = payload
-    return results
+    return results, warnings
 
 
 def read_year_config(year: int, config_path: Path) -> tuple[list[Path], Path, dict]:
@@ -150,12 +155,15 @@ def _write_year(
     relative_days: tuple[int, ...],
     grids: dict[str, InterpolationData],
     settings: Settings,
-) -> dict:
-    """``panel.csv``, then each grid's series outputs; the dimensions by series."""
+) -> tuple[dict, list[str]]:
+    """``panel.csv``, then each grid's series outputs; their dimensions by series, and warnings."""
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "panel.csv").write_text(panel_csv(panel, relative_days), encoding="utf-8")
-    return {name: write_series_outputs(outdir, name, data, settings)
-            for name, data in grids.items()}
+    dims, warnings = {}, []
+    for name, data in grids.items():
+        dims[name], series_warnings = write_series_outputs(outdir, name, data, settings)
+        warnings += series_warnings
+    return dims, warnings
 
 
 def run_year_from_config(
@@ -164,8 +172,8 @@ def run_year_from_config(
     panel_kwargs: dict,
     outdir: Path,
     settings: Settings,
-) -> dict:
-    """Run the full pipeline for one user-supplied year read by ``read_year_config``."""
+) -> tuple[dict, list[str]]:
+    """The whole pipeline for a ``read_year_config`` year; its summary entry and warnings."""
 
     def _price_series(path: Path) -> ReturnSeries:
         with open(path, "rb") as handle:
@@ -175,14 +183,11 @@ def run_year_from_config(
     assets = [_price_series(p) for p in asset_paths]
     market = _price_series(market_path)
     panel, relative_days, notes = compute_abnormal_panel(assets, market, **panel_kwargs)
-    if panel.n_days != GRID_WINDOW_DAYS:
-        _write_year(outdir, panel, relative_days, {}, settings)
-        notes.append(f"window has {panel.n_days} days; "
-                     f"11-point grids need exactly {GRID_WINDOW_DAYS}")
-        return {"status": "partial", "notes": notes}
-    grids = {"aar": subsample_to_grid(panel.aar), "caar": subsample_to_grid(panel.caar)}
-    dims = _write_year(outdir, panel, relative_days, grids, settings)
-    return {"status": "ok", "notes": notes, "dimensions": dims}
+    grids, skipped = panel_grids(panel)
+    dims, warnings = _write_year(outdir, panel, relative_days, grids, settings)
+    if skipped:
+        return {"status": "partial", "notes": notes + skipped}, warnings
+    return {"status": "ok", "notes": notes, "dimensions": dims}, warnings
 
 
 def run_report(
@@ -245,17 +250,15 @@ def _write_bundle(outdir: Path, years: dict[int, tuple], settings: Settings) -> 
     panel = build_panel(table["aar"].reshape(1, -1), ["NIFTY50"])
     relative_days = tuple(int(d) for d in table["relative_day"])
     grids = {name: fixtures.nifty50_2024_grid(name) for name in ("aar", "caar")}
-    ref_dims = _write_year(outdir / str(ref_year), panel, relative_days, grids, settings)
-    summary["years"][str(ref_year)] = {
-        "status": "ok",
-        "source": "embedded reference data",
-        "dimensions": ref_dims,
-    }
-    populated = {ref_year: ref_dims}
-
+    dims, warnings = _write_year(outdir / str(ref_year), panel, relative_days, grids, settings)
+    info = {"status": "ok", "source": "embedded reference data", "dimensions": dims}
+    outcomes = {ref_year: (info, warnings)}
     for year, year_inputs in years.items():
-        info = run_year_from_config(*year_inputs, outdir / str(year), settings)
+        outcomes[year] = run_year_from_config(*year_inputs, outdir / str(year), settings)
+    populated = {}
+    for year, (info, warnings) in outcomes.items():
         summary["years"][str(year)] = info
+        summary["warnings"] += warnings
         if info["status"] == "ok":
             populated[year] = info["dimensions"]
 

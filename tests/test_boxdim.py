@@ -31,19 +31,28 @@ def unit_cloud(x, y):
 
 
 def normalized(cloud):
-    """The cloud's normalized coordinates, concatenated over its blocks."""
-    xs, ys = zip(*cloud.normalized_blocks())
+    """The cloud's coordinates as its quantizer rescales them, concatenated
+    over its blocks."""
+    xs, ys = zip(*(cloud._normalize(x, y) for x, y in cloud._blocks))
     return np.concatenate(xs), np.concatenate(ys)
 
 
 def brute_force_count(cloud, k):
-    """Independent oracle: enumerate occupied cells with plain Python sets."""
+    """Independent oracle: rescale each point by the cloud's bounds in plain
+    Python floats and enumerate occupied cells with sets."""
     m = 2**k
+    x_min, x_max, y_min, y_max = cloud.original_bounds
+
+    def unit(v, lo, hi):
+        return min(max((v - lo) / (hi - lo), 0.0), 1.0)
+
     cells = set()
-    for xv, yv in zip(*normalized(cloud)):
-        xi = min(int(xv * m), m - 1)
-        yi = min(int(yv * m), m - 1)
-        cells.add((xi, yi))
+    for xs, ys in cloud._blocks:
+        for xv, yv in zip(xs.ravel().tolist(), ys.ravel().tolist()):
+            yn = 0.5 if cloud.degenerate_y else unit(yv, y_min, y_max)
+            xi = min(int(unit(xv, x_min, x_max) * m), m - 1)
+            yi = min(int(yn * m), m - 1)
+            cells.add((xi, yi))
     return len(cells)
 
 

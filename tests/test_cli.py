@@ -11,11 +11,11 @@ from fractalmark.boxdim import estimate_dimension
 from fractalmark.cli import main
 from fractalmark.csvio import read_xy_csv
 from fractalmark.errors import InputError
-from fractalmark.event_study import compute_abnormal_panel
+from fractalmark.event_study import InterpolationData, compute_abnormal_panel
 from fractalmark.fif import evaluate_fif_fixed_point
 from fractalmark.fixtures import nifty50_2024_grid, nifty50_2024_panel
 from fractalmark.market_data import parse_returns_csv
-from fractalmark.report import Settings, run_report
+from fractalmark.report import SCALING_PANELS, Settings, run_report, write_series_outputs
 
 
 def write_price_csv(path, bars):
@@ -244,11 +244,20 @@ class TestEventStudy:
         assert "asset 'stock_returns' has no return on " + days[145].isoformat() in err
         assert not (tmp_path / "out" / "panel.csv").exists()
 
-    def test_non_default_window_skips_grids(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "beta, notes",
+        [
+            (["--beta", "1.0"], []),
+            ([], ["note: asset 'idx_returns': beta estimated on 25 days (requested 120)"]),
+        ],
+        ids=["given beta", "estimated beta"],
+    )
+    def test_non_default_window_skips_grids(self, tmp_path, capsys, beta, notes):
         prices = tmp_path / "idx.csv"
         days = synthetic_prices(prices, n=60)
         ret = tmp_path / "r"
         main(["ingest", "--input", str(prices), "--out", str(ret)])
+        capsys.readouterr()
         out = tmp_path / "out"
         code = main(
             [
@@ -258,13 +267,16 @@ class TestEventStudy:
                 "--event-date", days[30].isoformat(),
                 "--pre-days", "5",
                 "--post-days", "5",
-                "--beta", "1.0",
+                *beta,
                 "--out", str(out),
             ]
         )
         assert code == 0
         assert (out / "panel.csv").is_file()
         assert not (out / "grid_aar.csv").exists()
+        assert capsys.readouterr().err.splitlines() == notes + [
+            "note: window has 11 days; 11-point grids need exactly 31, skipped"
+        ]
 
 
 class TestFif:
@@ -455,6 +467,36 @@ class TestReport:
         sx, _ = read_xy_csv(tmp_path / "2024" / "fif_aar_a03_sample.csv")
         assert len(sx) == 1001
 
+    def test_unconverged_plots_are_warned(self, tmp_path, capsys):
+        with mock.patch.object(fif, "ITERATION_CAP", 2):
+            code = main(["report", "--outdir", str(tmp_path), "--depth", "3",
+                         "--sample-depth", "1", "--k-max", "4"])
+            want = [
+                f"2024/fif_{series}_{tag}.svg: fixed-point iteration hit the cap; error bound "
+                f"{evaluate_fif_fixed_point(fif.build_fif_model(grid, spec)).max_error_bound:.3e}"
+                for series, grid in ((s, nifty50_2024_grid(s)) for s in ("aar", "caar"))
+                for tag, _, spec in SCALING_PANELS[1:]  # at scaling 0 the first pass is exact
+            ]
+        assert code == 0
+        assert json.loads((tmp_path / "summary.json").read_text())["warnings"][:6] == want
+        assert capsys.readouterr().err.splitlines()[:6] == [f"warning: {w}" for w in want]
+
+    def test_collinear_series_and_curve_range_are_warned(self, tmp_path):
+        data = InterpolationData(np.arange(11) / 10, np.arange(11) / 10)
+        # 101 points over levels 4 to 6 leave the finer cells too sparse: slope below 1
+        settings = Settings(dimension_depth=1, sample_depth=1, grid_size=110, k_min=4, k_max=7,
+                            min_points_per_box=1)
+        results, plot_warnings = write_series_outputs(tmp_path, "line", data, settings)
+        for alpha, tag in ((0.3, "a03"), (0.5, "a05")):
+            payload = results[alpha]
+            assert payload["warnings"][-2:] == [
+                f"dimension {payload['dimension']:.4f} outside (1, 2) for a curve graph",
+                "interpolation data are collinear: dimension analysis assumes "
+                "a non-degenerate graph",
+            ]
+            assert json.loads((tmp_path / f"dimension_line_{tag}.json").read_text()) == payload
+        assert plot_warnings == []  # every plot converges
+
     def test_year_config_pipeline(self, tmp_path):
         # list items are stripped: a space after the comma names the same file
         cfg = write_year_config(tmp_path, prices="idx2023.csv, idx2023.csv", beta=0.9)
@@ -581,6 +623,8 @@ class TestReport:
         [
             (["2024={cfg}"], "year 2024 comes from the embedded reference data"),
             (["2023={cfg}", "2023={cfg}"], "--year-config gives year 2023 twice"),
+            (["2023"], "--year-config expects YEAR=PATH, got '2023'"),
+            (["twenty={cfg}"], "--year-config expects a numeric year, got 'twenty'"),
         ],
     )
     def test_year_config_refusals_exit_2(self, tmp_path, capsys, year_args, message):

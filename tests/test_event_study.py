@@ -18,7 +18,9 @@ from fractalmark.event_study import (
     subsample_to_grid,
 )
 from fractalmark.fixtures import nifty50_2024_grid, nifty50_2024_panel
-from fractalmark.market_data import ReturnSeries
+from fractalmark.market_data import PriceSeries, ReturnSeries
+
+RAGGED = "abnormal-return matrix must be rectangular (ragged input?)"
 
 
 def series_from(values, name="s", start=dt.date(2024, 1, 1)):
@@ -157,6 +159,7 @@ class TestBuildPanel:
             ([[[0.1, 0.2]]], "must be rectangular (ragged input?)"),
             (np.zeros((2, 3, 1)), "must be rectangular (ragged input?)"),
             ([], "must be rectangular (ragged input?)"),
+            (0.5, "must be rectangular (ragged input?)"),
             ([[]], "must be non-empty"),
             (np.empty((0, 3)), "must be non-empty"),
             ([[0.1, float("nan")]], "abnormal returns must be finite"),
@@ -268,6 +271,35 @@ class TestPanelWindow:
                     [asset], market, market.dates[20].item(), 5, 5,
                     risk_free_daily=risk_free_daily, beta_override=beta_override,
                 )
+
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+    def test_non_finite_beta_refused(self, beta):
+        market = self._trading_series(40)
+        asset = ReturnSeries("a", market.dates, np.zeros(len(market)))
+        with pytest.raises(InputError, match="^beta must be finite$"):
+            compute_abnormal_panel([asset], market, market.dates[20].item(), 5, 5, beta_override=beta)
+
+
+@pytest.mark.parametrize(
+    "build, args, message",
+    [
+        (PriceSeries, ("a", ("2024-01-01", 1.0, 2.0)), "bars must be (date, open, close) records"),
+        (PriceSeries, ("a", [("2024-01-01", 1.0)]), "bars must be (date, open, close) records"),
+        (ReturnSeries, ("a", ["2024-13-01"], [1.0]), "return dates must be calendar dates"),
+        (ReturnSeries, ("a", ["2024-01-01"], [object()]), "returns must be numbers"),
+        (AbnormalReturnPanel, (("a", "b"), [[1.0, 2.0], [3.0]]), RAGGED),
+        (AbnormalReturnPanel, (("a",), [["x", 1.0]]), "abnormal returns must be numbers"),
+        (InterpolationData, ([0, 0.5, 1], [1, "a", 3]), "interpolation data must be numbers"),
+        (InterpolationData, ([0, 0.5, 1j], [1, 2, 3]), "interpolation data must be numbers"),
+    ],
+    ids=["price record", "price fields", "return date", "return value", "ragged panel",
+         "panel entry", "interpolation y", "interpolation x"],
+)
+def test_arrays_numpy_cannot_convert_are_refused(build, args, message):
+    with pytest.raises(InputError) as refused:
+        build(*args)
+    assert str(refused.value) == message
+    assert isinstance(refused.value.__cause__, (TypeError, ValueError))
 
 
 class TestSubsampleToGrid:

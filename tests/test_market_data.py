@@ -138,6 +138,8 @@ class TestTypeInvariants:
     def test_price_series_rejects_disorder_and_empty(self):
         with pytest.raises(InputError):
             PriceSeries("x", ())
+        with pytest.raises(InputError, match="^price series must contain at least one bar$"):
+            PriceSeries("x", 5)  # not iterable: numpy reads it as one 0-d record
         with pytest.raises(InputError):
             make_series(("2024-01-02", 1.0, 1.0), ("2024-01-01", 1.0, 1.0))
 
