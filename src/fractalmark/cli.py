@@ -152,9 +152,9 @@ def cmd_fif(args: argparse.Namespace) -> int:
     model = fif.build_fif_model(data, alpha)
     # the evaluator refuses a bad tol, so it runs before any file is written
     plot = fif.evaluate_fif_fixed_point(model, grid_size=args.grid_size, tol=args.tol)
-    sample = fif.generate_attractor_points(model, args.depth)
+    sample = fif.AttractorBlocks(model, args.depth)
     sample_path = out / f"{args.prefix}_sample.csv"
-    write_xy_csv(sample_path, sample.x, sample.y)
+    write_xy_csv(sample_path, sample)
     print(f"wrote {sample_path} ({len(sample)} points)")
     if not plot.converged:
         print(

@@ -1,12 +1,15 @@
-"""The package's CSV front end, and the ``x,y`` CSV reader and writer shared
-by the sample and cloud tools.
+"""The package's CSV front end, the ``x,y`` CSV reader and writer shared
+by the sample and cloud tools, and the numpy number formatting of both the
+writer and the SVG plots.
 
 Every reader takes its header, records, row numbers and refusals from
 :func:`read_records`, and no numpy tier is given text with :data:`SEPARATORS`.
 
 Neither ``x,y`` direction holds a Python object for every row of a file, nor
-more than one chunk of rows beside the columns. The writer formats fixed
-chunks of rows in numpy, into the bytes ``repr`` gives each float; the
+more than one chunk of rows beside the columns. The writer takes two arrays
+or a sized stream of ``(x, y)`` pieces, such as ``fif.AttractorBlocks``,
+whose pieces it writes as they come; it gathers rows into fixed chunks and
+formats them in numpy, into the bytes ``repr`` gives each float. The
 reader hands the body, less its whitespace-only lines, to ``np.loadtxt`` a
 chunk at a time, straight into two columns sized by the file's line breaks,
 and reruns the row-by-row loop only when numpy refuses a chunk. That loop
@@ -24,6 +27,11 @@ limbs in ``uint64``. It is integer arithmetic throughout, with no float
 rounding, and Schubfach's proof covers every finite double, subnormals
 included. The digits are then laid out by ``repr``'s rules in fixed-width
 byte slots, and each chunk is written in one call.
+
+:func:`fixed_pairs` lays out plot coordinates in the same slots, as
+``"{:.2f}"`` gives them: each value is rounded to hundredths in integer
+arithmetic on the double's exact binary value, ties to even, and its digits
+come from the same routine.
 """
 
 from __future__ import annotations
@@ -34,11 +42,11 @@ import warnings
 from functools import cache, partial
 from itertools import count, filterfalse
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ComputationError, InputError
 
 # A chunk takes about 380 B a row of transient heap, 0.77 MB at 2^11 rows.
 # Smaller chunks pay numpy's per-call cost (2^10 rows took about 0.1 s more
@@ -60,43 +68,119 @@ _SPECIALS = (b"0.0", b"nan", b"inf")
 _SPECIAL_WORDS = np.array(
     [int.from_bytes(text.rjust(8, b"0"), "little") for text in _SPECIALS], dtype=np.uint64
 )
+# The bytes of a slot whose text starts at column c, at index c: c through 24.
+_KEPT = (np.arange(32) >= np.arange(24)[:, None]) & (np.arange(32) <= 24)
 # The separators \x1c-\x1f: whitespace to numpy's number parser, not to ``float``.
 SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 
-def write_xy_csv(path: str | Path, x: np.ndarray, y: np.ndarray) -> None:
+def write_xy_csv(
+    path: str | Path,
+    x: np.ndarray | Iterable[tuple[np.ndarray, np.ndarray]],
+    y: np.ndarray | None = None,
+) -> None:
     """Write an ``x,y`` header and one ``repr(x),repr(y)`` line per point.
+
+    The points are the arrays ``x`` and ``y``, or, where ``y`` is None, a
+    sized stream ``x`` of ``(x, y)`` pieces (``fif.AttractorBlocks``):
+    pairs of equal-shape arrays whose points, in C order, are the rows,
+    ``len(x)`` of them in all. A piece is written as it comes, and none is
+    held past its write.
 
     Rows are formatted ``CHUNK_ROWS`` at a time in numpy, byte for byte as
     ``repr`` would: positional where the decimal point falls from 10^-4 up
     to 10^16, ``d.ddde+XX`` beyond, ``-0.0``, ``inf``, ``-inf``, and
     ``nan`` for every NaN. Refuses (writing nothing) an ``x`` or ``y`` that
-    is not 1-D, and an ``x`` and ``y`` of different lengths.
+    is not 1-D, and an ``x`` and ``y`` of different lengths. Raises
+    ``ComputationError``, and removes the file, where a stream yields more
+    or fewer rows than its length.
     """
+    if y is None:
+        pieces = _counted(x)
+    else:
+        x, y = xy_arrays(x, y)
+        pieces = [(x, y)]
+    handle = open(path, "wb")
+    try:
+        with handle:
+            handle.write(b"x,y\n")
+            for text in _texts(pieces, len(x), _fill, b"\n"):
+                handle.write(text)
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
+
+
+def xy_arrays(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` and ``y`` as float arrays, refused unless 1-D and of one length."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or y.ndim != 1:
         raise InputError(f"x and y must be 1-D, got shapes {x.shape} and {y.shape}")
     if len(x) != len(y):
         raise InputError(f"x and y must have equal length, got {len(x)} and {len(y)}")
-    rows = min(len(x), CHUNK_ROWS)
-    values = np.empty((rows, 2))
+    return x, y
+
+
+def _counted(stream) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The pieces of a sized ``stream`` as flat arrays, refused as soon as
+    they hold more points than its length, or at the end, fewer."""
+    rows, held = len(stream), 0
+    for x, y in stream:
+        held += np.size(x)
+        if held > rows:
+            raise ComputationError(f"the stream yielded over the {rows} rows it declares")
+        if np.shape(x) != np.shape(y):
+            raise ComputationError(f"a stream piece holds x of shape {np.shape(x)} and y of "
+                                   f"shape {np.shape(y)}")
+        yield np.ravel(x), np.ravel(y)
+    if held != rows:
+        raise ComputationError(f"the stream yielded {held} rows, not the {rows} it declares")
+
+
+def fixed_pairs(x: np.ndarray, y: np.ndarray) -> str:
+    """``" ".join(map("{:.2f},{:.2f}".format, x, y))``, formatted in numpy.
+
+    Each value is rounded to hundredths from the double's exact value, ties
+    to even (78.125 gives "78.12"), and laid out by ``CHUNK_ROWS`` rows as
+    the writer lays out its ``repr`` texts; a negative value that rounds to
+    zero keeps its sign ("-0.00"). ``x`` and ``y`` are equal-length 1-D
+    arrays of finite values under 10^15 in magnitude.
+    """
+    return b"".join(_texts([(x, y)], len(x), _fill_fixed, b" ")).decode("ascii")[:-1]
+
+
+def _texts(pieces, rows: int, fill, end: bytes) -> Iterator[np.ndarray]:
+    """The bytes of each row of ``pieces``: its x's text, ``,``, its y's
+    text, ``end``; ``fill`` writes the texts. Rows are gathered across
+    pieces into chunks of ``CHUNK_ROWS``, or of ``rows`` where fewer."""
+    values = np.empty((max(min(rows, CHUNK_ROWS), 1), 2))
     # One slot per field: its text right-aligned in bytes 0-23, then the
-    # ',' or '\n' that ends it in byte 24, as four little-endian words.
-    slots = np.zeros((rows, 2, 4), dtype=np.uint64)
-    slots[:, :, 3] = ord(","), ord("\n")
-    # The bytes of a slot whose text starts at column c: c through 24.
-    kept = (np.arange(32) >= np.arange(24)[:, None]) & (np.arange(32) <= 24)
-    with open(path, "wb") as handle:
-        handle.write(b"x,y\n")
-        for start in range(0, len(x), CHUNK_ROWS):
-            stop = min(start + CHUNK_ROWS, len(x))
-            chunk = values[: stop - start]
-            chunk[:, 0] = x[start:stop]
-            chunk[:, 1] = y[start:stop]
-            fields = slots[: len(chunk)].reshape(-1, 4)
-            first = _fill(fields, chunk.reshape(-1))
-            handle.write(fields.view(np.uint8)[kept.take(first, axis=0)])
+    # ',' or ``end`` that ends it in byte 24, as four little-endian words.
+    slots = np.zeros((len(values), 2, 4), dtype=np.uint64)
+    slots[:, :, 3] = ord(","), ord(end)
+
+    def text(count: int) -> np.ndarray:
+        fields = slots[:count].reshape(-1, 4)
+        first = fill(fields, values[:count].reshape(-1))
+        return fields.view(np.uint8)[_KEPT.take(first, axis=0)]
+
+    filled = 0
+    for x, y in pieces:
+        start = 0
+        while start < len(x):
+            # the piece's next rows, as many as the chunk has room for
+            taken = min(len(x) - start, len(values) - filled)
+            chunk = values[filled : filled + taken]
+            chunk[:, 0] = x[start : start + taken]
+            chunk[:, 1] = y[start : start + taken]
+            filled += taken
+            start += taken
+            if filled == len(values):
+                yield text(filled)
+                filled = 0
+    if filled:
+        yield text(filled)
 
 
 def _fill(slots: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -108,6 +192,41 @@ def _fill(slots: np.ndarray, values: np.ndarray) -> np.ndarray:
     # Every value but NaN takes a '-' where its sign bit is set.
     negative = bits - _SIGN <= _INF
     words, dot, first = _digits(bits, negative)
+    _place(slots, words, dot, first, negative)
+    return first
+
+
+def _fill_fixed(slots: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Write each value's ``format(v, ".2f")`` right-aligned in words 0-2 of
+    its slot, for finite values under 10^15 in magnitude.
+
+    Returns the column of each text's first byte.
+    """
+    bits = values.view(np.uint64)
+    negative = bits >= _SIGN
+    # |v| = c * 2^-s with s >= 1 below 2^52; 100c < 2^60, so from s = 61 on
+    # 100|v| < 1/2, and a shift of 63 rounds it to 0 as well.
+    exponent = (bits >> 52 & 0x7FF).astype(np.int64)
+    c = np.where(exponent > 0, bits & 0xFFFFFFFFFFFFF | 1 << 52, bits & 0xFFFFFFFFFFFFF)
+    s = np.clip(1075 - np.maximum(exponent, 1), 1, 63).astype(np.uint64)
+    c *= np.uint64(100)
+    hundredths = c >> s
+    rest = c - (hundredths << s)
+    half = np.uint64(1) << s - np.uint64(1)
+    hundredths += (rest > half) | ((rest == half) & (hundredths & 1 == 1))
+    count = np.searchsorted(_POW10, hundredths, side="right")
+    dot = np.full(len(values), 21)
+    first = 21 - np.maximum(count - 2, 1) - negative
+    _place(slots, _render(hundredths), dot, first, negative)
+    return first
+
+
+def _place(
+    slots: np.ndarray, words: np.ndarray, dot: np.ndarray, first: np.ndarray, negative: np.ndarray
+) -> None:
+    """Put a point at column ``dot`` and, where ``negative``, a '-' at column
+    ``first`` into each of ``words``' "0"-padded digit texts, and them into
+    words 0-2 of its slot."""
     left, right, point, minus = _column_masks()
     # Left of the point each byte takes its right neighbour's, so the point
     # goes in; the byte before the first digit, a '0' of the padding,
@@ -121,7 +240,6 @@ def _fill(slots: np.ndarray, values: np.ndarray) -> np.ndarray:
     words ^= minus.take(np.where(negative, first, -1), axis=1)
     for word in range(3):
         slots[:, word] = words[word]
-    return first
 
 
 def _digits(bits: np.ndarray, negative: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

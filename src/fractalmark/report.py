@@ -83,8 +83,8 @@ def write_series_outputs(
     warnings = []
     for tag, label, spec in SCALING_PANELS:
         model = fif.build_fif_model(data, spec)
-        sample = fif.generate_attractor_points(model, settings.sample_depth)
-        write_xy_csv(outdir / f"fif_{series_name}_{tag}_sample.csv", sample.x, sample.y)
+        sample = fif.AttractorBlocks(model, settings.sample_depth)
+        write_xy_csv(outdir / f"fif_{series_name}_{tag}_sample.csv", sample)
         plot = fif.evaluate_fif_fixed_point(model, grid_size=settings.grid_size, tol=settings.tol)
         svg = line_plot_svg(
             plot.x,

@@ -1,14 +1,20 @@
 """Minimal deterministic SVG plots: polylines and grouped bar charts.
 
 Output contains no timestamps, ids or environment-dependent content, so
-identical inputs produce byte-identical files.
+identical inputs produce byte-identical files. A polyline's coordinates are
+formatted in numpy by :func:`csvio.fixed_pairs`, byte for byte as
+``"{:.2f}".format`` gives them.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .csvio import fixed_pairs, xy_arrays
+from .errors import InputError
 
 WIDTH = 840
 HEIGHT = 520
@@ -21,8 +27,6 @@ _AXIS_STYLE = 'stroke="#333333" stroke-width="1"'
 _GRID_STYLE = 'stroke="#dddddd" stroke-width="1"'
 _FONT = 'font-family="Helvetica, Arial, sans-serif"'
 BAR_COLORS = ("#34558b", "#7fa9d4", "#b5542d", "#e5a57c")
-# polyline points formatted per chunk
-POLYLINE_CHUNK = 512
 
 
 def _fmt(value: float) -> str:
@@ -84,15 +88,30 @@ def line_plot_svg(
     xlabel: str = "x",
     ylabel: str = "value",
 ) -> str:
-    """Polyline plot of (x, y) with axes, ticks and labels."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    """Polyline plot of (x, y) with axes, ticks and labels.
+
+    Refuses, as ``csvio.xy_arrays`` does, an ``x`` and ``y`` that are not
+    1-D or not of one length; and refuses them empty, holding a value or
+    spanning a range that is not finite, or with an ``x`` of no width.
+    """
+    x, y = xy_arrays(x, y)
+    if not len(x):
+        raise InputError("x and y must hold at least one point")
     x_lo, x_hi = float(x.min()), float(x.max())
     y_lo, y_hi = float(y.min()), float(y.max())
     if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+        # half a unit either way, or an ulp where that is more
+        y_lo = min(y_lo - 0.5, math.nextafter(y_lo, -math.inf))
+        y_hi = max(y_hi + 0.5, math.nextafter(y_hi, math.inf))
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
+    # a NaN or infinite value makes its axis's ticks so, as does a range
+    # whose ticks, up to lo + 5 * (hi - lo), overflow
+    ticks = _tick_values(x_lo, x_hi) + _tick_values(y_lo, y_hi)
+    if not np.isfinite([x_hi - x_lo, y_hi - y_lo, *ticks]).all():
+        raise InputError("x and y must be finite, and so must their ranges")
+    if x_hi == x_lo:
+        raise InputError("x must span a range of nonzero width")
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
@@ -119,18 +138,8 @@ def line_plot_svg(
         f'<line x1="{MARGIN_LEFT}" y1="{MARGIN_TOP}" x2="{MARGIN_LEFT}" '
         f'y2="{HEIGHT - MARGIN_BOTTOM}" {_AXIS_STYLE}/>'
     )
-    # formatted from Python floats, a chunk at a time to bound the transient lists
-    plot_x, plot_y = px(x), py(y)
-    coords = " ".join(
-        " ".join(
-            map(
-                "{:.2f},{:.2f}".format,
-                plot_x[i : i + POLYLINE_CHUNK].tolist(),
-                plot_y[i : i + POLYLINE_CHUNK].tolist(),
-            )
-        )
-        for i in range(0, min(len(plot_x), len(plot_y)), POLYLINE_CHUNK)
-    )
+    # finite spans put every coordinate inside the frame, the kernel's domain
+    coords = fixed_pairs(px(x), py(y))
     parts.append(
         f'<polyline points="{coords}" fill="none" stroke="#34558b" stroke-width="1"/>'
     )

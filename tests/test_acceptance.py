@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete.
 """
 
+import datetime as dt
 import filecmp
 import hashlib
 import math
@@ -21,6 +22,7 @@ from fractalmark.boxdim import (
     estimate_dimension,
     normalize_to_unit_square,
 )
+from fractalmark.cli import main
 from fractalmark.event_study import subsample_to_grid
 from fractalmark.fif import (
     ScalingVector,
@@ -44,6 +46,9 @@ DELTA_TARGET = 0.15
 # sha256 of every file of the default ``report`` bundle; regenerate with
 # ``PYTHONPATH=src python tests/test_acceptance.py`` when output changes on purpose
 GOLDEN_MANIFEST = Path(__file__).parent / "data" / "report_2024.sha256"
+# the same for ``report --year-config`` on ``seeded_year_config``'s panel, at depth 4
+YEAR_CONFIG_MANIFEST = Path(__file__).parent / "data" / "report_year_config.sha256"
+YEAR_CONFIG_SECURITIES = 20
 
 
 def _announce(number: int, text: str) -> None:
@@ -56,6 +61,45 @@ def bundle_manifest(outdir: Path) -> str:
     return "".join(
         f"{hashlib.sha256((outdir / name).read_bytes()).hexdigest()}  {name}\n" for name in names
     )
+
+
+def seeded_year_config(root: Path) -> Path:
+    """A 2023 year config over ``YEAR_CONFIG_SECURITIES`` seeded price files
+    and a market file, 200 trading days on one calendar, event on day 150."""
+    rng = np.random.default_rng(2023)
+    days, day = [], dt.date(2023, 1, 2)
+    while len(days) < 200:
+        if day.weekday() < 5:
+            days.append(day.isoformat())
+        day += dt.timedelta(days=1)
+    market = rng.normal(0.0003, 0.009, size=len(days))
+    names = []
+    for i in range(YEAR_CONFIG_SECURITIES + 1):
+        beta = rng.uniform(0.5, 1.5)
+        returns = market if i == 0 else beta * market + rng.normal(0.0, 0.015, size=len(days))
+        level, lines = rng.uniform(50.0, 3000.0), ["date,open,close"]
+        for date, gap, ret in zip(days, rng.normal(0.0, 0.002, size=len(days)), returns):
+            opening = float(f"{level * (1.0 + gap):.2f}")
+            level = float(f"{opening * (1.0 + ret):.2f}")
+            lines.append(f"{date},{opening:.2f},{level:.2f}")
+        names.append("market.csv" if i == 0 else f"asset{i:02d}.csv")
+        (root / names[-1]).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config = root / "2023.cfg"
+    config.write_text(
+        f"prices={','.join(names[1:])}\nmarket=market.csv\nevent_date={days[150]}\n",
+        encoding="utf-8",
+    )
+    return config
+
+
+def year_config_manifest(root: Path) -> str:
+    """The manifest of ``report --depth 4 --year-config`` over ``seeded_year_config``."""
+    (root / "in").mkdir()
+    config = seeded_year_config(root / "in")
+    out = root / "out"
+    assert main(["report", "--outdir", str(out), "--depth", "4",
+                 "--year-config", f"2023={config}"]) == 0
+    return bundle_manifest(out)
 
 
 @pytest.fixture(scope="module")
@@ -275,10 +319,20 @@ def test_criterion_9_report_determinism(tmp_path):
     )
 
 
+def test_year_config_bundle_matches_its_manifest(tmp_path):
+    golden = YEAR_CONFIG_MANIFEST.read_text(encoding="utf-8").splitlines()
+    drifted = sorted(set(golden) ^ set(year_config_manifest(tmp_path).splitlines()))
+    assert not drifted, f"bundle differs from {YEAR_CONFIG_MANIFEST.name}: {drifted}"
+    assert sum(" 2023/" in line for line in golden) == 27
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         run_report(tmp)
-        manifest = bundle_manifest(Path(tmp))
-    GOLDEN_MANIFEST.parent.mkdir(exist_ok=True)
-    GOLDEN_MANIFEST.write_text(manifest, encoding="utf-8")
-    print(f"wrote {GOLDEN_MANIFEST} ({manifest.count(chr(10))} files)", file=sys.stderr)
+        manifests = {GOLDEN_MANIFEST: bundle_manifest(Path(tmp))}
+    with tempfile.TemporaryDirectory() as tmp:
+        manifests[YEAR_CONFIG_MANIFEST] = year_config_manifest(Path(tmp))
+    for path, manifest in manifests.items():
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(manifest, encoding="utf-8")
+        print(f"wrote {path} ({manifest.count(chr(10))} files)", file=sys.stderr)

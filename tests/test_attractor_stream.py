@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fractalmark import fif
+from fractalmark import csvio, fif
 from fractalmark.boxdim import (
     HeldBlocks,
     StreamedCloud,
@@ -21,7 +21,8 @@ from fractalmark.boxdim import (
     estimate_dimension,
     normalize_to_unit_square,
 )
-from fractalmark.errors import InputError
+from fractalmark.csvio import write_xy_csv
+from fractalmark.errors import ComputationError, InputError
 from fractalmark.event_study import InterpolationData
 from fractalmark.fif import (
     MAX_POINTS,
@@ -32,7 +33,8 @@ from fractalmark.fif import (
     build_fif_model,
 )
 from fractalmark.fif import generate_attractor_points as streamed_attractor_points
-from fractalmark.fixtures import nifty50_2024_grid
+from fractalmark.fixtures import MIXED_ALPHA, nifty50_2024_grid
+from fractalmark.report import Settings, run_report
 
 DEDUP_TOL = 1e-13
 
@@ -304,3 +306,43 @@ def test_budget_refused_before_any_block():
     model = build_fif_model(InterpolationData(np.arange(11) / 10, np.arange(11.0) % 3), 0.3)
     with pytest.raises(InputError, match="budget"):
         AttractorBlocks(model, 9)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.9, MIXED_ALPHA], ids=["a03", "a09", "mixed"])
+@pytest.mark.parametrize("base", ["square", "chord"])
+@pytest.mark.parametrize("depth", range(5))
+def test_streamed_write_matches_the_sample_arrays(tmp_path, depth, base, alpha):
+    model = build_fif_model(nifty50_2024_grid("caar"), alpha, base=base)
+    sample = streamed_attractor_points(model, depth)
+    write_xy_csv(tmp_path / "arrays.csv", sample.x, sample.y)
+    # chunks of 7 rows gather the rows of several pieces, and cut pieces
+    for chunk in (csvio.CHUNK_ROWS, 7) if depth < 3 else (csvio.CHUNK_ROWS,):
+        with mock.patch.object(csvio, "CHUNK_ROWS", chunk):
+            write_xy_csv(tmp_path / "stream.csv", AttractorBlocks(model, depth))
+        assert (tmp_path / "stream.csv").read_bytes() == (tmp_path / "arrays.csv").read_bytes()
+
+
+def off_by_one_piece(extra: bool):
+    """``AttractorBlocks.__iter__`` with its last piece yielded twice, or not at all."""
+    stream = AttractorBlocks.__iter__
+
+    def pieces(self):
+        held = list(stream(self))
+        yield from held + held[-1:] if extra else held[:-1]
+
+    return mock.patch.object(AttractorBlocks, "__iter__", pieces)
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [(True, "the stream yielded over the 1001 rows it declares"),
+     (False, "the stream yielded 1000 rows, not the 1001 it declares")],
+    ids=["one piece too many", "one piece too few"],
+)
+def test_a_stream_off_its_length_leaves_no_report_bundle(tmp_path, extra, message):
+    with off_by_one_piece(extra), pytest.raises(ComputationError) as refused:
+        run_report(tmp_path / "rep", Settings(dimension_depth=3, sample_depth=2))
+    assert str(refused.value) == message
+    # no bundle directory holds a file, and no staging directory is left beside it
+    assert [p.name for p in tmp_path.iterdir()] == ["rep"]
+    assert not list((tmp_path / "rep").iterdir())

@@ -589,13 +589,13 @@ class TestReport:
     def test_bad_settings_refused_before_any_work(self, tmp_path, settings, message):
         out = tmp_path / "rep"
         with (
-            mock.patch.object(fif, "generate_attractor_points") as generate,
+            mock.patch("fractalmark.report.write_xy_csv") as write,
             mock.patch.object(fif, "evaluate_fif_fixed_point") as evaluate,
             pytest.raises(InputError) as refused,
         ):
             run_report(out, settings)
         assert str(refused.value).startswith(message)
-        assert generate.call_count == evaluate.call_count == 0
+        assert write.call_count == evaluate.call_count == 0
         # no bundle directory, nor a staging directory beside it
         assert list(tmp_path.iterdir()) == []
 
@@ -610,12 +610,12 @@ class TestReport:
     def test_bad_grid_or_tol_refused_before_any_sample(self, tmp_path, settings, message):
         # the fixed-point evaluator runs here, on the reference model, to check them
         with (
-            mock.patch.object(fif, "generate_attractor_points") as generate,
+            mock.patch("fractalmark.report.write_xy_csv") as write,
             pytest.raises(InputError) as refused,
         ):
             run_report(tmp_path / "rep", settings)
         assert str(refused.value) == message
-        assert generate.call_count == 0
+        assert write.call_count == 0
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from hypothesis.extra.numpy import arrays
 
 from fractalmark import csvio
 from fractalmark.csvio import read_xy_csv, write_xy_csv
-from fractalmark.errors import InputError
+from fractalmark.errors import ComputationError, InputError
 
 
 def oracle_xy_csv_text(x: np.ndarray, y: np.ndarray) -> str:
@@ -256,6 +256,50 @@ def test_writer_refuses_arrays_that_are_not_1d(tmp_path, x, y):
     path = tmp_path / "xy.csv"
     with pytest.raises(InputError, match=r"^x and y must be 1-D, got shapes"):
         write_xy_csv(path, x, y)
+    assert not path.exists()
+
+
+class Pieces(list):
+    """A stream of ``(x, y)`` pieces that declares ``rows`` rows."""
+
+    def __init__(self, pieces, rows):
+        super().__init__(pieces)
+        self.rows = rows
+
+    def __len__(self):
+        return self.rows
+
+
+PIECES = [(np.arange(3.0), -np.arange(3.0)), (np.full((2, 2), 0.1), np.eye(2)), (np.array([]),) * 2]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 4, csvio.CHUNK_ROWS])
+def test_writer_writes_a_stream_as_its_rows_in_c_order(tmp_path, chunk):
+    with mock.patch.object(csvio, "CHUNK_ROWS", chunk):
+        write_xy_csv(tmp_path / "xy.csv", Pieces(PIECES, 7))
+    x = np.concatenate([x.ravel() for x, _ in PIECES])
+    y = np.concatenate([y.ravel() for _, y in PIECES])
+    assert (tmp_path / "xy.csv").read_text() == oracle_xy_csv_text(x, y)
+
+
+@pytest.mark.parametrize(
+    "pieces, rows, message",
+    [
+        (PIECES, 6, "the stream yielded over the 6 rows it declares"),
+        (PIECES, 8, "the stream yielded 7 rows, not the 8 it declares"),
+        ([(np.zeros(2), np.zeros(3))], 2,
+         "a stream piece holds x of shape (2,) and y of shape (3,)"),
+    ],
+    ids=["too many rows", "too few rows", "unequal piece"],
+)
+def test_writer_refuses_a_stream_off_its_length_and_removes_the_file(
+    tmp_path, pieces, rows, message
+):
+    path = tmp_path / "xy.csv"
+    path.write_text("x,y\n")
+    with mock.patch.object(csvio, "CHUNK_ROWS", 2), pytest.raises(ComputationError) as refused:
+        write_xy_csv(path, Pieces(pieces, rows))
+    assert str(refused.value) == message
     assert not path.exists()
 
 
