@@ -150,18 +150,13 @@ def cmd_fif(args: argparse.Namespace) -> int:
     out = _outdir(args)
 
     model = fif.build_fif_model(data, alpha)
-    # the evaluator refuses a bad tol, so it runs before any file is written
+    # the evaluator refuses a bad tol and a non-uniform partition, so it runs
+    # before any file is written
     plot = fif.evaluate_fif_fixed_point(model, grid_size=args.grid_size, tol=args.tol)
     sample = fif.AttractorBlocks(model, args.depth)
     sample_path = out / f"{args.prefix}_sample.csv"
     write_xy_csv(sample_path, sample)
     print(f"wrote {sample_path} ({len(sample)} points)")
-    if not plot.converged:
-        print(
-            f"note: fixed-point iteration hit the cap; error bound "
-            f"{plot.max_error_bound:.3e}",
-            file=sys.stderr,
-        )
     alpha_label = ",".join(f"{a:g}" for a in alpha.alpha)
     if len(set(alpha.alpha)) == 1:
         alpha_label = f"{alpha.alpha[0]:g}"

@@ -15,8 +15,10 @@ a continuous function agreeing with the data at both endpoints (here
 Two evaluators are provided. ``generate_attractor_points`` iterates the IFS
 maps from the data nodes, producing points that lie exactly on the graph:
 this is the canonical sampler for dimension analysis. ``evaluate_fif_fixed_point``
-iterates the contraction T(h)(x) = alpha_p h(l_p^{-1}(x)) + q_p(l_p^{-1}(x))
-on a grid to the fixed point: this is the cross-check and plotting evaluator.
+solves for the fixed point of the contraction
+T(h)(x) = alpha_p h(l_p^{-1}(x)) + q_p(l_p^{-1}(x)) on a grid that every
+l_p^{-1} maps onto itself, which exists only for a uniform partition: this
+is the cross-check and plotting evaluator, and it refuses other partitions.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ COLLINEAR_RTOL = 1e-9
 
 DEFAULT_GRID_SIZE = 6401
 DEFAULT_TOL = 1e-9
-ITERATION_CAP = 200
 MAX_POINTS = 30_000_000
 # points per piece of an attractor block, and runs per chunk of the walk of
 # the IFS address tree (about 0.5 MB per coordinate array)
@@ -221,21 +222,18 @@ class FifModel:
 
 @dataclass(frozen=True, eq=False)
 class GraphSample:
-    """Points on (or converging to) the graph of the fractal interpolant.
+    """Points on the graph of the fractal interpolant, or within a bound of it.
 
-    ``generation`` is the IFS refinement depth or the fixed-point iteration
-    count, depending on the evaluator. ``max_error_bound`` is a sup-norm
-    bound on the distance to the true graph values at the sampled abscissae
-    (0 for exact attractor points). ``sup_changes`` records the successive
-    sup-norm changes of the fixed-point iteration, when applicable.
+    ``generation`` is the IFS refinement depth or the fixed-point solve's
+    count of doubling rounds, depending on the evaluator.
+    ``max_error_bound`` is a sup-norm bound on the distance to the true
+    graph values at the sampled abscissae (0 for exact attractor points).
     """
 
     x: np.ndarray
     y: np.ndarray
     generation: int
     max_error_bound: float
-    converged: bool = True
-    sup_changes: tuple[float, ...] = field(default=())
 
     def __post_init__(self) -> None:
         if self.x.shape != self.y.shape or self.x.ndim != 1:
@@ -296,48 +294,48 @@ def build_fif_model(
     return FifModel(data=data, alpha=alpha, base=base)
 
 
+def uniform_partition(data: InterpolationData) -> bool:
+    """True if every interval of the data is within ``NODE_TOL`` of 1/P wide."""
+    widths = np.diff(data.x)
+    return bool(np.max(np.abs(widths - 1.0 / data.intervals)) <= NODE_TOL)
+
+
 def build_eval_grid(data: InterpolationData, grid_size: int) -> np.ndarray:
-    """A strictly increasing grid of about ``grid_size`` points from x_0 to x_P holding
-    every knot exactly, so nodal values stay pinned and every interval holds a point."""
+    """The closed grid {x_p + k (x_{p+1} - x_p) / m} of a uniform partition:
+    m = round((grid_size - 1) / P) steps in every interval, P m + 1 points,
+    every knot exact. Each l_p^{-1} maps the points of interval p onto the
+    grid, so the fixed-point solve reads only grid values. Any other
+    partition is refused."""
+    if not uniform_partition(data):
+        spread = np.ptp(np.diff(data.x))
+        raise InputError(
+            f"the fixed-point evaluator needs equal intervals (within {NODE_TOL:g}); "
+            f"these widths differ by up to {spread:.3g}"
+        )
     if grid_size < 10 * data.intervals:
         raise InputError(
             f"grid_size must be at least 10 * P = {10 * data.intervals}, got {grid_size}"
         )
-    spacing = 1.0 / (grid_size - 1)
-    parts = []
-    for p in range(data.intervals):
-        width = data.x[p + 1] - data.x[p]
-        m = max(1, round(width / spacing))
-        seg = np.linspace(data.x[p], data.x[p + 1], m + 1)
-        parts.append(seg if p == 0 else seg[1:])
-    return np.concatenate(parts)
+    m = round((grid_size - 1) / data.intervals)
+    steps = np.linspace(data.x[:-1], data.x[1:], m + 1, axis=1)
+    return np.append(steps[:, :-1].ravel(), data.x[-1])
 
 
-def _operator_terms(
-    grid_x: np.ndarray, model: FifModel
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The h-independent terms of T on a ``build_eval_grid`` grid: l_p^{-1}(x), alpha_p,
-    germ(x) and alpha_p * base(l_p^{-1}(x)), with p the interval of each grid point."""
-    # the germ's segments are the data intervals: x_P lies in the last one
-    p = model.germ._segment(grid_x)
-    inv = (grid_x - model.b[p]) / model.a[p]
-    scale = model.alpha.as_array()[p]
-    # q_p(l_p^{-1}(x)) = germ(x) - alpha_p * base(l_p^{-1}(x)), since l_p(l_p^{-1}(x)) = x
-    return inv, scale, np.asarray(model.germ(grid_x)), scale * model.base(inv)
+def _operator(model: FifModel, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """T on a ``build_eval_grid`` grid as an index map, T(h) = s * h[phi] + c.
 
-
-def _operator_step(
-    grid_x: np.ndarray,
-    h_y: np.ndarray,
-    terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """T(h) on the grid from its h-independent terms, summed in the order
-    (alpha_p h(l_p^{-1}(x)) + germ(x)) - alpha_p base(l_p^{-1}(x))."""
-    inv, scale, germ_vals, base_term = terms
-    out = scale * np.interp(inv, grid_x, h_y)
-    out += germ_vals
-    out -= base_term
-    return out
+    Grid point j = p m + k of interval p (x_P in the last) goes under l_p^{-1}
+    to grid point phi(j) = P k, so s[j] = alpha_p and, since
+    q_p(l_p^{-1}(x)) = germ(x) - alpha_p base(l_p^{-1}(x)),
+    c[j] = germ(x_j) - alpha_p base(x_{phi(j)}).
+    """
+    p_count = model.data.intervals
+    m = (len(grid) - 1) // p_count
+    j = np.arange(len(grid))
+    p = np.minimum(j // m, p_count - 1)
+    phi = p_count * (j - p * m)
+    s = model.alpha.as_array()[p]
+    return s, model.germ(grid) - s * model.base(grid[phi]), phi
 
 
 def evaluate_fif_fixed_point(
@@ -345,39 +343,32 @@ def evaluate_fif_fixed_point(
     grid_size: int = DEFAULT_GRID_SIZE,
     tol: float = DEFAULT_TOL,
 ) -> GraphSample:
-    """Iterate the contraction from the germ until the sup-norm change is at
-    most ``tol * (1 - max|alpha|)``, which bounds the remaining distance to
-    the fixed point by ``tol`` (a posteriori contraction estimate).
+    """The fixed point of T on ``build_eval_grid``'s closed grid, within ``tol``.
 
-    If ``ITERATION_CAP`` passes do not reach that bound, the sample is
-    returned with ``converged = False`` and the achieved bound. A ``tol``
-    that is not finite and positive is refused.
+    Composing T's index map with itself, (s, c, phi) <- (s s[phi],
+    c + s c[phi], phi[phi]), squares T, so K rounds give T^(2^K). With g the
+    germ and s = max|alpha|, ||T^n g - f|| <= s^n ||Tg - g|| / (1 - s); K is
+    the fewest rounds that bring this bound at n = 2^K within ``tol``. The
+    sample holds T^(2^K) g, K as ``generation`` and the bound as
+    ``max_error_bound``. A non-uniform partition, and a ``tol`` that is not
+    finite and positive, are refused.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise InputError(f"tol must be finite and positive, got {tol!r}")
     grid = build_eval_grid(model.data, grid_size)
-    terms = _operator_terms(grid, model)
-    h = np.asarray(model.germ(grid), dtype=float)
-    s = model.alpha.max_abs
-    threshold = tol * (1.0 - s)
-    changes: list[float] = []
-    converged = False
-    for _ in range(ITERATION_CAP):
-        nxt = _operator_step(grid, h, terms)
-        delta = float(np.max(np.abs(nxt - h)))
-        changes.append(delta)
-        h = nxt
-        if delta <= threshold:
-            converged = True
-            break
-    bound = changes[-1] / (1.0 - s)
+    s, c, phi = _operator(model, grid)
+    germ = model.germ(grid)
+    shrink = model.alpha.max_abs
+    first_change = float(np.max(np.abs(s * germ[phi] + c - germ)))
+    power, rounds = shrink, 0
+    while power * first_change / (1.0 - shrink) > tol:
+        s, c, phi = s * s[phi], c + s * c[phi], phi[phi]
+        power, rounds = power * power, rounds + 1
     return GraphSample(
         x=grid,
-        y=h,
-        generation=len(changes),
-        max_error_bound=bound,
-        converged=converged,
-        sup_changes=tuple(changes),
+        y=s * germ[phi] + c,
+        generation=rounds,
+        max_error_bound=power * first_change / (1.0 - shrink),
     )
 
 

@@ -70,17 +70,15 @@ class Settings:
 
 def write_series_outputs(
     outdir: Path, series_name: str, data: InterpolationData, settings: Settings
-) -> tuple[dict, list[str]]:
+) -> dict:
     """Interpolants, plots and dimension reports for one 11-point series.
 
     ``settings`` gives the attractor depths, the fixed-point grid and
     tolerance, and the box-counting levels and sparsity guard. Returns the
-    dimension results keyed by scaling factor, and a warning for each plot
-    whose fixed-point iteration hit the cap.
+    dimension results keyed by scaling factor.
     """
     write_xy_csv(outdir / f"grid_{series_name}.csv", data.x, data.y)
 
-    warnings = []
     for tag, label, spec in SCALING_PANELS:
         model = fif.build_fif_model(data, spec)
         sample = fif.AttractorBlocks(model, settings.sample_depth)
@@ -94,9 +92,6 @@ def write_series_outputs(
             ylabel=series_name.upper(),
         )
         (outdir / f"fif_{series_name}_{tag}.svg").write_text(svg, encoding="utf-8")
-        if not plot.converged:
-            warnings.append(f"{outdir.name}/fif_{series_name}_{tag}.svg: fixed-point iteration "
-                            f"hit the cap; error bound {plot.max_error_bound:.3e}")
 
     results: dict[float, dict] = {}
     for alpha in DIMENSION_ALPHAS:
@@ -123,7 +118,7 @@ def write_series_outputs(
             boxdim.loglog_csv(estimate), encoding="utf-8"
         )
         results[alpha] = payload
-    return results, warnings
+    return results
 
 
 def read_year_config(year: int, config_path: Path) -> tuple[list[Path], Path, dict]:
@@ -155,15 +150,12 @@ def _write_year(
     relative_days: tuple[int, ...],
     grids: dict[str, InterpolationData],
     settings: Settings,
-) -> tuple[dict, list[str]]:
-    """``panel.csv``, then each grid's series outputs; their dimensions by series, and warnings."""
+) -> dict:
+    """``panel.csv``, then each grid's series outputs; their dimensions by series."""
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "panel.csv").write_text(panel_csv(panel, relative_days), encoding="utf-8")
-    dims, warnings = {}, []
-    for name, data in grids.items():
-        dims[name], series_warnings = write_series_outputs(outdir, name, data, settings)
-        warnings += series_warnings
-    return dims, warnings
+    return {name: write_series_outputs(outdir, name, data, settings)
+            for name, data in grids.items()}
 
 
 def run_year_from_config(
@@ -172,8 +164,8 @@ def run_year_from_config(
     panel_kwargs: dict,
     outdir: Path,
     settings: Settings,
-) -> tuple[dict, list[str]]:
-    """The whole pipeline for a ``read_year_config`` year; its summary entry and warnings."""
+) -> dict:
+    """The whole pipeline for a ``read_year_config`` year; its summary entry."""
 
     def _price_series(path: Path) -> ReturnSeries:
         with open(path, "rb") as handle:
@@ -184,10 +176,10 @@ def run_year_from_config(
     market = _price_series(market_path)
     panel, relative_days, notes = compute_abnormal_panel(assets, market, **panel_kwargs)
     grids, skipped = panel_grids(panel)
-    dims, warnings = _write_year(outdir, panel, relative_days, grids, settings)
+    dims = _write_year(outdir, panel, relative_days, grids, settings)
     if skipped:
-        return {"status": "partial", "notes": notes + skipped}, warnings
-    return {"status": "ok", "notes": notes, "dimensions": dims}, warnings
+        return {"status": "partial", "notes": notes + skipped}
+    return {"status": "ok", "notes": notes, "dimensions": dims}
 
 
 def run_report(
@@ -205,9 +197,10 @@ def run_report(
     leaves no bundle file behind. Files already in ``outdir`` that the
     bundle does not write are left alone.
     """
-    # every year's grids have 11 points, so the library's own checks on the
-    # reference model refuse a depth, level, grid or tolerance setting before
-    # any work; at alpha 0 the fixed point is the germ, reached in one pass
+    # every year's grids are the same uniform 11 points, so the library's own
+    # checks on the reference model refuse a depth, level, grid or tolerance
+    # setting before any work; at alpha 0 the fixed point is the germ, solved
+    # in no round
     model = fif.build_fif_model(fixtures.nifty50_2024_grid("aar"), 0.0)
     for depth in (settings.sample_depth, settings.dimension_depth):
         fif.AttractorBlocks(model, depth)
@@ -250,15 +243,13 @@ def _write_bundle(outdir: Path, years: dict[int, tuple], settings: Settings) -> 
     panel = build_panel(table["aar"].reshape(1, -1), ["NIFTY50"])
     relative_days = tuple(int(d) for d in table["relative_day"])
     grids = {name: fixtures.nifty50_2024_grid(name) for name in ("aar", "caar")}
-    dims, warnings = _write_year(outdir / str(ref_year), panel, relative_days, grids, settings)
-    info = {"status": "ok", "source": "embedded reference data", "dimensions": dims}
-    outcomes = {ref_year: (info, warnings)}
+    dims = _write_year(outdir / str(ref_year), panel, relative_days, grids, settings)
+    outcomes = {ref_year: {"status": "ok", "source": "embedded reference data", "dimensions": dims}}
     for year, year_inputs in years.items():
         outcomes[year] = run_year_from_config(*year_inputs, outdir / str(year), settings)
     populated = {}
-    for year, (info, warnings) in outcomes.items():
+    for year, info in outcomes.items():
         summary["years"][str(year)] = info
-        summary["warnings"] += warnings
         if info["status"] == "ok":
             populated[year] = info["dimensions"]
 

@@ -154,23 +154,31 @@ def grouped_bar_svg(
     groups: Sequence[str],
     series: Sequence[tuple[str, Sequence[float]]],
     title: str,
+    y_max: float,
     ylabel: str = "box dimension",
-    y_max: float | None = None,
 ) -> str:
-    """Grouped bar chart: one cluster per group, one bar per series entry."""
+    """Grouped bar chart: one cluster per group, one bar per series entry,
+    on a y-axis from 0 to ``y_max``. Every series holds one value per group;
+    no groups, no series, a series of another length and a ``y_max`` that is
+    not finite and positive are refused."""
     n_groups = len(groups)
     n_series = len(series)
-    values = [v for _, vals in series for v in vals]
-    top = y_max if y_max is not None else max(values) * 1.15
+    if not (n_groups and n_series):
+        raise InputError("a bar chart needs at least one group and one series")
+    for label, vals in series:
+        if len(vals) != n_groups:
+            raise InputError(f"series {label!r} has {len(vals)} values for {n_groups} groups")
+    if not (math.isfinite(y_max) and y_max > 0.0):
+        raise InputError(f"y_max must be finite and positive, got {y_max!r}")
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
     group_w = plot_w / n_groups
     bar_w = group_w * 0.8 / n_series
 
     def py(v: float) -> float:
-        return MARGIN_TOP + (top - v) / top * plot_h
+        return MARGIN_TOP + (y_max - v) / y_max * plot_h
 
-    parts = _y_ticks(0.0, top, py)
+    parts = _y_ticks(0.0, y_max, py)
     for g, group in enumerate(groups):
         x0 = MARGIN_LEFT + g * group_w + group_w * 0.1
         for s, (label, vals) in enumerate(series):

@@ -15,7 +15,7 @@ from fractalmark.event_study import InterpolationData, compute_abnormal_panel
 from fractalmark.fif import evaluate_fif_fixed_point
 from fractalmark.fixtures import nifty50_2024_grid, nifty50_2024_panel
 from fractalmark.market_data import parse_returns_csv
-from fractalmark.report import SCALING_PANELS, Settings, run_report, write_series_outputs
+from fractalmark.report import Settings, run_report, write_series_outputs
 
 
 def write_price_csv(path, bars):
@@ -344,6 +344,20 @@ class TestFif:
         assert message == f"error: tol must be finite and positive, got {float(tol)!r}"
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "xs",
+        [(0.0, 0.25, 1.0), (0.0, 0.2, 0.5, 0.7, 1.0), (0.0, 0.1, 0.2 + 1e-9, 0.3, 1.0)],
+        ids=["3-point", "5-point", "off-by-1e-9"],
+    )
+    def test_non_uniform_data_exit_2_before_any_file(self, tmp_path, capsys, xs):
+        path = tmp_path / "grid.csv"
+        path.write_text("x,y\n" + "".join(f"{x!r},{x * x!r}\n" for x in xs))
+        out = tmp_path / "out"
+        assert main(["fif", "--data", str(path), "--alpha", "0.3", "--out", str(out)]) == 2
+        message = single_error_line(capsys.readouterr().err)
+        assert message.startswith("error: the fixed-point evaluator needs equal intervals")
+        assert list(out.iterdir()) == []
+
 
 class TestBoxdim:
     def test_fif_sample_round_trip(self, tmp_path):
@@ -467,26 +481,12 @@ class TestReport:
         sx, _ = read_xy_csv(tmp_path / "2024" / "fif_aar_a03_sample.csv")
         assert len(sx) == 1001
 
-    def test_unconverged_plots_are_warned(self, tmp_path, capsys):
-        with mock.patch.object(fif, "ITERATION_CAP", 2):
-            code = main(["report", "--outdir", str(tmp_path), "--depth", "3",
-                         "--sample-depth", "1", "--k-max", "4"])
-            want = [
-                f"2024/fif_{series}_{tag}.svg: fixed-point iteration hit the cap; error bound "
-                f"{evaluate_fif_fixed_point(fif.build_fif_model(grid, spec)).max_error_bound:.3e}"
-                for series, grid in ((s, nifty50_2024_grid(s)) for s in ("aar", "caar"))
-                for tag, _, spec in SCALING_PANELS[1:]  # at scaling 0 the first pass is exact
-            ]
-        assert code == 0
-        assert json.loads((tmp_path / "summary.json").read_text())["warnings"][:6] == want
-        assert capsys.readouterr().err.splitlines()[:6] == [f"warning: {w}" for w in want]
-
     def test_collinear_series_and_curve_range_are_warned(self, tmp_path):
         data = InterpolationData(np.arange(11) / 10, np.arange(11) / 10)
         # 101 points over levels 4 to 6 leave the finer cells too sparse: slope below 1
         settings = Settings(dimension_depth=1, sample_depth=1, grid_size=110, k_min=4, k_max=7,
                             min_points_per_box=1)
-        results, plot_warnings = write_series_outputs(tmp_path, "line", data, settings)
+        results = write_series_outputs(tmp_path, "line", data, settings)
         for alpha, tag in ((0.3, "a03"), (0.5, "a05")):
             payload = results[alpha]
             assert payload["warnings"][-2:] == [
@@ -495,7 +495,6 @@ class TestReport:
                 "a non-degenerate graph",
             ]
             assert json.loads((tmp_path / f"dimension_line_{tag}.json").read_text()) == payload
-        assert plot_warnings == []  # every plot converges
 
     def test_year_config_pipeline(self, tmp_path):
         # list items are stripped: a space after the comma names the same file

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -22,8 +23,8 @@ from fractalmark.fif import (
     endpoint_chord,
     evaluate_fif_fixed_point,
     generate_attractor_points,
-    _operator_step,
-    _operator_terms,
+    uniform_partition,
+    _operator,
     verify_interpolation,
 )
 from fractalmark.fixtures import (
@@ -46,6 +47,62 @@ def nonuniform_data():
     x = np.concatenate([[0.0], np.sort(rng.random(9)), [1.0]])
     y = rng.normal(0.0, 0.005, 11)
     return InterpolationData(x, y)
+
+
+@pytest.fixture(scope="module")
+def random_uniform_data():
+    return uniform_data(np.random.default_rng(3).normal(0.0, 0.005, 11))
+
+
+def apply_operator(model, grid, h):
+    """T(h) on a ``build_eval_grid`` grid."""
+    s, c, phi = _operator(model, grid)
+    return s * h[phi] + c
+
+
+def exact_fixed_point(model, m):
+    """The interpolant at t_j = j / (P m), j = 0..P m, in rational arithmetic.
+
+    The knots are taken at their intended p / P, and the ordinates and
+    scaling factors at the rationals their floats stand for. With p the
+    interval of t_j and u_j = P t_j - p = (j - p m) / m the grid point
+    phi(j), f(t_j) = alpha_p f(u_j) + germ(t_j) - alpha_p base(u_j). Each
+    orbit of phi ends in a cycle, which is solved exactly.
+    """
+    p_count = model.data.intervals
+    y = [Fraction(float(v)) for v in model.data.y]
+    alpha = [Fraction(a) for a in model.alpha.alpha]
+
+    def germ(t):
+        p = min(int(t * p_count), p_count - 1)
+        return y[p] + (t * p_count - p) * (y[p + 1] - y[p])
+
+    def base(u):
+        return germ(u * u) if isinstance(model.base, fif.SquaredGerm) else y[0] + u * (y[-1] - y[0])
+
+    def step(j):
+        """(phi(j), a_j, b_j) with f_j = a_j f_phi(j) + b_j."""
+        p = min(j // m, p_count - 1)
+        u = Fraction(j - p * m, m)
+        return p_count * (j - p * m), alpha[p], germ(Fraction(j, p_count * m)) - alpha[p] * base(u)
+
+    values: dict[int, Fraction] = {}
+    for start in range(p_count * m + 1):
+        path, on_path, j = [], {}, start
+        while j not in values and j not in on_path:
+            on_path[j] = len(path)
+            path.append((j, *step(j)))
+            j = path[-1][1]
+        if j not in values:
+            # f_j = A f_j + B around the cycle that starts at j
+            scale, shift = Fraction(1), Fraction(0)
+            for _, _, a, b in reversed(path[on_path[j]:]):
+                scale, shift = a * scale, a * shift + b
+            values[j] = shift / (1 - scale)
+        for i, nxt, a, b in reversed(path):
+            if i not in values:
+                values[i] = a * values[nxt] + b
+    return [values[j] for j in range(p_count * m + 1)]
 
 
 class TestDomainMaps:
@@ -77,13 +134,13 @@ class TestDomainMaps:
         # a knot belongs to the interval it starts, x_P to the last one: l_p^{-1}
         # sends x_0 and every interior knot to x_0, and x_P to x_P
         model = build_fif_model(AAR, MIXED_ALPHA)
-        grid = np.insert(AAR.x, 2, 0.15)
-        inv, scale, _, _ = _operator_terms(grid, model)
-        knots = np.delete(np.arange(len(grid)), 2)
-        np.testing.assert_allclose(inv[knots[:-1]], 0.0, rtol=0.0, atol=1e-12)
-        assert inv[-1] == pytest.approx(1.0, abs=1e-12)
-        assert inv[2] == pytest.approx(0.5, abs=1e-12)
-        interval = [0, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 9]
+        grid = build_eval_grid(AAR, 101)  # 10 steps an interval
+        scale, _, phi = _operator(model, grid)
+        knots = np.arange(0, 101, 10)
+        np.testing.assert_array_equal(phi[knots[:-1]], 0)
+        assert phi[-1] == 100
+        assert grid[15] == pytest.approx(0.15, abs=1e-16) and phi[15] == 50
+        interval = np.minimum(np.arange(101) // 10, 9)
         np.testing.assert_array_equal(scale, np.asarray(MIXED_ALPHA)[interval])
 
 
@@ -220,39 +277,51 @@ class TestRbOperator:
     def test_germ_is_fixed_point_at_zero_scaling(self):
         model = build_fif_model(AAR, 0.0)
         grid = build_eval_grid(AAR, 2001)
-        h = np.asarray(model.germ(grid))
-        out = _operator_step(grid, h, _operator_terms(grid, model))
-        np.testing.assert_allclose(out, h, atol=1e-15)
+        h = model.germ(grid)
+        np.testing.assert_allclose(apply_operator(model, grid, h), h, atol=1e-15)
 
     def test_zero_data_zero_function(self):
         data = uniform_data(np.zeros(11))
         model = build_fif_model(data, 0.4)
         grid = build_eval_grid(data, 2001)
-        out = _operator_step(grid, np.zeros_like(grid), _operator_terms(grid, model))
+        out = apply_operator(model, grid, np.zeros_like(grid))
         np.testing.assert_allclose(out, 0.0, atol=1e-18)
 
-    def test_contraction_factor(self, nonuniform_data):
+    def test_contraction_factor(self, random_uniform_data):
         # sup-distance between iterates shrinks by at most max|alpha| per pass
-        model = build_fif_model(nonuniform_data, 0.5)
-        grid = build_eval_grid(nonuniform_data, 3001)
-        terms = _operator_terms(grid, model)
-        h1 = np.asarray(model.germ(grid))
-        h2 = _operator_step(grid, h1, terms)
+        model = build_fif_model(random_uniform_data, 0.5)
+        grid = build_eval_grid(random_uniform_data, 3001)
+        h1 = model.germ(grid)
+        h2 = apply_operator(model, grid, h1)
         for _ in range(6):
-            n1 = _operator_step(grid, h1, terms)
-            n2 = _operator_step(grid, h2, terms)
+            n1 = apply_operator(model, grid, h1)
+            n2 = apply_operator(model, grid, h2)
             d_before = np.max(np.abs(h2 - h1))
             d_after = np.max(np.abs(n2 - n1))
             assert d_after <= 0.5 * d_before + 1e-15
             h1, h2 = n1, n2
 
+    @pytest.mark.parametrize("grid_size", [106, 116, 126, 301, 6401])
+    @pytest.mark.parametrize("data", [AAR, CAAR], ids=["aar", "caar"])
+    def test_one_step_count_and_phi_on_the_preimage(self, data, grid_size):
+        # one m for every interval, and phi(j) is the grid point l_p^{-1}(x_j)
+        model = build_fif_model(data, MIXED_ALPHA)
+        grid = build_eval_grid(data, grid_size)
+        m = round((grid_size - 1) / 10)
+        assert len(grid) == 10 * m + 1
+        np.testing.assert_array_equal(np.searchsorted(grid, data.x), np.arange(11) * m)
+        _, _, phi = _operator(model, grid)
+        p = np.minimum(np.arange(len(grid)) // m, 9)
+        inv = (grid - model.b[p]) / model.a[p]
+        assert np.max(np.abs(inv - grid[phi])) <= 8 * np.finfo(float).eps
+
 
 class TestFixedPoint:
-    def test_zero_scaling_converges_immediately_to_germ(self):
+    def test_zero_scaling_solves_to_germ_in_no_round(self):
         model = build_fif_model(AAR, 0.0)
         sample = evaluate_fif_fixed_point(model, grid_size=2001, tol=1e-9)
-        assert sample.generation == 1
-        assert sample.converged
+        assert sample.generation == 0
+        assert sample.max_error_bound == 0.0
         np.testing.assert_allclose(sample.y, np.asarray(model.germ(sample.x)), atol=1e-15)
 
     def test_interpolates_nodes(self):
@@ -260,24 +329,25 @@ class TestFixedPoint:
         sample = evaluate_fif_fixed_point(model, grid_size=6401, tol=1e-9)
         assert verify_interpolation(sample, AAR) < 1e-9
 
-    def test_iteration_count_geometric_prediction(self, nonuniform_data):
-        # generic (non-decimal) partition: changes decay like max|alpha|^k,
-        # so the iteration count tracks the geometric estimate
-        tol = 1e-8
-        model = build_fif_model(nonuniform_data, 0.5)
+    @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-9, 1e-12])
+    def test_round_count_is_the_a_priori_one(self, random_uniform_data, tol):
+        # K is the fewest rounds with s^(2^K) ||Tg - g|| / (1 - s) <= tol
+        model = build_fif_model(random_uniform_data, 0.5)
         sample = evaluate_fif_fixed_point(model, grid_size=6401, tol=tol)
-        assert sample.converged
-        first = sample.sup_changes[0]
-        predicted = 1 + math.ceil(math.log(tol * 0.5 / first) / math.log(0.5))
-        assert abs(sample.generation - predicted) <= 2
+        grid = sample.x
+        germ = model.germ(grid)
+        first = np.max(np.abs(apply_operator(model, grid, germ) - germ))
+        k = sample.generation
+        assert sample.max_error_bound == 0.5 ** (2**k) * first / 0.5 <= tol
+        assert k == 0 or 0.5 ** (2 ** (k - 1)) * first / 0.5 > tol
 
     def test_exact_collapse_on_decimal_grid(self):
-        # uniform decimal knots: preimage chains hit knots where germ = base,
-        # so the discrete iteration reaches the fixed point exactly
+        # uniform decimal knots: every preimage chain reaches a knot, where
+        # germ = base, so the solve is the exact fixed point up to rounding
         model = build_fif_model(AAR, 0.5)
         sample = evaluate_fif_fixed_point(model, grid_size=10001, tol=1e-9)
-        assert sample.converged
-        assert sample.sup_changes[-1] < 1e-13
+        again = apply_operator(model, sample.x, sample.y)
+        assert np.max(np.abs(again - sample.y)) < 1e-13
 
     def test_error_bound_reported(self):
         model = build_fif_model(AAR, 0.5)
@@ -290,50 +360,84 @@ class TestFixedPoint:
         with pytest.raises(InputError, match="tol must be finite and positive"):
             evaluate_fif_fixed_point(model, grid_size=2001, tol=tol)
 
-    def test_iteration_cap_reports_unconverged(self, nonuniform_data):
-        model = build_fif_model(nonuniform_data, 0.5)
-        with mock.patch.object(fif, "ITERATION_CAP", 3):
-            sample = evaluate_fif_fixed_point(model, grid_size=6401, tol=1e-12)
-        assert not sample.converged
-        assert sample.generation == 3
-        assert sample.max_error_bound > 0.0
+    def test_smallest_tol_takes_few_rounds(self):
+        # s^(2^K) underflows once 2^K log2(1/s) passes about 1,100, at most 14
+        # rounds for s = 0.95, so even the least positive tol is met, by the
+        # same values as a default solve
+        for alpha in (0.5, 0.95, MIXED_ALPHA):
+            model = build_fif_model(AAR, alpha)
+            sample = evaluate_fif_fixed_point(model, tol=5e-324)
+            assert sample.generation <= 14
+            assert sample.max_error_bound <= 5e-324
+            default = evaluate_fif_fixed_point(model)
+            assert np.max(np.abs(sample.y - default.y)) <= default.max_error_bound + 1e-16
 
-    def test_exact_fixed_point_stops_the_iteration(self):
-        # tol * (1 - max|alpha|) underflows to 0, so only a change of 0 stops
-        for alpha in (0.5, MIXED_ALPHA):
-            sample = evaluate_fif_fixed_point(build_fif_model(AAR, alpha), tol=5e-324)
-            assert sample.converged
-            assert sample.generation < fif.ITERATION_CAP
-            assert sample.sup_changes[-1] == sample.max_error_bound == 0.0
+    def test_bound_holds_and_tightens_as_tol_falls(self, random_uniform_data):
+        model = build_fif_model(random_uniform_data, 0.9)
+        reference = evaluate_fif_fixed_point(model, grid_size=6401, tol=1e-300).y
+        rounds = []
+        for tol in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+            sample = evaluate_fif_fixed_point(model, grid_size=6401, tol=tol)
+            assert sample.max_error_bound <= tol
+            assert np.max(np.abs(sample.y - reference)) <= sample.max_error_bound + 1e-16
+            rounds.append(sample.generation)
+        assert rounds == sorted(rounds) and rounds[0] < rounds[-1]
 
-    def test_changes_non_increasing(self):
-        for alpha in (0.3, 0.5, MIXED_ALPHA):
-            model = build_fif_model(CAAR, alpha)
-            sample = evaluate_fif_fixed_point(model, grid_size=6401, tol=1e-10)
-            changes = np.asarray(sample.sup_changes)
-            assert np.all(np.diff(changes[1:]) <= 1e-15)
-
-    def test_changes_under_geometric_envelope(self, nonuniform_data):
-        model = build_fif_model(nonuniform_data, 0.5)
-        sample = evaluate_fif_fixed_point(model, grid_size=6401, tol=1e-10)
-        changes = np.asarray([c for c in sample.sup_changes if c > 1e-14])
-        c0 = changes[0] / 0.5
-        bound = c0 * 0.5 ** np.arange(1, len(changes) + 1)
-        assert np.all(changes <= bound * (1.0 + 1e-9))
-
-    def test_converged_sample_stable_under_one_more_pass(self):
+    def test_solved_sample_stable_under_one_more_pass(self):
         tol = 1e-9
         for alpha in (0.3, 0.5, MIXED_ALPHA):
             model = build_fif_model(AAR, alpha)
             sample = evaluate_fif_fixed_point(model, grid_size=6401, tol=tol)
-            assert sample.converged
-            again = _operator_step(sample.x, sample.y, _operator_terms(sample.x, model))
+            again = apply_operator(model, sample.x, sample.y)
             assert np.max(np.abs(again - sample.y)) < 2 * tol
 
     def test_grid_size_precondition(self):
         model = build_fif_model(AAR, 0.3)
         with pytest.raises(InputError, match="grid_size"):
             evaluate_fif_fixed_point(model, grid_size=50)
+
+    @pytest.mark.parametrize("base", ["square", "chord"])
+    @pytest.mark.parametrize(
+        "alpha", [0.3, 0.5, 0.9, MIXED_ALPHA], ids=["a03", "a05", "a09", "mixed"]
+    )
+    @pytest.mark.parametrize("grid_size", [301, 6401])
+    @pytest.mark.parametrize("data", [AAR, CAAR], ids=["aar", "caar"])
+    def test_solve_matches_the_exact_rational_fixed_point(self, data, grid_size, alpha, base):
+        # size 301 has orbits that cycle off the knots (x = 1/3 is fixed by l_3^{-1})
+        model = build_fif_model(data, alpha, base)
+        sample = evaluate_fif_fixed_point(model, grid_size=grid_size, tol=1e-12)
+        exact = np.array([float(v) for v in exact_fixed_point(model, (grid_size - 1) // 10)])
+        assert sample.max_error_bound <= 1e-12
+        slack = sample.max_error_bound + 1e-12 * np.max(np.abs(data.y))
+        assert np.max(np.abs(sample.y - exact)) <= slack
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            [0.0, 0.25, 1.0],
+            [0.0, 0.2, 0.5, 0.7, 1.0],
+            [0.0, 1 / 3, 2 / 3 + 1e-9, 1.0],
+            [*np.arange(5) / 10, 0.5 + 2e-10, *np.arange(6, 11) / 10],
+            [0.0, 0.0625, 0.125, 0.25, 0.5, 1.0],
+        ],
+        ids=["3-point", "5-point", "off-by-1e-9", "off-by-2e-10", "dyadic"],
+    )
+    def test_non_uniform_partition_refused(self, x):
+        x = np.array(x)
+        data = InterpolationData(x, np.sin(7 * x))
+        assert not uniform_partition(data)
+        for base in ("square", "chord"):
+            with pytest.raises(InputError, match="needs equal intervals"):
+                evaluate_fif_fixed_point(build_fif_model(data, 0.5, base))
+        with pytest.raises(InputError, match="needs equal intervals"):
+            build_eval_grid(data, 1001)
+
+    def test_knots_within_node_tol_accepted(self):
+        x = np.arange(11) / 10
+        x[5] += 0.5 * fif.NODE_TOL
+        data = InterpolationData(x, AAR.y)
+        assert uniform_partition(data)
+        assert evaluate_fif_fixed_point(build_fif_model(data, 0.5)).max_error_bound <= 1e-9
 
 
 class TestAttractor:
@@ -438,13 +542,20 @@ class TestVerifyInterpolation:
 
 
 @st.composite
-def random_models(draw, bases=("square",)):
-    """Random partitions of [0, 1] (P 2..10, widths >= 1e-2), ordinates, signed
-    scaling and one of ``bases``."""
+def random_models(draw, bases=("square",), uniform=st.just(False)):
+    """Random partitions of [0, 1] (P 2..10, widths >= 1e-2; equal widths
+    where ``uniform`` draws True), ordinates, signed scaling and one of ``bases``."""
     p_count = draw(st.integers(2, 10))
-    weights = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=p_count, max_size=p_count)))
-    x = np.concatenate([[0.0], np.cumsum(1e-2 + (1.0 - 1e-2 * p_count) * weights / weights.sum())])
-    x[-1] = 1.0
+    if draw(uniform):
+        x = np.linspace(0.0, 1.0, p_count + 1)
+    else:
+        weights = np.array(
+            draw(st.lists(st.floats(1e-3, 1.0), min_size=p_count, max_size=p_count))
+        )
+        x = np.concatenate(
+            [[0.0], np.cumsum(1e-2 + (1.0 - 1e-2 * p_count) * weights / weights.sum())]
+        )
+        x[-1] = 1.0
     y = draw(st.lists(st.floats(-1.0, 1.0), min_size=p_count + 1, max_size=p_count + 1))
     alpha = draw(st.lists(st.floats(-0.9, 0.9), min_size=p_count, max_size=p_count))
     return build_fif_model(InterpolationData(x, np.array(y)), alpha, draw(st.sampled_from(bases)))
@@ -466,30 +577,38 @@ def test_base_span_bounds_the_base_between_each_pair(model, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(model=random_models())
+@given(model=random_models(uniform=st.booleans()))
 def test_both_evaluators_interpolate_random_data(model):
+    # the fixed-point solve runs on uniform partitions and refuses the others
     attractor = generate_attractor_points(model, 3)
     assert verify_interpolation(attractor, model.data) < 1e-7
-    with mock.patch.object(fif, "ITERATION_CAP", 40):
-        fixed = evaluate_fif_fixed_point(model, grid_size=20 * model.data.intervals)
+    if not uniform_partition(model.data):
+        with pytest.raises(InputError, match="needs equal intervals"):
+            evaluate_fif_fixed_point(model, grid_size=20 * model.data.intervals)
+        return
+    fixed = evaluate_fif_fixed_point(model, grid_size=20 * model.data.intervals)
     assert verify_interpolation(fixed, model.data) < 1e-7
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_eval_grid_holds_what_the_operator_needs(data):
-    # _operator_terms takes its grid unchecked: it must be increasing, run
-    # from x_0 to x_P and give every interval a point, so each branch is sampled
+    # one step count m for every interval of a uniform partition: the grid is
+    # increasing, runs from x_0 to x_P, holds every knot at a multiple of m,
+    # and phi(j) is the grid point l_p^{-1}(x_j)
     p_count = data.draw(st.integers(2, 30))
-    inner = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
-    knots = data.draw(st.lists(inner, min_size=p_count - 1, max_size=p_count - 1, unique=True))
-    x = np.array([0.0, *sorted(knots), 1.0])
+    x = np.linspace(0.0, 1.0, p_count + 1)
     grid_size = data.draw(st.integers(10 * p_count, 20_000))
-    grid = build_eval_grid(InterpolationData(x, np.zeros_like(x)), grid_size)
+    model = build_fif_model(InterpolationData(x, np.zeros_like(x)), 0.5)
+    grid = build_eval_grid(model.data, grid_size)
+    m = round((grid_size - 1) / p_count)
+    assert len(grid) == p_count * m + 1
     assert np.all(np.diff(grid) > 0.0)
-    assert grid[0] == x[0] and grid[-1] == x[-1]
-    assert np.array_equal(grid[np.searchsorted(grid, x)], x)
-    assert np.all(np.diff(np.searchsorted(grid, x)) >= 1)
+    assert np.array_equal(grid[np.arange(p_count + 1) * m], x)
+    _, _, phi = _operator(model, grid)
+    p = np.minimum(np.arange(len(grid)) // m, p_count - 1)
+    inv = (grid - model.b[p]) / model.a[p]
+    assert np.max(np.abs(inv - grid[phi])) <= 8 * np.finfo(float).eps * p_count
 
 
 @st.composite
@@ -509,10 +628,15 @@ def grid_invariant_models(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=grid_invariant_models())
-def test_attractor_agrees_with_fixed_point_within_its_bound(case):
-    # the iteration cap may be hit for |alpha| near 0.95; the bound still holds
+@given(case=grid_invariant_models(), shift=st.floats(2e-10, 1e-3))
+def test_attractor_agrees_with_fixed_point_within_its_bound(case, shift):
     model, depth, grid_size = case
+    # the same data with one interior knot moved off the uniform partition is refused
+    x = model.data.x.copy()
+    x[1] += shift
+    moved = InterpolationData(x, model.data.y)
+    with pytest.raises(InputError, match="needs equal intervals"):
+        evaluate_fif_fixed_point(build_fif_model(moved, model.alpha, "chord"), grid_size)
     attractor = generate_attractor_points(model, depth)
     fixed = evaluate_fif_fixed_point(model, grid_size=grid_size)
     twin = np.clip(np.searchsorted(fixed.x, attractor.x), 1, len(fixed) - 1)

@@ -148,3 +148,31 @@ def test_plots_that_cannot_be_drawn_are_refused(x, y, message):
     with pytest.raises(InputError) as refused:
         line_plot_svg(x, y, title="t")
     assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "groups, series, y_max, message",
+    [
+        ([], [("AAR", [])], 2.0, "a bar chart needs at least one group and one series"),
+        (["2024"], [], 2.0, "a bar chart needs at least one group and one series"),
+        (["2024", "2023"], [("AAR", [1.5])], 2.0, "series 'AAR' has 1 values for 2 groups"),
+        (["2024"], [("AAR", [1.5]), ("CAAR", [1.5, 1.6])], 2.0,
+         "series 'CAAR' has 2 values for 1 groups"),
+        (["2024"], [("AAR", [0.0])], 0.0, "y_max must be finite and positive, got 0.0"),
+        (["2024"], [("AAR", [1.5])], -2.0, "y_max must be finite and positive, got -2.0"),
+        (["2024"], [("AAR", [1.5])], float("nan"), "y_max must be finite and positive, got nan"),
+        (["2024"], [("AAR", [1.5])], float("inf"), "y_max must be finite and positive, got inf"),
+    ],
+    ids=["no groups", "no series", "short series", "long series", "zero top", "negative top",
+         "NaN top", "infinite top"],
+)
+def test_bar_charts_that_cannot_be_drawn_are_refused(groups, series, y_max, message):
+    with pytest.raises(InputError) as refused:
+        svgplot.grouped_bar_svg(groups, series, title="t", y_max=y_max)
+    assert str(refused.value) == message
+
+
+def test_all_zero_bars_are_drawn_on_the_given_axis():
+    svg = svgplot.grouped_bar_svg(["2024"], [("AAR", [0.0]), ("CAAR", [0.0])], "t", y_max=2.0)
+    # the background, two bars and two legend keys
+    assert svg.count("<rect") == 5 and svg.count(">0.000</text>") == 2
