@@ -14,10 +14,12 @@ read in views of at most ``fif.PIECE_POINTS`` points, and
 quantizer, ``StreamedCloud.cells``, rescales points by the cloud's bounds
 and gives their cells, and each source marks its own dense bitmap with it.
 ``HeldBlocks`` scatters its points a piece at a time. ``fif.AttractorBlocks``
-walks its IFS address tree: it marks the first point kept from every run,
-bounds groups of runs by interval arithmetic, and generates only the runs
-that could add a cell; since the quantizer never decreases in either
-coordinate, that bitmap is the point-by-point one, bit for bit. Levels too
+marks the first point kept from every run in one walk of the level above
+its points, then descends its IFS address tree from its held top level:
+it bounds groups of runs by interval arithmetic, and generates only the
+runs that could add a cell. The same descent, with no walk, gives its
+bounds. Since the quantizer never decreases in either coordinate, the
+bitmap is the point-by-point one, bit for bit. Levels too
 fine for a dense bitmap quantize one block at a time into sorted cell keys.
 A y-range within ``DEGENERATE_Y_ULPS`` ulps of max|y| is taken as constant
 y.

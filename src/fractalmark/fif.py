@@ -305,7 +305,7 @@ def build_eval_grid(data: InterpolationData, grid_size: int) -> np.ndarray:
     m = round((grid_size - 1) / P) steps in every interval, P m + 1 points,
     every knot exact. Each l_p^{-1} maps the points of interval p onto the
     grid, so the fixed-point solve reads only grid values. Any other
-    partition is refused."""
+    partition, and a grid of more than ``MAX_POINTS`` points, is refused."""
     if not uniform_partition(data):
         spread = np.ptp(np.diff(data.x))
         raise InputError(
@@ -317,6 +317,11 @@ def build_eval_grid(data: InterpolationData, grid_size: int) -> np.ndarray:
             f"grid_size must be at least 10 * P = {10 * data.intervals}, got {grid_size}"
         )
     m = round((grid_size - 1) / data.intervals)
+    if data.intervals * m + 1 > MAX_POINTS:
+        raise InputError(
+            f"grid_size {grid_size} would give {data.intervals * m + 1} grid points, "
+            f"over the budget of {MAX_POINTS}"
+        )
     steps = np.linspace(data.x[:-1], data.x[1:], m + 1, axis=1)
     return np.append(steps[:, :-1].ravel(), data.x[-1])
 
@@ -417,27 +422,22 @@ def _drop_seam_twins(
     followed by dropping near-equal neighbours keeps. The kept twin is
     written to the start of the later row, and the rows are returned without
     their last points (as views); the last row's last point is the caller's.
+    Leading axes, if any, hold separate grids.
     """
-    take_left = grid_x[:-1, -1] <= grid_x[1:, 0]
-    np.copyto(grid_x[1:, 0], grid_x[:-1, -1], where=take_left)
-    np.copyto(grid_y[1:, 0], grid_y[:-1, -1], where=take_left)
-    return grid_x[:, :-1], grid_y[:, :-1]
+    take_left = grid_x[..., :-1, -1] <= grid_x[..., 1:, 0]
+    np.copyto(grid_x[..., 1:, 0], grid_x[..., :-1, -1], where=take_left)
+    np.copyto(grid_y[..., 1:, 0], grid_y[..., :-1, -1], where=take_left)
+    return grid_x[..., :-1], grid_y[..., :-1]
 
 
 class _Runs(NamedTuple):
-    """Consecutive runs of one IFS level, from run ``start`` on.
-
-    ``x``, ``y`` and ``base`` hold each run's first and last point and the
-    base there, as flat (first, last) pairs. Every point of run r has
-    y - base(x) within [d_lo[r], d_hi[r]].
-    """
+    """Consecutive runs of one IFS level, from run ``start`` on: each run's
+    first and last point and the base there, as flat (first, last) pairs."""
 
     start: int
     x: np.ndarray
     y: np.ndarray
     base: np.ndarray
-    d_lo: np.ndarray
-    d_hi: np.ndarray
 
 
 class AttractorBlocks:
@@ -453,18 +453,32 @@ class AttractorBlocks:
     piece is a pair of equal-shape arrays whose points, in C order, are
     sorted by x, and pieces come in x order.
 
-    No array whose length grows with P^depth is held. Iteration, ``bounds``
-    and ``occupancy`` are one walk of the IFS address tree: level depth - 1
-    in x order, in chunks of at most ``PIECE_POINTS`` runs, each run
-    carrying only its two end points (the branch images of its parent's)
-    and a range of y - base that one map of its parent's range bounds. From
-    a chunk come the first point the stream keeps from each run below it,
-    boxes for groups of those runs, and, only for the runs a caller wants,
-    the interior points, sent through the runs' maps from the deepest level
+    No array whose length grows with P^depth is held. Both ways through
+    the IFS address tree start from the top level, the deepest level below
+    ``depth`` with at most ``PIECE_POINTS`` runs, held whole: each run's
+    two end points, and a range of y - base that one map of its parent's
+    range bounds.
+
+    - The walk, for iteration and ``occupancy``, takes level depth - 1 in
+      x order, in chunks of the top level's size, each run carrying only
+      its two end points (the branch images of its parent's) and the base
+      there. From a chunk comes the first point the stream keeps from
+      every run below it.
+    - The descent, for ``bounds`` and ``occupancy``, walks no level. It
+      prunes the stream's runs with a caller's test of boxes, from the
+      whole of level depth - 1 under each branch down to single runs. A
+      group's box holds the range of y - base over its top-level runs (or
+      over a whole level, above the top), sent through the maps of its
+      address. Only a run whose box is kept is generated at level
+      depth - 1, where the exact range of its interior points boxes it
+      again, and only a run that box keeps has its stream points
+      generated.
+
+    Interior points are sent through the runs' maps from the deepest level
     that fits in one piece, which is held. Every image except those of each
     raw level's first and last point lies strictly inside its germ segment,
-    so a point's value does not depend on the chunk or gathered pass that
-    computes it.
+    so a point's value does not depend on the chunk or gathered set of runs
+    that computes it.
 
     The range of y - base comes from the base's own bound (``span``).
     A stream of more than ``MAX_POINTS`` points is refused.
@@ -482,8 +496,6 @@ class AttractorBlocks:
             )
         self.model = model
         self.depth = depth
-        # runs of level depth - 1: the stream holds their images in every block
-        self._rows = p_count ** max(depth - 1, 0)
 
     def __len__(self) -> int:
         # P^depth runs of P + 1 points, each without its seam twin, then node P
@@ -550,41 +562,65 @@ class AttractorBlocks:
             np.maximum(*terms) + np.maximum(*line) + self._margin,
         )
 
-    def _children(self, runs: _Runs, p: int | np.ndarray, start: int) -> _Runs:
-        """The branch-p image of ``runs``; with a column of every branch for
-        ``p``, the next level of a whole level."""
-        model = self.model
-        x, y = _branch_image(model, p, runs.x, runs.y, runs.base, ends=True)
-        y_lo, y_hi = self._image_box(p, runs.d_lo, runs.d_hi, x[..., 0::2], x[..., 1::2])
-        base, base_lo, base_hi = model.base.span(x)
-        d_lo, d_hi = y_lo - base_hi - self._margin, y_hi - base_lo + self._margin
-        return _Runs(start, *(v.ravel() for v in (x, y, base, d_lo, d_hi)))
+    def _image_ranges(
+        self, p: int | np.ndarray, x: np.ndarray, d_lo: np.ndarray, d_hi: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The base at ``x``, and bounds on y - base over the branch-p images
+        of groups of points: ``x`` holds each group's image ends as (first,
+        last) pairs along its last axis, and [d_lo, d_hi] bounds the group's
+        y - base before the map."""
+        y_lo, y_hi = self._image_box(p, d_lo, d_hi, x[..., 0::2], x[..., 1::2])
+        base, base_lo, base_hi = self.model.base.span(x)
+        return base, y_lo - base_hi - self._margin, y_hi - base_lo + self._margin
 
     @functools.cached_property
-    def _top(self) -> tuple[int, _Runs]:
+    def _top(self) -> tuple[int, _Runs, list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]]:
         """The deepest level below ``depth`` with at most ``PIECE_POINTS``
-        runs, held whole, and its number."""
-        data = self.model.data
-        rest = data.y - self.model.base(data.x)
-        x = data.x[[0, -1]]
-        base = self.model.base(x)
+        runs, held whole: its number, its runs, and the boxes of the
+        descent. Entry i of the last holds the groups of P^i consecutive
+        runs of level max(i, top): that level, and each group's first and
+        last x as a row and its bounds on y - base as columns."""
+        model = self.model
+        data = model.data
+        p_count = data.intervals
+        rest = data.y - model.base(data.x)
+        x, y = data.x[[0, -1]], data.y[[0, -1]]
+        base = model.base(x)
         d_lo, d_hi = rest.min(keepdims=True), rest.max(keepdims=True)
-        level, runs = 0, _Runs(0, x, data.y[[0, -1]], base, d_lo, d_hi)
-        branches = np.arange(data.intervals)[:, None]
-        while level < self.depth - 1 and runs.d_lo.size * len(branches) <= PIECE_POINTS:
-            level, runs = level + 1, self._children(runs, branches, 0)
-        return level, runs
+        level, branches = 0, np.arange(p_count)[:, None]
+        while level < self.depth - 1 and d_lo.size * p_count <= PIECE_POINTS:
+            x, y = _branch_image(model, branches, x, y, base, ends=True)
+            base, d_lo, d_hi = self._image_ranges(branches, x, d_lo, d_hi)
+            x, y, base, d_lo, d_hi = (v.ravel() for v in (x, y, base, d_lo, d_hi))
+            level += 1
+        ends, lo, hi = x.reshape(-1, 2), d_lo[:, None], d_hi[:, None]
+        groups = [(level, ends, lo, hi)]
+        for i in range(1, self.depth):
+            if i <= level:
+                ends = np.column_stack((ends[::p_count, 0], ends[p_count - 1 :: p_count, 1]))
+                lo = lo.reshape(-1, p_count).min(axis=1, keepdims=True)
+                hi = hi.reshape(-1, p_count).max(axis=1, keepdims=True)
+            else:
+                # level i is one group: the branch images of level i - 1
+                ends = model.a[branches] * ends + model.b[branches]
+                _, lo, hi = self._image_ranges(branches, ends, lo, hi)
+                ends = np.array([[ends[0, 0], ends[-1, 1]]])
+                lo, hi = lo.min(keepdims=True), hi.max(keepdims=True)
+            groups.append((max(i, level), ends, lo, hi))
+        return level, _Runs(0, x, y, base), groups
 
     def _levels(self, j: int) -> Iterator[_Runs]:
-        """Level j's runs in x order, in chunks of at most ``PIECE_POINTS``."""
-        top, runs = self._top
+        """Level j's runs in x order, in chunks of the top level's size."""
+        top, runs, _ = self._top
         if j == top:
             yield runs
             return
-        p_count = self.model.data.intervals
+        model = self.model
+        p_count = model.data.intervals
         for p in range(p_count):
             for parent in self._levels(j - 1):
-                yield self._children(parent, p, p * p_count ** (j - 1) + parent.start)
+                x, y = _branch_image(model, p, parent.x, parent.y, parent.base, ends=True)
+                yield _Runs(p * p_count ** (j - 1) + parent.start, x, y, model.base(x))
 
     def _chunks(self) -> Iterator[tuple[_Runs, tuple[np.ndarray, ...] | None]]:
         """Level depth - 1 in x order, each chunk with the last point, and
@@ -613,60 +649,148 @@ class AttractorBlocks:
 
     def _interiors(
         self, runs: np.ndarray, level: int
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Points 1..P-1 of the given runs of ``level``, as grids of one run
-        a row and at most a piece each: the held level's interior points sent
-        through the maps the runs' addresses add to it."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Points 1..P-1 of the given runs of ``level``, at most a piece of
+        them, and the base there, as grids of one run a row: the held
+        level's interior points sent through the maps the runs' addresses
+        add to it."""
         model = self.model
         p_count = model.data.intervals
         held_level, held = self._held
-        step = self._step()
-        for start in range(0, runs.size, step):
-            address = runs[start : start + step]
-            x, y, base = (v[address % p_count**held_level, 1:-1] for v in held)
-            address = address // p_count**held_level
-            for j in range(held_level, level):
-                if j > held_level:
-                    base = model.base(x)
-                x, y = _branch_image(model, (address % p_count)[:, None], x, y, base)
-                address //= p_count
-            yield x, y
+        x, y, base = (v[runs % p_count**held_level, 1:-1] for v in held)
+        address = runs // p_count**held_level
+        for _ in range(held_level, level):
+            x, y = _branch_image(model, (address % p_count)[:, None], x, y, base)
+            base = model.base(x)
+            address //= p_count
+        return x, y, base
 
-    def _survivors(
-        self, runs: _Runs, wanted: Callable[..., np.ndarray]
-    ) -> np.ndarray:
-        """The stream runs below ``runs`` whose boxes ``wanted`` keeps.
-
-        ``wanted(x_lo, x_hi, y_lo, y_hi)`` judges boxes that hold every
-        interior point of a group of P^i consecutive runs in one block, from
-        the whole chunk down to single runs, each group only if the group it
-        splits was kept. A box's x-ends are the stream's own first and last
-        x of the group, exact since the map never decreases in x; its y-ends
-        come from ``_image_box``.
-        """
+    def _ends(self, runs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The first and last point of each given run of level depth - 1,
+        and the base there, along a new last axis: the top level's sent
+        through the maps the runs' addresses add to it."""
         model = self.model
         p_count = model.data.intervals
-        ends = runs.x.reshape(-1, 2)
-        d_lo, d_hi = [runs.d_lo], [runs.d_hi]
-        while d_lo[-1].size > 1:
-            d_lo.append(d_lo[-1].reshape(-1, p_count).min(axis=1))
-            d_hi.append(d_hi[-1].reshape(-1, p_count).max(axis=1))
-        branch, group = np.arange(p_count), np.zeros(p_count, dtype=np.intp)
-        for i in range(len(d_lo) - 1, -1, -1):
-            if not branch.size:
-                break
-            width = p_count**i
-            x_lo = model.a[branch] * ends[group * width, 0]
-            x_lo += model.b[branch]
-            x_hi = model.a[branch] * ends[group * width + width - 1, 1]
-            x_hi += model.b[branch]
-            y_lo, y_hi = self._image_box(branch, d_lo[i][group], d_hi[i][group], x_lo, x_hi)
-            keep = wanted(x_lo, x_hi, y_lo, y_hi)
-            branch, group = branch[keep], group[keep]
-            if i:
-                branch = np.repeat(branch, p_count)
-                group = (group[:, None] * p_count + np.arange(p_count)).ravel()
-        return branch * self._rows + runs.start + group
+        top, held, _ = self._top
+        x, y, base = (v.reshape(-1, 2)[runs % p_count**top] for v in held[1:])
+        address = runs // p_count**top
+        for _ in range(top, self.depth - 1):
+            x, y = _branch_image(model, (address % p_count)[..., None], x, y, base, ends=True)
+            base = model.base(x)
+            address //= p_count
+        return x, y, base
+
+    def _kept_firsts(self, runs: np.ndarray, kept: np.ndarray) -> Iterator[np.ndarray]:
+        """The y of the first point the stream keeps from the branch-p
+        image of each given run r of level depth - 1, for each branch p
+        that ``kept`` marks, a branch at a time; none for r = 0, whose
+        block starts at a node. Each is the seam twin ``_drop_seam_twins``
+        keeps from the images of runs r - 1 and r."""
+        inner = runs > 0
+        runs, kept = runs[inner], kept[inner]
+        x, y, base = self._ends(runs[:, None] + np.arange(-1, 1))
+        for p in np.flatnonzero(kept.any(axis=0)):
+            rows = kept[:, p]
+            image = _branch_image(self.model, p, x[rows], y[rows], base[rows])
+            yield _drop_seam_twins(*image)[1][:, 1, 0]
+
+    def _group_ends(
+        self, i: int, groups: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The first and last x, as a row, and bounds on y - base, as
+        columns, of each given group of P^i consecutive runs of level
+        depth - 1: those of the group of level max(i, top) it comes from,
+        sent through the maps its address adds to that level with
+        ``_image_ranges``. The x-ends are exact, since the maps never
+        decrease in x."""
+        model = self.model
+        p_count = model.data.intervals
+        level, ends, d_lo, d_hi = self._top[2][i]
+        address, group = np.divmod(groups, len(ends))
+        x, d_lo, d_hi = ends[group], d_lo[group], d_hi[group]
+        for _ in range(level, self.depth - 1):
+            p = (address % p_count)[:, None]
+            x = model.a[p] * x + model.b[p]
+            _, d_lo, d_hi = self._image_ranges(p, x, d_lo, d_hi)
+            address //= p_count
+        return x, d_lo, d_hi
+
+    def _judge(
+        self,
+        test: Callable[..., np.ndarray],
+        kept: np.ndarray,
+        x_first: np.ndarray,
+        x_last: np.ndarray,
+        d_lo: np.ndarray,
+        d_hi: np.ndarray,
+    ) -> np.ndarray:
+        """``kept``, less the boxes ``test`` drops. Row r, column p of
+        ``kept`` marks the box of the branch-p images of points whose x lie
+        between x_first[r] and x_last[r] and whose y - base lies in
+        [d_lo[r], d_hi[r]]; its x-ends are the images' own, computed as the
+        stream's."""
+        model = self.model
+        rows, p = np.nonzero(kept)
+        x_lo = model.a[p] * x_first[rows] + model.b[p]
+        x_hi = model.a[p] * x_last[rows] + model.b[p]
+        y_lo, y_hi = self._image_box(p, d_lo[rows], d_hi[rows], x_lo, x_hi)
+        keep = test(x_lo, x_hi, y_lo, y_hi)
+        judged = np.zeros_like(kept)
+        judged[rows[keep], p[keep]] = True
+        return judged
+
+    def _descend(
+        self, test: Callable[..., np.ndarray], i: int, groups: np.ndarray, kept: np.ndarray
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The runs of level depth - 1 in the given groups of P^i runs, with
+        the branches (columns of ``kept``) under which their boxes, and
+        those of every group between, ``test`` keeps, in x order. The
+        groups split from kept ones are judged a piece of runs at a time,
+        or P at a time when a piece holds fewer runs."""
+        p_count = self.model.data.intervals
+        x, d_lo, d_hi = self._group_ends(i, groups)
+        kept = self._judge(test, kept, x[:, 0], x[:, 1], d_lo[:, 0], d_hi[:, 0])
+        held = kept.any(axis=1)
+        groups, kept = groups[held], kept[held]
+        if not i:
+            if groups.size:
+                yield groups, kept
+            return
+        width = max(1, self._step() // p_count)
+        for start in range(0, groups.size, width):
+            children = (groups[start : start + width, None] * p_count + np.arange(p_count)).ravel()
+            below = np.repeat(kept[start : start + width], p_count, axis=0)
+            yield from self._descend(test, i - 1, children, below)
+
+    def _kept(self, test: Callable[..., np.ndarray]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The runs of level depth - 1, in x order and sets of at most a
+        piece (or P), each with the branches under which their boxes
+        ``test`` keeps.
+
+        ``test(x_lo, x_hi, y_lo, y_hi)`` judges boxes that hold every point
+        of the branch-p image of a group of P^i consecutive runs, from the
+        whole level down to single runs, each only if the group it splits
+        was kept under that branch (``_group_ends``, ``_judge``).
+        """
+        every_branch = np.ones((1, self.model.data.intervals), dtype=bool)
+        return self._descend(test, self.depth - 1, np.zeros(1, dtype=np.intp), every_branch)
+
+    def _exact(
+        self, runs: np.ndarray, kept: np.ndarray, test: Callable[..., np.ndarray]
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The interior points of the stream runs, the branch-p images of
+        the given runs of level depth - 1 for the branches ``kept`` marks,
+        whose exact boxes ``test`` keeps, as grids of one run a row, a piece
+        at a time. A run's exact box holds its interior points: the range
+        of y - base over their preimages, sent through its branch."""
+        x, y, base = self._interiors(runs, self.depth - 1)
+        rest = y - base
+        keep = self._judge(test, kept, x[:, 0], x[:, -1], rest.min(axis=1), rest.max(axis=1))
+        rows, branches = np.nonzero(keep)
+        step = self._step()
+        for start in range(0, rows.size, step):
+            row, p = rows[start : start + step], branches[start : start + step, None]
+            yield _branch_image(self.model, p, x[row], y[row], base[row])
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         data = self.model.data
@@ -680,10 +804,10 @@ class AttractorBlocks:
                 # the chunk's interior points and the base there, kept across
                 # branches while level depth - 1 is one chunk
                 if inner is None or inner[0] != runs.start:
-                    count = runs.d_lo.size
+                    rows = np.arange(runs.start, runs.start + runs.x.size // 2)
                     level = self.depth - 1
-                    pieces = self._interiors(np.arange(runs.start, runs.start + count), level)
-                    inner = runs.start, [(x, y, self.model.base(x)) for x, y in pieces]
+                    pieces = (rows[start : start + step] for start in range(0, rows.size, step))
+                    inner = runs.start, [self._interiors(piece, level) for piece in pieces]
                 kept_x, kept_y = self._firsts(runs, p, before)
                 for start, piece in zip(range(0, kept_x.size, step), inner[1]):
                     x, y = _branch_image(self.model, p, *piece)
@@ -694,14 +818,17 @@ class AttractorBlocks:
     @functools.cached_property
     def bounds(self) -> tuple[float, float, float, float]:
         """(x_min, x_max, y_min, y_max) of the stream, bit for bit, without
-        generating it.
+        generating it or walking any level.
 
         The stream is sorted by x, so the x-bounds are nodes 0 and P. For y,
-        the walk keeps a group of runs only while its box (``_survivors``)
-        can reach past the extremes seen so far. It generates the interior
-        points of the runs it keeps exactly, and every first kept point of
-        their blocks' chunks, since a run's first kept point lies in its own
-        box or, as a seam twin, in that of the run before.
+        the descent keeps a group of runs only while its box can reach past
+        the extremes seen so far, stream points found included. A run's box
+        holds its end points' images too, and a run's first kept point is
+        its own first point's image or, as a seam twin a few ulps away, the
+        last one of the run before: either lies in the run's box. So for
+        each run the descent keeps, its first kept point is generated
+        exactly, and its interior points if its exact box still can reach
+        past the extremes.
         """
         data = self.model.data
         x_min, x_max = float(data.x[0]), float(data.x[-1])
@@ -718,13 +845,12 @@ class AttractorBlocks:
             y_ceil = np.fmin(y_ceil, np.fmin.reduce(y_hi))
             return (y_hi >= y_floor) | (y_lo <= y_ceil) | ~(np.isfinite(y_lo) & np.isfinite(y_hi))
 
-        for runs, before in self._chunks():
-            kept = self._survivors(runs, wanted)
-            for p in sorted(set((kept // self._rows).tolist())):
-                _, first_y = self._firsts(runs, p, before)
-                y_min, y_max = min(y_min, first_y.min()), max(y_max, first_y.max())
-            for _, y in self._interiors(kept, self.depth):
-                y_min, y_max = min(y_min, y.min()), max(y_max, y.max())
+        for runs, kept in self._kept(wanted):
+            interiors = (y for _, y in self._exact(runs, kept, wanted))
+            for y in [*self._kept_firsts(runs, kept), *interiors]:
+                y_min, y_max = np.min(y, initial=y_min), np.max(y, initial=y_max)
+            # stream points found bound the extremes as well as any box
+            y_floor, y_ceil = max(y_floor, y_max), min(y_ceil, y_min)
         return x_min, x_max, float(y_min), float(y_max)
 
     def occupancy(
@@ -734,16 +860,13 @@ class AttractorBlocks:
         stream point, bit for bit, without generating every point.
 
         ``cells(x, y)`` gives each point's column and row, each
-        non-decreasing in its coordinate. One walk takes level depth - 1
-        chunk by chunk. Each chunk first marks exactly the first point the
-        stream keeps from every run below it, for every branch. The other
-        points of a group of runs lie in its box (``_survivors``), so a
-        group whose box sits in one column with every cell between its
-        quantized ends marked can add nothing; the chunk then generates
-        the interior points of the runs no such group holds, through the
-        same branch maps as the stream, and marks them. Every mark is a
-        stream point, so a box tested before a later chunk's marks can
-        only be skipped less often, never wrongly.
+        non-decreasing in its coordinate. One walk of level depth - 1 first
+        marks exactly the first point the stream keeps from every run. The
+        other points of a group of runs lie in its box, so a group whose
+        box sits in one column with every cell between its quantized ends
+        marked can add nothing; the descent (``_kept``, then ``_exact``)
+        then generates the interior points of the runs no such box holds,
+        through the same branch maps as the stream, and marks them.
         """
         bitmap = np.zeros((m, m), dtype=bool)
 
@@ -755,8 +878,14 @@ class AttractorBlocks:
             mark(data.x, data.y)
             return bitmap
         mark(data.x[-1:], data.y[-1:])
+        for runs, before in self._chunks():
+            for p in range(data.intervals):
+                mark(*self._firsts(runs, p, before))
+        del runs, before  # the last chunk is not held through the descent
+        # 1 + the highest empty cell at or below each cell of its column, 0 if none
+        gap = np.where(bitmap, 0, np.arange(1, m + 1, dtype=np.min_scalar_type(m)))
+        np.maximum.accumulate(gap, axis=1, out=gap)
         y_min, y_max = self.bounds[2:]
-        fill = np.arange(1, m + 1, dtype=np.min_scalar_type(m))
 
         def unknown(x_lo, x_hi, y_lo, y_hi):
             # a box end past the stream's y-range quantizes as that bound, and
@@ -765,13 +894,8 @@ class AttractorBlocks:
             col_hi, row_hi = cells(x_hi, np.maximum(np.fmin(y_hi, y_max), y_min))
             return ~((col_lo == col_hi) & (gap[col_hi, row_hi] <= row_lo))
 
-        for runs, before in self._chunks():
-            for p in range(data.intervals):
-                mark(*self._firsts(runs, p, before))
-            # 1 + the highest empty cell at or below each cell of its column, 0 if none
-            gap = np.where(bitmap, 0, fill)
-            np.maximum.accumulate(gap, axis=1, out=gap)
-            for x, y in self._interiors(self._survivors(runs, unknown), self.depth):
+        for runs, kept in self._kept(unknown):
+            for x, y in self._exact(runs, kept, unknown):
                 mark(x, y)
         return bitmap
 

@@ -185,8 +185,23 @@ def test_streamed_cloud_counts_like_the_normalized_sample(model, depth, piece):
                 assert level.count == want_counts[level.k]
 
 
+# the descent's hard cases, 2024 CAAR at depth 5: alpha 0.9, where most
+# boxes overlap the extremes, on both bases; all-negative scaling; the
+# mixed scaling. With 50-point pieces the top level is level 1, three
+# levels above the runs the descent splits down to
+HARD_MODELS = [
+    (build_fif_model(nifty50_2024_grid("caar"), alpha, base=base), 5)
+    for alpha, base in [(0.9, "square"), (0.9, "chord"), (-0.5, "square"), (MIXED_ALPHA, "square")]
+]
+
+
 @settings(max_examples=300, deadline=None)
 @given(model_depth=shallow_models(), piece=st.sampled_from([1, 7, 50, fif.PIECE_POINTS]))
+@example(model_depth=HARD_MODELS[0], piece=fif.PIECE_POINTS)
+@example(model_depth=HARD_MODELS[1], piece=fif.PIECE_POINTS)
+@example(model_depth=HARD_MODELS[2], piece=fif.PIECE_POINTS)
+@example(model_depth=HARD_MODELS[3], piece=fif.PIECE_POINTS)
+@example(model_depth=HARD_MODELS[1], piece=50)
 def test_length_and_bounds_match_the_stream(model_depth, piece):
     model, depth = model_depth
     # the stream is taken before the patch: walking it in one-run chunks
@@ -212,6 +227,11 @@ def flat_model(level, alpha, intervals=10):
 )
 # flat data whose y-range is one ulp of rounding: counted as constant y
 @example(model_depth=(flat_model(0.1, 0.5), 4), k_max=8, piece=fif.PIECE_POINTS)
+@example(model_depth=HARD_MODELS[0], k_max=8, piece=fif.PIECE_POINTS)
+@example(model_depth=HARD_MODELS[1], k_max=8, piece=fif.PIECE_POINTS)
+@example(model_depth=HARD_MODELS[2], k_max=8, piece=fif.PIECE_POINTS)
+@example(model_depth=HARD_MODELS[3], k_max=10, piece=fif.PIECE_POINTS)
+@example(model_depth=HARD_MODELS[0], k_max=8, piece=50)
 def test_occupancy_equals_the_scatter_of_the_stream(model_depth, k_max, piece):
     model, depth = model_depth
     m = 1 << k_max
@@ -250,6 +270,20 @@ def test_bounds_where_rounding_alone_sets_the_extremes(level, alpha, depth):
     y = np.concatenate([y.ravel() for _, y in blocks])
     assert y.min() < y.max()
     assert blocks.bounds[2:] == (y.min(), y.max())
+
+
+def test_bounds_take_the_seam_twin_the_stream_keeps():
+    # the maximum is a seam twin: the last point of one run, kept for being
+    # left of the next run's first point and a few ulps above it
+    data = InterpolationData(
+        np.array([0.0, 0.26277808360110744, 1.0]),
+        np.array([0.107505564328773, -0.06701877636702977, -0.5566454877838061]),
+    )
+    model = build_fif_model(data, [-0.7233612261907687, -0.8556022045025979])
+    want = streamed_attractor_points(model, 4)
+    for piece in (1, 7, 50, fif.PIECE_POINTS):
+        with mock.patch.object(fif, "PIECE_POINTS", piece):
+            assert AttractorBlocks(model, 4).bounds[2:] == (want.y.min(), want.y.max())
 
 
 def _without_seam_twins(x, y, run):
@@ -291,15 +325,34 @@ def test_depth_six_estimate_holds_no_level():
     assert peak < 12e6
 
 
-def test_depth_six_estimate_walks_its_level_twice():
-    # once for the bounds and once for the count, which marks each chunk's
-    # first points and tests its boxes in the same pass
+def test_depth_six_estimate_walks_its_level_once():
+    # the count marks every run's first points in one walk; the bounds and
+    # the count's boxes come from the descent, which walks no level
     model = build_fif_model(nifty50_2024_grid("aar"), 0.5)
     with mock.patch.object(
         AttractorBlocks, "_chunks", autospec=True, side_effect=AttractorBlocks._chunks
     ) as chunks:
         estimate_dimension(StreamedCloud(AttractorBlocks(model, 6)))
-    assert chunks.call_count == 2
+    assert chunks.call_count == 1
+
+
+def spy(name):
+    """``AttractorBlocks.<name>``, wrapped to record its calls."""
+    method = getattr(AttractorBlocks, name)
+    return mock.patch.object(AttractorBlocks, name, autospec=True, side_effect=method)
+
+
+@pytest.mark.parametrize("series", ["aar", "caar"])
+@pytest.mark.parametrize("alpha", [0.3, 0.5])
+def test_depth_six_bounds_build_few_runs_of_level_five(series, alpha):
+    # the report's models: of the 100,000 runs of level 5, the bounds build
+    # only those the descent keeps, as ends around a seam or as interiors
+    blocks = AttractorBlocks(build_fif_model(nifty50_2024_grid(series), alpha), 6)
+    with spy("_chunks") as chunks, spy("_ends") as ends, spy("_interiors") as interiors:
+        blocks.bounds
+    built = sum(call.args[1].size for call in ends.call_args_list + interiors.call_args_list)
+    assert chunks.call_count == 0
+    assert 0 < built < 1000
 
 
 def test_budget_refused_before_any_block():

@@ -344,6 +344,17 @@ class TestFif:
         assert message == f"error: tol must be finite and positive, got {float(tol)!r}"
         assert list(out.iterdir()) == []
 
+    def test_oversized_grid_exit_2_before_any_file(self, tmp_path, grid_csv, capsys):
+        out = tmp_path / "out"
+        argv = ["fif", "--data", str(grid_csv), "--alpha", "0.3", "--out", str(out)]
+        assert main(argv + ["--grid-size", str(10**12)]) == 2
+        message = single_error_line(capsys.readouterr().err)
+        assert message == (
+            "error: grid_size 1000000000000 would give 1000000000001 grid points, "
+            "over the budget of 30000000"
+        )
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize(
         "xs",
         [(0.0, 0.25, 1.0), (0.0, 0.2, 0.5, 0.7, 1.0), (0.0, 0.1, 0.2 + 1e-9, 0.3, 1.0)],
@@ -615,6 +626,13 @@ class TestReport:
             run_report(tmp_path / "rep", settings)
         assert str(refused.value) == message
         assert write.call_count == 0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_oversized_grid_exit_2_without_a_bundle(self, tmp_path, capsys):
+        out = tmp_path / "rep"
+        assert main(["report", "--outdir", str(out), "--grid-size", str(10**12)]) == 2
+        message = single_error_line(capsys.readouterr().err)
+        assert message.startswith("error: grid_size 1000000000000 would give")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(

@@ -396,6 +396,38 @@ class TestFixedPoint:
         with pytest.raises(InputError, match="grid_size"):
             evaluate_fif_fixed_point(model, grid_size=50)
 
+    def test_oversized_grid_refused_before_any_array(self):
+        model = build_fif_model(AAR, 0.3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError) as refused:
+                evaluate_fif_fixed_point(model, grid_size=10**12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(refused.value) == (
+            "grid_size 1000000000000 would give 1000000000001 grid points, "
+            "over the budget of 30000000"
+        )
+        assert peak < 1e6
+
+    @pytest.mark.parametrize(
+        "grid_size, points", [(29_999_991, 29_999_991), (30_000_005, 30_000_001)]
+    )
+    def test_grid_budget_is_max_points(self, grid_size, points):
+        # the grid itself is never built: a stand-in for np.linspace says
+        # whether the budget let the call through
+        class Built(Exception):
+            pass
+
+        with mock.patch.object(fif.np, "linspace", side_effect=Built):
+            if points <= fif.MAX_POINTS:
+                with pytest.raises(Built):
+                    build_eval_grid(AAR, grid_size)
+            else:
+                with pytest.raises(InputError, match=f"would give {points} grid points"):
+                    build_eval_grid(AAR, grid_size)
+
     @pytest.mark.parametrize("base", ["square", "chord"])
     @pytest.mark.parametrize(
         "alpha", [0.3, 0.5, 0.9, MIXED_ALPHA], ids=["a03", "a05", "a09", "mixed"]
