@@ -15,11 +15,12 @@ quantizer, ``StreamedCloud.cells``, rescales points by the cloud's bounds
 and gives their cells, and each source marks its own dense bitmap with it.
 ``HeldBlocks`` scatters its points a piece at a time. ``fif.AttractorBlocks``
 marks the first point kept from every run in one walk of the level above
-its points, then descends its IFS address tree from its held top level:
-it bounds groups of runs by interval arithmetic, and generates only the
-runs that could add a cell. The same descent, with no walk, gives its
-bounds. Since the quantizer never decreases in either coordinate, the
-bitmap is the point-by-point one, bit for bit. Levels too
+its points, imaging one seam twin per run, the one the order of the
+twins' preimages picks, then descends its IFS address tree from its held
+top level: it bounds groups of runs by interval arithmetic, and generates
+only the runs that could add a cell. The same descent, with no walk,
+gives its bounds. Since the quantizer never decreases in either
+coordinate, the bitmap is the point-by-point one, bit for bit. Levels too
 fine for a dense bitmap quantize one block at a time into sorted cell keys.
 A y-range within ``DEGENERATE_Y_ULPS`` ulps of max|y| is taken as constant
 y.
@@ -185,6 +186,9 @@ def _is_y_degenerate(bounds: tuple[float, float, float, float]) -> bool:
     if not all(math.isfinite(b) for b in bounds):
         raise InputError("cloud coordinates must be finite")
     x_min, x_max, y_min, y_max = bounds
+    for axis, low, high in (("x", x_min, x_max), ("y", y_min, y_max)):
+        if not math.isfinite(high - low):
+            raise InputError(f"the {axis}-range {low!r} to {high!r} is too wide to rescale")
     if x_min == x_max and y_min == y_max:
         raise ComputationError("all points are identical: nothing to normalize")
     if x_min == x_max:

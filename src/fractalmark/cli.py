@@ -150,13 +150,9 @@ def cmd_fif(args: argparse.Namespace) -> int:
     out = _outdir(args)
 
     model = fif.build_fif_model(data, alpha)
-    # the evaluator refuses a bad tol and a non-uniform partition, so it runs
-    # before any file is written
+    # the evaluator refuses a bad tol and a non-uniform partition, and the
+    # plot a non-finite curve, so both run before any file is written
     plot = fif.evaluate_fif_fixed_point(model, grid_size=args.grid_size, tol=args.tol)
-    sample = fif.AttractorBlocks(model, args.depth)
-    sample_path = out / f"{args.prefix}_sample.csv"
-    write_xy_csv(sample_path, sample)
-    print(f"wrote {sample_path} ({len(sample)} points)")
     alpha_label = ",".join(f"{a:g}" for a in alpha.alpha)
     if len(set(alpha.alpha)) == 1:
         alpha_label = f"{alpha.alpha[0]:g}"
@@ -167,6 +163,10 @@ def cmd_fif(args: argparse.Namespace) -> int:
         xlabel="x",
         ylabel="value",
     )
+    sample = fif.AttractorBlocks(model, args.depth)
+    sample_path = out / f"{args.prefix}_sample.csv"
+    write_xy_csv(sample_path, sample)
+    print(f"wrote {sample_path} ({len(sample)} points)")
     plot_path = out / f"{args.prefix}_plot.svg"
     plot_path.write_text(svg, encoding="utf-8")
     print(f"wrote {plot_path}")

@@ -411,23 +411,41 @@ def _branch_image(
     return lx, ly
 
 
-def _drop_seam_twins(
-    grid_x: np.ndarray, grid_y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Drop one point of each seam twin between consecutive rows of a run grid.
+class _Seams(NamedTuple):
+    """Which seam twin starts each run's image in the stream, chosen once
+    for every branch.
 
-    Row r + 1 starts where row r ends: the two points are one attractor point
-    reached along two paths, a few ulps apart and possibly inverted. The
-    smaller x is kept, the earlier point on a tie: the point a stable sort
-    followed by dropping near-equal neighbours keeps. The kept twin is
-    written to the start of the later row, and the rows are returned without
-    their last points (as views); the last row's last point is the caller's.
-    Leading axes, if any, hold separate grids.
+    Run r's image starts where the image of the run before it ends: the
+    two points are one attractor point reached along two paths, a few ulps
+    apart and possibly inverted. The stream keeps the one with the smaller
+    x, the left one (the image of the run before's last point) on a tie:
+    the point a stable sort followed by dropping near-equal neighbours
+    keeps. Since l_p(x) = a_p x + b_p with a_p > 0 keeps the order of x
+    through rounding, the left twin is kept under every branch wherever
+    its preimage's x is at most the run's own first x. ``x``, ``y`` and
+    ``base`` hold the kept twin's preimage, the run's own first point at
+    the ``inverted`` runs, whose twins' images may tie; ``left`` holds
+    their left twins' preimages. With ``opens``, the first run opens its
+    block, which starts at node p.
     """
-    take_left = grid_x[..., :-1, -1] <= grid_x[..., 1:, 0]
-    np.copyto(grid_x[..., 1:, 0], grid_x[..., :-1, -1], where=take_left)
-    np.copyto(grid_y[..., 1:, 0], grid_y[..., :-1, -1], where=take_left)
-    return grid_x[..., :-1], grid_y[..., :-1]
+
+    x: np.ndarray
+    y: np.ndarray
+    base: np.ndarray
+    inverted: np.ndarray
+    left: tuple[np.ndarray, ...]
+    opens: bool
+
+
+def _seams(last: list[np.ndarray], first: list[np.ndarray], opens: bool = False) -> _Seams:
+    """The ``_Seams`` of runs from the x, y and base of the last point of
+    the run before each, ``last`` (arrays it takes over), and of each
+    run's first point, ``first``."""
+    inverted = np.flatnonzero(~(last[0] <= first[0]))
+    left = tuple(v[inverted] for v in last)
+    for kept, own in zip(last, first):
+        kept[inverted] = own[inverted]
+    return _Seams(*last, inverted, left, opens)
 
 
 class _Runs(NamedTuple):
@@ -463,7 +481,10 @@ class AttractorBlocks:
       x order, in chunks of the top level's size, each run carrying only
       its two end points (the branch images of its parent's) and the base
       there. From a chunk comes the first point the stream keeps from
-      every run below it.
+      every run below it: which seam twin that is follows from the order
+      of the twins' preimages (``_seams``), once for every branch, so each
+      branch images one point per run, and a second only for the few runs
+      whose preimages are inverted, where the images may tie.
     - The descent, for ``bounds`` and ``occupancy``, walks no level. It
       prunes the stream's runs with a caller's test of boxes, from the
       whole of level depth - 1 under each branch down to single runs. A
@@ -622,30 +643,36 @@ class AttractorBlocks:
                 x, y = _branch_image(model, p, parent.x, parent.y, parent.base, ends=True)
                 yield _Runs(p * p_count ** (j - 1) + parent.start, x, y, model.base(x))
 
-    def _chunks(self) -> Iterator[tuple[_Runs, tuple[np.ndarray, ...] | None]]:
-        """Level depth - 1 in x order, each chunk with the last point, and
-        the base there, of the run before it (None for the first chunk)."""
+    def _chunks(self) -> Iterator[tuple[_Runs, _Seams]]:
+        """Level depth - 1 in x order, each chunk with the ``_seams`` of its
+        runs. The run before the chunk's first is the last of the chunk
+        before; the level's first run opens its block and stands in for
+        the run before it."""
         before = None
         for runs in self._levels(self.depth - 1):
-            yield runs, before
-            before = runs.x[-1:], runs.y[-1:], runs.base[-1:]
+            first = [v[0::2] for v in runs[1:]]
+            opens = before is None
+            if opens:
+                before = [v[:1] for v in first]
+            last = [np.concatenate((b, v[1:-1:2])) for b, v in zip(before, runs[1:])]
+            yield runs, _seams(last, first, opens)
+            before = [v[-1:] for v in runs[1:]]
 
-    def _firsts(
-        self, runs: _Runs, p: int, before: tuple[np.ndarray, ...] | None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _seam_images(self, p: int, seams: _Seams) -> tuple[np.ndarray, np.ndarray]:
         """The first point the stream keeps from the branch-p image of each
-        run: node p for the block's first, else the seam twin that
-        ``_drop_seam_twins`` keeps."""
-        lx, ly = _branch_image(self.model, p, runs.x, runs.y, runs.base)
-        kept_x, kept_y = _drop_seam_twins(lx.reshape(-1, 2), ly.reshape(-1, 2))
-        if before is None:
-            data = self.model.data
-            kept_x[0, 0], kept_y[0, 0] = data.x[p], data.y[p]
-        else:
-            twin_x, twin_y = _branch_image(self.model, p, *before)
-            if twin_x[0] <= kept_x[0, 0]:
-                kept_x[0, 0], kept_y[0, 0] = twin_x[0], twin_y[0]
-        return kept_x[:, 0], kept_y[:, 0]
+        run of ``seams``: the image of its kept twin's preimage, or the left
+        twin's image where an inverted pair's images tie, or node p where
+        the run opens its block."""
+        model = self.model
+        x, y = _branch_image(model, p, seams.x, seams.y, seams.base)
+        if seams.inverted.size:
+            left_x, left_y = _branch_image(model, p, *seams.left)
+            tie = left_x <= x[seams.inverted]
+            at = seams.inverted[tie]
+            x[at], y[at] = left_x[tie], left_y[tie]
+        if seams.opens:
+            x[0], y[0] = model.data.x[p], model.data.y[p]
+        return x, y
 
     def _interiors(
         self, runs: np.ndarray, level: int
@@ -684,15 +711,16 @@ class AttractorBlocks:
         """The y of the first point the stream keeps from the branch-p
         image of each given run r of level depth - 1, for each branch p
         that ``kept`` marks, a branch at a time; none for r = 0, whose
-        block starts at a node. Each is the seam twin ``_drop_seam_twins``
-        keeps from the images of runs r - 1 and r."""
+        block starts at a node. Each is the seam twin ``_seams`` picks
+        from the last point of run r - 1 and the first of run r."""
         inner = runs > 0
         runs, kept = runs[inner], kept[inner]
-        x, y, base = self._ends(runs[:, None] + np.arange(-1, 1))
+        ends = self._ends(runs[:, None] + np.arange(-1, 1))
         for p in np.flatnonzero(kept.any(axis=0)):
             rows = kept[:, p]
-            image = _branch_image(self.model, p, x[rows], y[rows], base[rows])
-            yield _drop_seam_twins(*image)[1][:, 1, 0]
+            # the last point of run r - 1 and the first of run r
+            seams = _seams([v[rows, 0, 1] for v in ends], [v[rows, 1, 0] for v in ends])
+            yield self._seam_images(p, seams)[1]
 
     def _group_ends(
         self, i: int, groups: np.ndarray
@@ -800,7 +828,7 @@ class AttractorBlocks:
         step = self._step()
         inner = None
         for p in range(data.intervals):
-            for runs, before in self._chunks():
+            for runs, seams in self._chunks():
                 # the chunk's interior points and the base there, kept across
                 # branches while level depth - 1 is one chunk
                 if inner is None or inner[0] != runs.start:
@@ -808,7 +836,7 @@ class AttractorBlocks:
                     level = self.depth - 1
                     pieces = (rows[start : start + step] for start in range(0, rows.size, step))
                     inner = runs.start, [self._interiors(piece, level) for piece in pieces]
-                kept_x, kept_y = self._firsts(runs, p, before)
+                kept_x, kept_y = self._seam_images(p, seams)
                 for start, piece in zip(range(0, kept_x.size, step), inner[1]):
                     x, y = _branch_image(self.model, p, *piece)
                     kept = slice(start, start + len(x))
@@ -861,7 +889,9 @@ class AttractorBlocks:
 
         ``cells(x, y)`` gives each point's column and row, each
         non-decreasing in its coordinate. One walk of level depth - 1 first
-        marks exactly the first point the stream keeps from every run. The
+        marks exactly the first point the stream keeps from every run,
+        imaging under each branch the seam twin ``_seams`` picks once per
+        chunk, and both twins only where their preimages are inverted. The
         other points of a group of runs lie in its box, so a group whose
         box sits in one column with every cell between its quantized ends
         marked can add nothing; the descent (``_kept``, then ``_exact``)
@@ -878,10 +908,10 @@ class AttractorBlocks:
             mark(data.x, data.y)
             return bitmap
         mark(data.x[-1:], data.y[-1:])
-        for runs, before in self._chunks():
+        for runs, seams in self._chunks():
             for p in range(data.intervals):
-                mark(*self._firsts(runs, p, before))
-        del runs, before  # the last chunk is not held through the descent
+                mark(*self._seam_images(p, seams))
+        del runs, seams  # the last chunk is not held through the descent
         # 1 + the highest empty cell at or below each cell of its column, 0 if none
         gap = np.where(bitmap, 0, np.arange(1, m + 1, dtype=np.min_scalar_type(m)))
         np.maximum.accumulate(gap, axis=1, out=gap)

@@ -29,7 +29,8 @@ from fractalmark.fif import (
     AttractorBlocks,
     FifModel,
     GraphSample,
-    _drop_seam_twins,
+    _branch_image,
+    _seams,
     build_fif_model,
 )
 from fractalmark.fif import generate_attractor_points as streamed_attractor_points
@@ -286,6 +287,24 @@ def test_bounds_take_the_seam_twin_the_stream_keeps():
             assert AttractorBlocks(model, 4).bounds[2:] == (want.y.min(), want.y.max())
 
 
+def _drop_seam_twins(grid_x, grid_y):
+    """Drop one point of each seam twin between consecutive rows of a run grid.
+
+    Row r + 1 starts where row r ends: the two points are one attractor point
+    reached along two paths, a few ulps apart and possibly inverted. The
+    smaller x is kept, the earlier point on a tie: the point a stable sort
+    followed by dropping near-equal neighbours keeps. The kept twin is
+    written to the start of the later row, and the rows are returned without
+    their last points (as views); the last row's last point is the caller's.
+    Leading axes, if any, hold separate grids. The stream's rule, ``_seams``,
+    picks each twin from the preimages instead.
+    """
+    take_left = grid_x[..., :-1, -1] <= grid_x[..., 1:, 0]
+    np.copyto(grid_x[..., 1:, 0], grid_x[..., :-1, -1], where=take_left)
+    np.copyto(grid_y[..., 1:, 0], grid_y[..., :-1, -1], where=take_left)
+    return grid_x[..., :-1], grid_y[..., :-1]
+
+
 def _without_seam_twins(x, y, run):
     """The rows left by ``_drop_seam_twins``, read in order, plus the final point."""
     kept_x, kept_y = _drop_seam_twins(x.reshape(-1, run).copy(), y.reshape(-1, run).copy())
@@ -312,6 +331,57 @@ def test_tied_seam_keeps_the_earlier_point():
     assert np.array_equal(got_y, [0.0, 1.0, 3.0])
 
 
+@st.composite
+def seam_twins(draw):
+    """A model on a non-uniform partition (P 2..3), and rows of seam twins'
+    preimages, (the run before's last point, the run's first point) as x
+    and y: the x a few ulps apart, in order, equal or inverted."""
+    p_count = draw(st.integers(2, 3))
+    nodes = st.lists(st.floats(-1.0, 1.0), min_size=p_count + 1, max_size=p_count + 1)
+    data = InterpolationData(_partition(draw, p_count), np.array(draw(nodes)))
+    base = draw(st.sampled_from(["square", "chord"]))
+    model = build_fif_model(data, _scaling(draw, p_count), base=base)
+    rows = draw(st.integers(1, 30))
+    left = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=rows, max_size=rows)))
+    ulps = np.array(draw(st.lists(st.integers(-3, 3), min_size=rows, max_size=rows)))
+    x = np.column_stack((left, np.clip(left + ulps * np.spacing(left), 0.0, 1.0)))
+    y = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * rows, max_size=2 * rows)))
+    return model, x, y.reshape(-1, 2)
+
+
+# preimages one ulp apart and inverted at 0.9: their images stay inverted
+# under branch 0 and tie under branch 1; beside them a pair in order and
+# an equal pair
+TIE_AT_0_9 = (
+    build_fif_model(
+        InterpolationData(np.array([0.0, 0.3, 1.0]), np.array([0.1, -0.4, 0.2])), [0.5, -0.6]
+    ),
+    np.array([[0.9, np.nextafter(0.9, 0.0)], [0.2, np.nextafter(0.2, 1.0)], [0.4, 0.4]]),
+    np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model_twins=seam_twins())
+@example(model_twins=TIE_AT_0_9)
+def test_seams_keep_the_twin_a_sort_keeps(model_twins):
+    # each run's kept first point, picked once from its preimages, against
+    # the pick of imaging both twins under each branch and comparing
+    model, x, y = model_twins
+    base = model.base(x)
+    # _seams takes over the left twins' arrays, so it gets copies
+    seams = _seams([v[:, 0].copy() for v in (x, y, base)], [v[:, 1] for v in (x, y, base)])
+    # grids of two rows (first, last): row 0 ends at the left twin, row 1
+    # starts at the right one
+    grid = np.array([[1, 0], [1, 0]])
+    for p in range(model.data.intervals):
+        got_x, got_y = AttractorBlocks(model, 1)._seam_images(p, seams)
+        twins = _branch_image(model, p, x[:, grid], y[:, grid], base[:, grid])
+        want_x, want_y = (v[:, 1, 0] for v in _drop_seam_twins(*twins))
+        assert np.array_equal(got_x, want_x)
+        assert np.array_equal(got_y, want_y)
+
+
 def test_depth_six_estimate_holds_no_level():
     # 10,000,001 stream points, counted without holding any level of them
     model = build_fif_model(nifty50_2024_grid("aar"), 0.5)
@@ -334,6 +404,25 @@ def test_depth_six_estimate_walks_its_level_once():
     ) as chunks:
         estimate_dimension(StreamedCloud(AttractorBlocks(model, 6)))
     assert chunks.call_count == 1
+
+
+def test_depth_six_count_images_one_first_point_per_run():
+    # the walk sends one point per stream run through its branch, 10**6, and
+    # builds the ends of level 5's 10**5 runs from the top level; the descent
+    # adds under 50,000 interior points. Imaging both seam twins of every
+    # run sent 2,247,439 points
+    cloud = StreamedCloud(AttractorBlocks(build_fif_model(nifty50_2024_grid("aar"), 0.5), 6))
+    image = fif._branch_image
+    points = 0
+
+    def counted(model, p, xs, *args, **kwargs):
+        nonlocal points
+        points += xs.size
+        return image(model, p, xs, *args, **kwargs)
+
+    with mock.patch.object(fif, "_branch_image", counted):
+        cloud.occupancy(256)
+    assert points < 10**6 + 2 * 10**5 + 50_000
 
 
 def spy(name):

@@ -93,6 +93,14 @@ class TestNormalize:
         with pytest.raises(InputError, match="finite"):
             StreamedCloud(HeldBlocks(np.array([0.0, 1.0]), np.array([0.0, np.nan])))
 
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_overflowing_range_refused(self, axis):
+        # every bound is finite, but max - min overflows to inf
+        wide, narrow = np.array([1e308, -1e308, 0.0]), np.array([0.0, 1.0, 0.5])
+        x, y = (wide, narrow) if axis == "x" else (narrow, wide)
+        with pytest.raises(InputError, match=f"^the {axis}-range -1e\\+308 to 1e\\+308 "):
+            normalize_to_unit_square(x, y)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_declared_frame_refuses_non_finite_points(self, bad):
         for x, y in (([0.0, bad, 1.0], [0.5, 0.5, 0.5]), ([0.0, 0.5, 1.0], [0.5, bad, 0.5])):

@@ -370,6 +370,20 @@ class TestFif:
         assert list(out.iterdir()) == []
 
 
+    def test_plot_refused_before_any_file(self, tmp_path, capsys):
+        # the germ's slopes overflow, numpy warns, and the plot of the fixed
+        # point is refused: no sample is written either
+        path = tmp_path / "grid.csv"
+        path.write_text("x,y\n0,0\n0.5,1e308\n1,0\n")
+        out = tmp_path / "out"
+        argv = ["fif", "--data", str(path), "--alpha", "0.5", "--depth", "2", "--out", str(out)]
+        with pytest.warns(RuntimeWarning):
+            assert main(argv) == 2
+        message = single_error_line(capsys.readouterr().err)
+        assert message == "error: x and y must be finite, and so must their ranges"
+        assert list(out.iterdir()) == []
+
+
 class TestBoxdim:
     def test_fif_sample_round_trip(self, tmp_path):
         data = nifty50_2024_grid("aar")
@@ -414,6 +428,16 @@ class TestBoxdim:
         path = tmp_path / "big.csv"
         path.write_text("x,y\n0.0,0.0\n5.0,5.0\n")
         assert main(["boxdim", "--sample", str(path), "--no-normalize"]) == 2
+
+    @pytest.mark.parametrize(
+        "axis, rows", [("y", "0,1e308\n1,-1e308\n0.5,0\n"), ("x", "1e308,0\n-1e308,1\n0.5,0\n")]
+    )
+    def test_overflowing_range_exit_2(self, tmp_path, capsys, axis, rows):
+        path = tmp_path / "huge.csv"
+        path.write_text("x,y\n" + rows)
+        assert main(["boxdim", "--sample", str(path)]) == 2
+        message = single_error_line(capsys.readouterr().err)
+        assert message == f"error: the {axis}-range -1e+308 to 1e+308 is too wide to rescale"
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_no_normalize_refuses_non_finite_rows(self, tmp_path, capsys, bad):
