@@ -126,11 +126,15 @@ class PiecewiseLinear:
             raise InputError("breakpoints must be strictly increasing")
         if y.shape != x.shape:
             raise InputError("need one value per breakpoint")
-        slopes = np.diff(y) / np.diff(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            slopes = np.diff(y) / np.diff(x)
+            intercepts = y[:-1] - slopes * x[:-1]
+        if not (np.all(np.isfinite(slopes)) and np.all(np.isfinite(intercepts))):
+            raise InputError("the lines between the knots overflow: a slope or intercept is not finite")
         object.__setattr__(self, "breakpoints", x)
         object.__setattr__(self, "values", y)
         object.__setattr__(self, "slopes", slopes)
-        object.__setattr__(self, "intercepts", y[:-1] - slopes * x[:-1])
+        object.__setattr__(self, "intercepts", intercepts)
 
     def _segment(self, arr: np.ndarray) -> np.ndarray:
         return np.clip(
@@ -355,26 +359,26 @@ def evaluate_fif_fixed_point(
     germ and s = max|alpha|, ||T^n g - f|| <= s^n ||Tg - g|| / (1 - s); K is
     the fewest rounds that bring this bound at n = 2^K within ``tol``. The
     sample holds T^(2^K) g, K as ``generation`` and the bound as
-    ``max_error_bound``. A non-uniform partition, and a ``tol`` that is not
-    finite and positive, are refused.
+    ``max_error_bound``. A non-uniform partition, a ``tol`` that is not
+    finite and positive, and a solve that overflows are refused.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise InputError(f"tol must be finite and positive, got {tol!r}")
     grid = build_eval_grid(model.data, grid_size)
-    s, c, phi = _operator(model, grid)
-    germ = model.germ(grid)
-    shrink = model.alpha.max_abs
-    first_change = float(np.max(np.abs(s * germ[phi] + c - germ)))
-    power, rounds = shrink, 0
-    while power * first_change / (1.0 - shrink) > tol:
-        s, c, phi = s * s[phi], c + s * c[phi], phi[phi]
-        power, rounds = power * power, rounds + 1
-    return GraphSample(
-        x=grid,
-        y=s * germ[phi] + c,
-        generation=rounds,
-        max_error_bound=power * first_change / (1.0 - shrink),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, c, phi = _operator(model, grid)
+        germ = model.germ(grid)
+        shrink = model.alpha.max_abs
+        first_change = float(np.max(np.abs(s * germ[phi] + c - germ)))
+        power, rounds = shrink, 0
+        while power * first_change / (1.0 - shrink) > tol:
+            s, c, phi = s * s[phi], c + s * c[phi], phi[phi]
+            power, rounds = power * power, rounds + 1
+        y = s * germ[phi] + c
+        bound = power * first_change / (1.0 - shrink)
+    if not (np.all(np.isfinite(y)) and math.isfinite(bound)):
+        raise InputError("the fixed-point solve overflows: a solved value or its bound is not finite")
+    return GraphSample(x=grid, y=y, generation=rounds, max_error_bound=bound)
 
 
 def _branch_image(
@@ -486,20 +490,21 @@ class AttractorBlocks:
       branch images one point per run, and a second only for the few runs
       whose preimages are inverted, where the images may tie.
     - The descent, for ``bounds`` and ``occupancy``, walks no level. It
-      prunes the stream's runs with a caller's test of boxes, from the
-      whole of level depth - 1 under each branch down to single runs. A
-      group's box holds the range of y - base over its top-level runs (or
-      over a whole level, above the top), sent through the maps of its
-      address. Only a run whose box is kept is generated at level
-      depth - 1, where the exact range of its interior points boxes it
-      again, and only a run that box keeps has its stream points
-      generated.
+      prunes the stream's runs with a caller's test of boxes, under each
+      branch, from the top level's groups (the groups of level depth - 1
+      that are images of the whole top level) down to single runs. A
+      group's box holds the range of y - base over its top-level runs,
+      sent through the maps of its address. Only a run whose box is kept
+      is generated at level depth - 1, where the exact range of its
+      interior points boxes it again, and only a run that box keeps has
+      its stream points generated.
 
     Interior points are sent through the runs' maps from the deepest level
-    that fits in one piece, which is held. Every image except those of each
-    raw level's first and last point lies strictly inside its germ segment,
-    so a point's value does not depend on the chunk or gathered set of runs
-    that computes it.
+    that fits in one piece, which is held as the top level is, one row per
+    run, and one gather (``_gather``) sends either level's rows down.
+    Every image except those of each raw level's first and last point lies
+    strictly inside its germ segment, so a point's value does not depend
+    on the chunk or gathered set of runs that computes it.
 
     The range of y - base comes from the base's own bound (``span``).
     A stream of more than ``MAX_POINTS`` points is refused.
@@ -529,8 +534,8 @@ class AttractorBlocks:
     @functools.cached_property
     def _held(self) -> tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The deepest raw level below ``depth`` that fits in one piece, the
-        nodes at least: its number and its x, y and base(x) as one row of
-        P + 1 points per run."""
+        nodes at least: its number and the x, y and base(x) of its runs'
+        interior points 1..P-1, one row per run."""
         model = self.model
         branches = np.arange(model.data.intervals)[:, None]
         level, xs, ys = 0, model.data.x, model.data.y
@@ -538,7 +543,7 @@ class AttractorBlocks:
             image = _branch_image(model, branches, xs, ys, model.base(xs), ends=True)
             level, xs, ys = level + 1, image[0].ravel(), image[1].ravel()
         run = len(branches) + 1
-        return level, tuple(v.reshape(-1, run) for v in (xs, ys, model.base(xs)))
+        return level, tuple(v.reshape(-1, run)[:, 1:-1] for v in (xs, ys, model.base(xs)))
 
     @functools.cached_property
     def _margin(self) -> float:
@@ -595,12 +600,13 @@ class AttractorBlocks:
         return base, y_lo - base_hi - self._margin, y_hi - base_lo + self._margin
 
     @functools.cached_property
-    def _top(self) -> tuple[int, _Runs, list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]]:
+    def _top(self) -> tuple[int, tuple[np.ndarray, ...], list[tuple[np.ndarray, ...]]]:
         """The deepest level below ``depth`` with at most ``PIECE_POINTS``
-        runs, held whole: its number, its runs, and the boxes of the
-        descent. Entry i of the last holds the groups of P^i consecutive
-        runs of level max(i, top): that level, and each group's first and
-        last x as a row and its bounds on y - base as columns."""
+        runs, held whole: its number, the x, y and base(x) of its runs'
+        first and last points, one row per run, and the boxes of the
+        descent. Entry i = 0..top of the last holds the groups of P^i
+        consecutive runs of the top level: each group's first and last x
+        as a row and its bounds on y - base as columns."""
         model = self.model
         data = model.data
         p_count = data.intervals
@@ -614,27 +620,21 @@ class AttractorBlocks:
             base, d_lo, d_hi = self._image_ranges(branches, x, d_lo, d_hi)
             x, y, base, d_lo, d_hi = (v.ravel() for v in (x, y, base, d_lo, d_hi))
             level += 1
-        ends, lo, hi = x.reshape(-1, 2), d_lo[:, None], d_hi[:, None]
-        groups = [(level, ends, lo, hi)]
-        for i in range(1, self.depth):
-            if i <= level:
-                ends = np.column_stack((ends[::p_count, 0], ends[p_count - 1 :: p_count, 1]))
-                lo = lo.reshape(-1, p_count).min(axis=1, keepdims=True)
-                hi = hi.reshape(-1, p_count).max(axis=1, keepdims=True)
-            else:
-                # level i is one group: the branch images of level i - 1
-                ends = model.a[branches] * ends + model.b[branches]
-                _, lo, hi = self._image_ranges(branches, ends, lo, hi)
-                ends = np.array([[ends[0, 0], ends[-1, 1]]])
-                lo, hi = lo.min(keepdims=True), hi.max(keepdims=True)
-            groups.append((max(i, level), ends, lo, hi))
-        return level, _Runs(0, x, y, base), groups
+        rows = tuple(v.reshape(-1, 2) for v in (x, y, base))
+        ends, lo, hi = rows[0], d_lo[:, None], d_hi[:, None]
+        groups = [(ends, lo, hi)]
+        for _ in range(level):
+            ends = np.column_stack((ends[::p_count, 0], ends[p_count - 1 :: p_count, 1]))
+            lo = lo.reshape(-1, p_count).min(axis=1, keepdims=True)
+            hi = hi.reshape(-1, p_count).max(axis=1, keepdims=True)
+            groups.append((ends, lo, hi))
+        return level, rows, groups
 
     def _levels(self, j: int) -> Iterator[_Runs]:
         """Level j's runs in x order, in chunks of the top level's size."""
-        top, runs, _ = self._top
+        top, rows, _ = self._top
         if j == top:
-            yield runs
+            yield _Runs(0, *(v.ravel() for v in rows))
             return
         model = self.model
         p_count = model.data.intervals
@@ -674,35 +674,25 @@ class AttractorBlocks:
             x[0], y[0] = model.data.x[p], model.data.y[p]
         return x, y
 
-    def _interiors(
-        self, runs: np.ndarray, level: int
+    def _gather(
+        self,
+        level: int,
+        rows: tuple[np.ndarray, np.ndarray, np.ndarray],
+        runs: np.ndarray,
+        ends: bool = False,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Points 1..P-1 of the given runs of ``level``, at most a piece of
-        them, and the base there, as grids of one run a row: the held
-        level's interior points sent through the maps the runs' addresses
-        add to it."""
+        """The points that ``rows`` holds of each run of a held ``level``
+        (``_held``'s interior points or ``_top``'s end points), for the
+        given runs of level depth - 1, at most a piece of them, and the base
+        there, along a new last axis: the held rows sent through the maps
+        the runs' addresses add to that level. With ``ends``, the rows hold
+        end points, whose images take the germ's own lookup."""
         model = self.model
         p_count = model.data.intervals
-        held_level, held = self._held
-        x, y, base = (v[runs % p_count**held_level, 1:-1] for v in held)
-        address = runs // p_count**held_level
-        for _ in range(held_level, level):
-            x, y = _branch_image(model, (address % p_count)[:, None], x, y, base)
-            base = model.base(x)
-            address //= p_count
-        return x, y, base
-
-    def _ends(self, runs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The first and last point of each given run of level depth - 1,
-        and the base there, along a new last axis: the top level's sent
-        through the maps the runs' addresses add to it."""
-        model = self.model
-        p_count = model.data.intervals
-        top, held, _ = self._top
-        x, y, base = (v.reshape(-1, 2)[runs % p_count**top] for v in held[1:])
-        address = runs // p_count**top
-        for _ in range(top, self.depth - 1):
-            x, y = _branch_image(model, (address % p_count)[..., None], x, y, base, ends=True)
+        x, y, base = (v[runs % p_count**level] for v in rows)
+        address = runs // p_count**level
+        for _ in range(level, self.depth - 1):
+            x, y = _branch_image(model, (address % p_count)[..., None], x, y, base, ends)
             base = model.base(x)
             address //= p_count
         return x, y, base
@@ -715,7 +705,7 @@ class AttractorBlocks:
         from the last point of run r - 1 and the first of run r."""
         inner = runs > 0
         runs, kept = runs[inner], kept[inner]
-        ends = self._ends(runs[:, None] + np.arange(-1, 1))
+        ends = self._gather(*self._top[:2], runs[:, None] + np.arange(-1, 1), ends=True)
         for p in np.flatnonzero(kept.any(axis=0)):
             rows = kept[:, p]
             # the last point of run r - 1 and the first of run r
@@ -727,16 +717,17 @@ class AttractorBlocks:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The first and last x, as a row, and bounds on y - base, as
         columns, of each given group of P^i consecutive runs of level
-        depth - 1: those of the group of level max(i, top) it comes from,
-        sent through the maps its address adds to that level with
-        ``_image_ranges``. The x-ends are exact, since the maps never
-        decrease in x."""
+        depth - 1, for i up to the top level: those of the top level's
+        group it comes from, sent through the maps its address adds to
+        that level with ``_image_ranges``. The x-ends are exact, since the
+        maps never decrease in x."""
         model = self.model
         p_count = model.data.intervals
-        level, ends, d_lo, d_hi = self._top[2][i]
+        top, _, boxes = self._top
+        ends, d_lo, d_hi = boxes[i]
         address, group = np.divmod(groups, len(ends))
         x, d_lo, d_hi = ends[group], d_lo[group], d_hi[group]
-        for _ in range(level, self.depth - 1):
+        for _ in range(top, self.depth - 1):
             p = (address % p_count)[:, None]
             x = model.a[p] * x + model.b[p]
             _, d_lo, d_hi = self._image_ranges(p, x, d_lo, d_hi)
@@ -773,22 +764,24 @@ class AttractorBlocks:
         """The runs of level depth - 1 in the given groups of P^i runs, with
         the branches (columns of ``kept``) under which their boxes, and
         those of every group between, ``test`` keeps, in x order. The
-        groups split from kept ones are judged a piece of runs at a time,
-        or P at a time when a piece holds fewer runs."""
+        groups are judged in windows of max(1, step // P) * P of them: at
+        most a piece of runs, or P when a piece holds fewer, and always
+        whole sets of P siblings. The kept ones split into their P groups
+        of P^(i - 1) runs."""
         p_count = self.model.data.intervals
-        x, d_lo, d_hi = self._group_ends(i, groups)
-        kept = self._judge(test, kept, x[:, 0], x[:, 1], d_lo[:, 0], d_hi[:, 0])
-        held = kept.any(axis=1)
-        groups, kept = groups[held], kept[held]
-        if not i:
-            if groups.size:
-                yield groups, kept
-            return
-        width = max(1, self._step() // p_count)
+        width = max(1, self._step() // p_count) * p_count
         for start in range(0, groups.size, width):
-            children = (groups[start : start + width, None] * p_count + np.arange(p_count)).ravel()
-            below = np.repeat(kept[start : start + width], p_count, axis=0)
-            yield from self._descend(test, i - 1, children, below)
+            window = groups[start : start + width]
+            x, d_lo, d_hi = self._group_ends(i, window)
+            judged = self._judge(test, kept[start : start + width], *x.T, d_lo[:, 0], d_hi[:, 0])
+            held = judged.any(axis=1)
+            window, judged = window[held], judged[held]
+            if not i:
+                if window.size:
+                    yield window, judged
+                continue
+            children = (window[:, None] * p_count + np.arange(p_count)).ravel()
+            yield from self._descend(test, i - 1, children, np.repeat(judged, p_count, axis=0))
 
     def _kept(self, test: Callable[..., np.ndarray]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The runs of level depth - 1, in x order and sets of at most a
@@ -797,11 +790,14 @@ class AttractorBlocks:
 
         ``test(x_lo, x_hi, y_lo, y_hi)`` judges boxes that hold every point
         of the branch-p image of a group of P^i consecutive runs, from the
-        whole level down to single runs, each only if the group it splits
-        was kept under that branch (``_group_ends``, ``_judge``).
+        images of the whole top level (i = top) down to single runs, each
+        only if the group it splits was kept under that branch
+        (``_group_ends``, ``_judge``).
         """
-        every_branch = np.ones((1, self.model.data.intervals), dtype=bool)
-        return self._descend(test, self.depth - 1, np.zeros(1, dtype=np.intp), every_branch)
+        p_count = self.model.data.intervals
+        top = self._top[0]
+        groups = np.arange(p_count ** (self.depth - 1 - top))
+        return self._descend(test, top, groups, np.ones((groups.size, p_count), dtype=bool))
 
     def _exact(
         self, runs: np.ndarray, kept: np.ndarray, test: Callable[..., np.ndarray]
@@ -811,7 +807,7 @@ class AttractorBlocks:
         whose exact boxes ``test`` keeps, as grids of one run a row, a piece
         at a time. A run's exact box holds its interior points: the range
         of y - base over their preimages, sent through its branch."""
-        x, y, base = self._interiors(runs, self.depth - 1)
+        x, y, base = self._gather(*self._held, runs)
         rest = y - base
         keep = self._judge(test, kept, x[:, 0], x[:, -1], rest.min(axis=1), rest.max(axis=1))
         rows, branches = np.nonzero(keep)
@@ -833,9 +829,8 @@ class AttractorBlocks:
                 # branches while level depth - 1 is one chunk
                 if inner is None or inner[0] != runs.start:
                     rows = np.arange(runs.start, runs.start + runs.x.size // 2)
-                    level = self.depth - 1
                     pieces = (rows[start : start + step] for start in range(0, rows.size, step))
-                    inner = runs.start, [self._interiors(piece, level) for piece in pieces]
+                    inner = runs.start, [self._gather(*self._held, piece) for piece in pieces]
                 kept_x, kept_y = self._seam_images(p, seams)
                 for start, piece in zip(range(0, kept_x.size, step), inner[1]):
                     x, y = _branch_image(self.model, p, *piece)

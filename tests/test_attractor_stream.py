@@ -437,11 +437,39 @@ def test_depth_six_bounds_build_few_runs_of_level_five(series, alpha):
     # the report's models: of the 100,000 runs of level 5, the bounds build
     # only those the descent keeps, as ends around a seam or as interiors
     blocks = AttractorBlocks(build_fif_model(nifty50_2024_grid(series), alpha), 6)
-    with spy("_chunks") as chunks, spy("_ends") as ends, spy("_interiors") as interiors:
+    with spy("_chunks") as chunks, spy("_gather") as gather:
         blocks.bounds
-    built = sum(call.args[1].size for call in ends.call_args_list + interiors.call_args_list)
+    built = sum(call.args[3].size for call in gather.call_args_list)
     assert chunks.call_count == 0
     assert 0 < built < 1000
+
+
+def test_depth_six_descent_starts_at_the_top_level():
+    # level 4 is the top level, so the descent's first judge takes its 10
+    # images in level 5, under each of the 10 branches
+    blocks = AttractorBlocks(build_fif_model(nifty50_2024_grid("aar"), 0.5), 6)
+    with spy("_judge") as judge:
+        blocks.bounds
+    assert len(blocks._top[2]) == blocks._top[0] + 1 == 5
+    assert judge.call_args_list[0].args[2].sum() == 100
+
+
+@pytest.mark.parametrize("piece", [1, 7, 50, fif.PIECE_POINTS])
+@pytest.mark.parametrize("p_count", [2, 3, 10])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_descent_sets_cover_the_level_in_windows(depth, p_count, piece):
+    # a test that keeps every box: the descent yields every run of level
+    # depth - 1 once, in x order, under every branch, in sets of at most
+    # one window of groups
+    x = np.linspace(0.0, 1.0, p_count + 1)
+    model = build_fif_model(InterpolationData(x, np.sin(7.0 * x)), 0.4)
+    with mock.patch.object(fif, "PIECE_POINTS", piece):
+        blocks = AttractorBlocks(model, depth)
+        sets = list(blocks._kept(lambda x_lo, *_: np.ones(x_lo.shape, dtype=bool)))
+        window = max(1, blocks._step() // p_count) * p_count
+    assert np.array_equal(np.concatenate([runs for runs, _ in sets]), np.arange(p_count ** (depth - 1)))
+    assert all(kept.shape == (runs.size, p_count) and kept.all() for runs, kept in sets)
+    assert max(runs.size for runs, _ in sets) <= window
 
 
 def test_budget_refused_before_any_block():

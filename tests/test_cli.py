@@ -1,6 +1,7 @@
 import datetime as dt
 import inspect
 import json
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -371,16 +372,34 @@ class TestFif:
 
 
     def test_plot_refused_before_any_file(self, tmp_path, capsys):
-        # the germ's slopes overflow, numpy warns, and the plot of the fixed
-        # point is refused: no sample is written either
+        # the model and the fixed point are finite, but the plot's y-range
+        # overflows and the plot is refused: no sample is written either
         path = tmp_path / "grid.csv"
-        path.write_text("x,y\n0,0\n0.5,1e308\n1,0\n")
+        path.write_text("x,y\n0,0\n0.5,8e307\n1,0\n")
         out = tmp_path / "out"
-        argv = ["fif", "--data", str(path), "--alpha", "0.5", "--depth", "2", "--out", str(out)]
-        with pytest.warns(RuntimeWarning):
+        argv = ["fif", "--data", str(path), "--alpha", "0.3", "--depth", "2", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert main(argv) == 2
         message = single_error_line(capsys.readouterr().err)
         assert message == "error: x and y must be finite, and so must their ranges"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "peak, alpha, message",
+        [("1e308", "0.5", "the lines between the knots overflow: a slope or intercept is not finite"),
+         ("8e307", "0.9", "the fixed-point solve overflows: a solved value or its bound is not finite")],
+        ids=["germ", "solve"],
+    )
+    def test_overflow_refused_without_a_warning(self, tmp_path, capsys, peak, alpha, message):
+        path = tmp_path / "grid.csv"
+        path.write_text(f"x,y\n0,0\n0.5,{peak}\n1,0\n")
+        out = tmp_path / "out"
+        argv = ["fif", "--data", str(path), "--alpha", alpha, "--depth", "2", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        assert single_error_line(capsys.readouterr().err) == f"error: {message}"
         assert list(out.iterdir()) == []
 
 

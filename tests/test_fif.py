@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -272,6 +273,14 @@ class TestModelValidation:
         with pytest.raises(InputError):
             build_fif_model(AAR, ScalingVector((0.3, 0.3)))
 
+    def test_overflowing_germ_refused_without_a_warning(self):
+        # the slope from (0, 0) to (0.5, 1e308) is past the largest float
+        data = InterpolationData(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1e308, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="slope or intercept is not finite"):
+                build_fif_model(data, 0.5)
+
 
 class TestRbOperator:
     def test_germ_is_fixed_point_at_zero_scaling(self):
@@ -353,6 +362,16 @@ class TestFixedPoint:
         model = build_fif_model(AAR, 0.5)
         sample = evaluate_fif_fixed_point(model, grid_size=6401, tol=1e-9)
         assert sample.max_error_bound < 1e-9
+
+    def test_overflowing_solve_refused_without_a_warning(self):
+        # the germ's slopes are finite, but its values near 8e307, scaled by
+        # 0.9 and added along the solve, pass the largest float
+        data = InterpolationData(np.array([0.0, 0.5, 1.0]), np.array([0.0, 8e307, 0.0]))
+        model = build_fif_model(data, 0.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="fixed-point solve overflows"):
+                evaluate_fif_fixed_point(model, grid_size=2001)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf, -math.inf])
     def test_tol_not_finite_and_positive_refused(self, tol):
