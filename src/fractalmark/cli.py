@@ -150,9 +150,9 @@ def cmd_fif(args: argparse.Namespace) -> int:
     out = _outdir(args)
 
     model = fif.build_fif_model(data, alpha)
-    # the evaluator refuses a bad tol and a non-uniform partition, and the
-    # plot a non-finite curve, so both run before any file is written
-    plot = fif.evaluate_fif_fixed_point(model, grid_size=args.grid_size, tol=args.tol)
+    # the evaluator refuses a non-uniform partition and an overflowing solve,
+    # and the plot a non-finite curve, so both run before any file is written
+    plot = fif.plot_fixed_point(model)
     alpha_label = ",".join(f"{a:g}" for a in alpha.alpha)
     if len(set(alpha.alpha)) == 1:
         alpha_label = f"{alpha.alpha[0]:g}"
@@ -211,8 +211,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     settings = Settings(
         dimension_depth=args.depth,
         sample_depth=args.sample_depth,
-        grid_size=args.grid_size,
-        tol=args.tol,
         k_min=args.k_min,
         k_max=args.k_max,
         min_points_per_box=args.min_points_per_box,
@@ -232,10 +230,6 @@ def cmd_report(args: argparse.Namespace) -> int:
 # float, config.switch (an on/off flag), config.path (a file or directory),
 # or config.paths or config.year_paths (repeatable flags).
 _OUT = ("out", config.path, ".", "output directory")
-_FIXED_POINT = (
-    ("grid_size", int, fif.DEFAULT_GRID_SIZE, "fixed-point grid size"),
-    ("tol", float, fif.DEFAULT_TOL, "fixed-point sup-norm tolerance"),
-)
 _COUNTING = (
     ("k_min", int, boxdim.DEFAULT_K_MIN, "coarsest dyadic level"),
     ("k_max", int, boxdim.DEFAULT_K_MAX, "finest dyadic level"),
@@ -267,7 +261,6 @@ COMMANDS: dict[str, tuple[Callable, str, tuple[tuple[str, Callable, object, str]
         ("data", config.path, None, "interpolation data CSV with columns x,y"),
         ("alpha", str, None, "vertical scaling: scalar or comma-separated per-interval list"),
         ("depth", int, 4, "attractor refinement depth"),
-        *_FIXED_POINT,
         ("prefix", str, "fif", "output file prefix"),
         _OUT,
     )),
@@ -283,7 +276,6 @@ COMMANDS: dict[str, tuple[Callable, str, tuple[tuple[str, Callable, object, str]
         ("outdir", config.path, "report_out", "bundle directory"),
         ("depth", int, Settings.dimension_depth, "attractor depth for dimension estimation"),
         ("sample_depth", int, Settings.sample_depth, "attractor depth for exported samples"),
-        *_FIXED_POINT,
         *_COUNTING,
         ("year_config", config.year_paths, None,
          "per-year data config YEAR=PATH (repeatable), e.g. 2023=data/2023.cfg"),

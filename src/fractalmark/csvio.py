@@ -37,7 +37,6 @@ come from the same routine.
 from __future__ import annotations
 
 import csv
-import io
 import warnings
 from functools import cache, partial
 from itertools import count, filterfalse
@@ -528,20 +527,14 @@ def _numbered(reader) -> Iterator[tuple[int, list[str]]]:
             raise InputError(f"row {row_no}: {exc}") from None
 
 
-def read_xy_csv(source: str | Path | io.TextIOBase) -> tuple[np.ndarray, np.ndarray]:
-    """Read ``x,y`` CSV; errors carry the 1-based row number (header is row 1).
+def read_xy_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """Read an ``x,y`` CSV file; errors carry the 1-based row number (header is row 1).
 
     Fields are whatever Python's ``float`` accepts; quoted fields are
     unquoted, blank rows are skipped and extra columns are ignored.
     """
-    if isinstance(source, (str, Path)):
-        reopen = partial(open, source, "r", encoding="utf-8", newline="")
-        ends = _line_breaks(source)
-    else:
-        text = source.read()
-        reopen = partial(io.StringIO, text, newline="")
-        plain = not any(c in text for c in SEPARATORS)
-        ends = text.count("\n") + text.count("\r") if plain else None
+    reopen = partial(open, path, "r", encoding="utf-8", newline="")
+    ends = _line_breaks(path)
     if ends is not None:
         with reopen() as handle:
             columns = _load_columns(handle, ends)

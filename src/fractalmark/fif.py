@@ -381,6 +381,17 @@ def evaluate_fif_fixed_point(
     return GraphSample(x=grid, y=y, generation=rounds, max_error_bound=bound)
 
 
+def plot_fixed_point(model: FifModel) -> GraphSample:
+    """The fixed point a plot draws, its grid and tolerance taken from the
+    data. ``grid_size`` max(DEFAULT_GRID_SIZE, 10 P + 1) gives every interval
+    at least 10 steps. ``tol`` is DEFAULT_TOL times the nodes' largest |y|,
+    so a curve of any size is solved to the same relative accuracy, and at
+    least the least positive float, which all-zero data meet in no round."""
+    grid_size = max(DEFAULT_GRID_SIZE, 10 * model.data.intervals + 1)
+    tol = max(DEFAULT_TOL * float(np.max(np.abs(model.data.y))), math.ulp(0.0))
+    return evaluate_fif_fixed_point(model, grid_size=grid_size, tol=tol)
+
+
 def _branch_image(
     model: FifModel,
     p: int | np.ndarray,

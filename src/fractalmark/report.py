@@ -61,8 +61,6 @@ class Settings:
 
     dimension_depth: int = 6  # attractor depth for dimension estimation
     sample_depth: int = 3  # attractor depth for exported samples
-    grid_size: int = fif.DEFAULT_GRID_SIZE
-    tol: float = fif.DEFAULT_TOL
     k_min: int = boxdim.DEFAULT_K_MIN
     k_max: int = boxdim.DEFAULT_K_MAX
     min_points_per_box: int = boxdim.DEFAULT_MIN_POINTS_PER_BOX
@@ -73,9 +71,10 @@ def write_series_outputs(
 ) -> dict:
     """Interpolants, plots and dimension reports for one 11-point series.
 
-    ``settings`` gives the attractor depths, the fixed-point grid and
-    tolerance, and the box-counting levels and sparsity guard. Returns the
-    dimension results keyed by scaling factor.
+    ``settings`` gives the attractor depths and the box-counting levels and
+    sparsity guard; each plot's fixed-point grid and tolerance come from the
+    data (``fif.plot_fixed_point``). Returns the dimension results keyed by
+    scaling factor.
     """
     write_xy_csv(outdir / f"grid_{series_name}.csv", data.x, data.y)
 
@@ -83,7 +82,7 @@ def write_series_outputs(
         model = fif.build_fif_model(data, spec)
         sample = fif.AttractorBlocks(model, settings.sample_depth)
         write_xy_csv(outdir / f"fif_{series_name}_{tag}_sample.csv", sample)
-        plot = fif.evaluate_fif_fixed_point(model, grid_size=settings.grid_size, tol=settings.tol)
+        plot = fif.plot_fixed_point(model)
         svg = line_plot_svg(
             plot.x,
             plot.y,
@@ -190,7 +189,9 @@ def run_report(
     """Produce the reproduction bundle and return the summary dictionary.
 
     ``settings`` is the sampling and counting protocol of every year, and
-    ``summary.json`` records it as ``parameters``. ``year_configs`` maps each
+    ``summary.json`` records it as ``parameters``; each plot's fixed-point
+    grid and tolerance come from its series (``fif.plot_fixed_point``), so
+    no setting shapes them. ``year_configs`` maps each
     year other than the embedded reference year to its ``read_year_config``
     file. The bundle is written to a temporary directory beside ``outdir``
     and moved in only once ``summary.json`` is written, so a refused run
@@ -198,14 +199,12 @@ def run_report(
     bundle does not write are left alone.
     """
     # every year's grids are the same uniform 11 points, so the library's own
-    # checks on the reference model refuse a depth, level, grid or tolerance
-    # setting before any work; at alpha 0 the fixed point is the germ, solved
-    # in no round
+    # checks on the reference model refuse a depth or level setting before
+    # any work
     model = fif.build_fif_model(fixtures.nifty50_2024_grid("aar"), 0.0)
     for depth in (settings.sample_depth, settings.dimension_depth):
         fif.AttractorBlocks(model, depth)
     boxdim.check_levels(settings.k_min, settings.k_max, settings.min_points_per_box)
-    fif.evaluate_fif_fixed_point(model, grid_size=settings.grid_size, tol=settings.tol)
     year_configs = year_configs or {}
     ref_year = fixtures.REFERENCE_YEAR
     if ref_year in year_configs:

@@ -64,6 +64,12 @@ def bundle_manifest(outdir: Path) -> str:
     )
 
 
+def hashes_by_name(manifest: str) -> dict[str, str]:
+    """A ``bundle_manifest`` text as a map from relative path to sha256."""
+    pairs = (line.split("  ", 1) for line in manifest.splitlines())
+    return {name: digest for digest, name in pairs}
+
+
 def seeded_year_config(root: Path) -> Path:
     """A 2023 year config over ``YEAR_CONFIG_SECURITIES`` seeded price files
     and a market file, 200 trading days on one calendar, event on day 150."""
@@ -339,6 +345,15 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         manifests[YEAR_CONFIG_MANIFEST] = year_config_manifest(Path(tmp))
     for path, manifest in manifests.items():
+        before = hashes_by_name(path.read_text(encoding="utf-8")) if path.exists() else {}
+        after = hashes_by_name(manifest)
         path.parent.mkdir(exist_ok=True)
         path.write_text(manifest, encoding="utf-8")
-        print(f"wrote {path} ({manifest.count(chr(10))} files)", file=sys.stderr)
+        print(f"wrote {path} ({len(after)} files)", file=sys.stderr)
+        for name in sorted(before.keys() | after.keys()):
+            if name not in before:
+                print(f"  added    {name}", file=sys.stderr)
+            elif name not in after:
+                print(f"  removed  {name}", file=sys.stderr)
+            elif before[name] != after[name]:
+                print(f"  changed  {name}", file=sys.stderr)

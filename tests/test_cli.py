@@ -334,27 +334,16 @@ class TestFif:
         assert code == 2
         assert "alpha" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
-    def test_bad_tol_exit_2_before_any_file(self, tmp_path, grid_csv, capsys, tol):
+    def test_700_intervals_get_a_grid_of_10_steps_each(self, tmp_path):
+        # more intervals than the default grid gives 10 steps: the grid grows
+        path = tmp_path / "grid.csv"
+        x = np.arange(701) / 700
+        rows = "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), np.sin(9 * x).tolist()))
+        path.write_text("x,y\n" + rows)
         out = tmp_path / "out"
-        code = main(
-            ["fif", "--data", str(grid_csv), "--alpha", "0.3", "--tol", tol, "--out", str(out)]
-        )
-        assert code == 2
-        message = single_error_line(capsys.readouterr().err)
-        assert message == f"error: tol must be finite and positive, got {float(tol)!r}"
-        assert list(out.iterdir()) == []
-
-    def test_oversized_grid_exit_2_before_any_file(self, tmp_path, grid_csv, capsys):
-        out = tmp_path / "out"
-        argv = ["fif", "--data", str(grid_csv), "--alpha", "0.3", "--out", str(out)]
-        assert main(argv + ["--grid-size", str(10**12)]) == 2
-        message = single_error_line(capsys.readouterr().err)
-        assert message == (
-            "error: grid_size 1000000000000 would give 1000000000001 grid points, "
-            "over the budget of 30000000"
-        )
-        assert list(out.iterdir()) == []
+        argv = ["fif", "--data", str(path), "--alpha", "0.3", "--depth", "0", "--out", str(out)]
+        assert main(argv) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["fif_plot.svg", "fif_sample.csv"]
 
     @pytest.mark.parametrize(
         "xs",
@@ -521,14 +510,13 @@ class TestReport:
     def test_every_setting_flag_reaches_its_parameter(self, tmp_path):
         code = main(
             ["report", "--outdir", str(tmp_path), "--depth", "4", "--sample-depth", "2",
-             "--grid-size", "2001", "--tol", "1e-8", "--k-min", "3", "--k-max", "6",
-             "--min-points-per-box", "10"]
+             "--k-min", "3", "--k-max", "6", "--min-points-per-box", "10"]
         )
         assert code == 0
         parameters = json.loads((tmp_path / "summary.json").read_text())["parameters"]
         assert parameters == {
-            "dimension_depth": 4, "sample_depth": 2, "grid_size": 2001, "tol": 1e-8,
-            "k_min": 3, "k_max": 6, "min_points_per_box": 10,
+            "dimension_depth": 4, "sample_depth": 2, "k_min": 3, "k_max": 6,
+            "min_points_per_box": 10,
         }
         defaults = vars(Settings())
         assert all(parameters[name] != defaults[name] for name in defaults)
@@ -538,7 +526,7 @@ class TestReport:
     def test_collinear_series_and_curve_range_are_warned(self, tmp_path):
         data = InterpolationData(np.arange(11) / 10, np.arange(11) / 10)
         # 101 points over levels 4 to 6 leave the finer cells too sparse: slope below 1
-        settings = Settings(dimension_depth=1, sample_depth=1, grid_size=110, k_min=4, k_max=7,
+        settings = Settings(dimension_depth=1, sample_depth=1, k_min=4, k_max=7,
                             min_points_per_box=1)
         results = write_series_outputs(tmp_path, "line", data, settings)
         for alpha, tag in ((0.3, "a03"), (0.5, "a05")):
@@ -600,9 +588,7 @@ class TestReport:
         assert code == 1
         assert f"asset 'stock' has no return on {days[155].isoformat()}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "fault", ["too few levels", "unparseable prices", "tol nan", "tol inf"]
-    )
+    @pytest.mark.parametrize("fault", ["too few levels", "unparseable prices"])
     def test_refused_run_leaves_no_bundle_file(self, tmp_path, capsys, fault):
         out = tmp_path / "r1"
         out.mkdir()
@@ -611,10 +597,6 @@ class TestReport:
         if fault == "too few levels":
             argv += ["--depth", "2", "--sample-depth", "1", "--k-max", "4"]
             code, message = 1, "error: only 1 usable levels after exclusions; need at least 3"
-        elif fault.startswith("tol"):
-            tol = fault.split()[1]
-            argv += ["--tol", tol]
-            code, message = 2, f"error: tol must be finite and positive, got {tol}"
         else:
             cfg = write_year_config(tmp_path)
             (tmp_path / "idx2023.csv").write_text("date,open,close\n2023-01-02,abc,1.0\n")
@@ -650,32 +632,6 @@ class TestReport:
         assert str(refused.value).startswith(message)
         assert write.call_count == evaluate.call_count == 0
         # no bundle directory, nor a staging directory beside it
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize(
-        "settings, message",
-        [
-            (Settings(tol=float("nan")), "tol must be finite and positive, got nan"),
-            (Settings(grid_size=5), "grid_size must be at least 10 * P = 100, got 5"),
-        ],
-        ids=["tol", "grid size"],
-    )
-    def test_bad_grid_or_tol_refused_before_any_sample(self, tmp_path, settings, message):
-        # the fixed-point evaluator runs here, on the reference model, to check them
-        with (
-            mock.patch("fractalmark.report.write_xy_csv") as write,
-            pytest.raises(InputError) as refused,
-        ):
-            run_report(tmp_path / "rep", settings)
-        assert str(refused.value) == message
-        assert write.call_count == 0
-        assert list(tmp_path.iterdir()) == []
-
-    def test_oversized_grid_exit_2_without_a_bundle(self, tmp_path, capsys):
-        out = tmp_path / "rep"
-        assert main(["report", "--outdir", str(out), "--grid-size", str(10**12)]) == 2
-        message = single_error_line(capsys.readouterr().err)
-        assert message.startswith("error: grid_size 1000000000000 would give")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -777,6 +733,10 @@ class TestConfigFile:
             ("boxdim", "no_normalize = yes", "config key 'no_normalize': cannot parse 'yes'"),
             ("fif", "depth = two", "config key 'depth': cannot parse 'two'"),
             ("fif", "depth = 2\ndepth = 3", "config key 'depth' given twice"),
+            ("fif", "grid_size = 6401", "unknown config key 'grid_size'"),
+            ("fif", "tol = 1e-9", "unknown config key 'tol'"),
+            ("report", "grid_size = 6401", "unknown config key 'grid_size'"),
+            ("report", "tol = 1e-9", "unknown config key 'tol'"),
         ],
     )
     def test_refusals_exit_2(self, tmp_path, capsys, command, text, message):
@@ -798,7 +758,8 @@ class TestConfigFile:
                 {"k_min": "k_min", "k_max": "k_max", "min_points_per_box": "min_points_per_box"},
                 set(),
             ),
-            ("fif", evaluate_fif_fixed_point, {"grid_size": "grid_size", "tol": "tol"}, set()),
+            # the plot's fixed-point grid and tolerance come from the data
+            ("fif", evaluate_fif_fixed_point, {}, {"grid_size", "tol"}),
             (
                 "event-study",
                 compute_abnormal_panel,
@@ -811,8 +772,7 @@ class TestConfigFile:
                 "report",
                 Settings,
                 {"depth": "dimension_depth", "sample_depth": "sample_depth",
-                 "grid_size": "grid_size", "tol": "tol", "k_min": "k_min", "k_max": "k_max",
-                 "min_points_per_box": "min_points_per_box"},
+                 "k_min": "k_min", "k_max": "k_max", "min_points_per_box": "min_points_per_box"},
                 set(),
             ),
         ],
@@ -858,6 +818,23 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", [["--grid-size", "6401"], ["--tol", "1e-9"]])
+    @pytest.mark.parametrize("command", ["fif", "report"])
+    def test_fixed_point_flags_are_refused_before_any_file(self, tmp_path, capsys, command, flag):
+        # the plot's fixed-point grid and tolerance come from the data
+        data = tmp_path / "grid.csv"
+        data.write_text("x,y\n0,0\n0.5,1\n1,0\n")
+        out = tmp_path / "out"
+        inputs = {
+            "fif": ["--data", str(data), "--alpha", "0.3", "--out", str(out)],
+            "report": ["--outdir", str(out)],
+        }
+        with pytest.raises(SystemExit) as exc:
+            main([command, *inputs[command], *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [data]
 
     def test_missing_required_inputs_exit_2(self, tmp_path, capsys):
         assert main(["fif", "--alpha", "0.3"]) == 2

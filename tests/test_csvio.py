@@ -8,7 +8,6 @@ bit for bit or refuse with their message.
 
 import ast
 import csv
-import io
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -31,13 +30,10 @@ def oracle_xy_csv_text(x: np.ndarray, y: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def oracle_read_xy_csv(source: str | Path | io.TextIOBase) -> tuple[np.ndarray, np.ndarray]:
-    """Read ``x,y`` CSV; errors carry the 1-based row number (header is row 1)."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
-            rows = list(csv.reader(handle))
-    else:
-        rows = list(csv.reader(source))
+def oracle_read_xy_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """Read an ``x,y`` CSV file; errors carry the 1-based row number (header is row 1)."""
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
     if not rows:
         raise InputError("empty CSV: no header row")
     header = [name.strip() for name in rows[0]]
@@ -134,18 +130,13 @@ def csv_texts(draw) -> str:
 
 
 @settings(max_examples=400, deadline=None)
-@given(text=csv_texts(), from_path=st.booleans(), chunk=st.sampled_from([1, 7, csvio.CHUNK_ROWS]))
-def test_reader_matches_oracle(text, from_path, chunk):
-    if from_path:
-        with tempfile.TemporaryDirectory() as directory:
-            path = write_text(directory, text)
-            with mock.patch.object(csvio, "CHUNK_ROWS", chunk):
-                got = outcome(read_xy_csv, path)
-            assert got == outcome(oracle_read_xy_csv, path)
-    else:
+@given(text=csv_texts(), chunk=st.sampled_from([1, 7, csvio.CHUNK_ROWS]))
+def test_reader_matches_oracle(text, chunk):
+    with tempfile.TemporaryDirectory() as directory:
+        path = write_text(directory, text)
         with mock.patch.object(csvio, "CHUNK_ROWS", chunk):
-            got = outcome(read_xy_csv, io.StringIO(text, newline=""))
-        assert got == outcome(oracle_read_xy_csv, io.StringIO(text, newline=""))
+            got = outcome(read_xy_csv, path)
+        assert got == outcome(oracle_read_xy_csv, path)
 
 
 # --- writer and round trip ---------------------------------------------------
@@ -323,7 +314,8 @@ def test_reader_holds_the_columns_and_one_chunk(tmp_path):
     """A 1,000,001-row read allocates its two columns and at most 4 MiB more."""
     x = np.linspace(0.0, 1.0, 1_000_001)
     write_xy_csv(tmp_path / "xy.csv", x, np.sin(x * 1e3) * 1e-3)
-    read_xy_csv(io.StringIO("x,y\n1,2\n"))
+    (tmp_path / "warm.csv").write_text("x,y\n1,2\n")
+    read_xy_csv(tmp_path / "warm.csv")
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -347,7 +339,9 @@ def test_writer_accepts_lists_and_empty_input(tmp_path):
 
 
 def read_text(text: str):
-    return read_xy_csv(io.StringIO(text, newline=""))
+    """``read_xy_csv`` of ``text`` written byte for byte to a file."""
+    with tempfile.TemporaryDirectory() as directory:
+        return read_xy_csv(write_text(directory, text))
 
 
 @pytest.mark.parametrize(
@@ -387,7 +381,8 @@ def test_row_loop_streams_its_records(tmp_path):
     write_xy_csv(tmp_path / "xy.csv", x, x)
     with open(tmp_path / "xy.csv", "a", encoding="utf-8") as handle:
         handle.write("1_0,2\n")
-    read_xy_csv(io.StringIO("x,y\n1_0,2\n"))
+    (tmp_path / "warm.csv").write_text("x,y\n1_0,2\n")
+    read_xy_csv(tmp_path / "warm.csv")
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -422,15 +417,9 @@ def test_refusal_from_a_path_carries_the_row(tmp_path):
         read_xy_csv(path)
 
 
-def test_text_handle_sources(tmp_path):
-    text = 'x,y\r\n"1.5",2\r\n\r\n3,-0.0\r\n'
-    want = ([1.5, 3.0], [2.0, -0.0])
-    x, y = read_text(text)
-    assert (bits(x), bits(y)) == tuple(map(bits, want))
-    path = write_text(tmp_path, text)
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        x, y = read_xy_csv(handle)
-    assert (bits(x), bits(y)) == tuple(map(bits, want))
+def test_quoted_crlf_rows_read_bit_exact():
+    x, y = read_text('x,y\r\n"1.5",2\r\n\r\n3,-0.0\r\n')
+    assert (bits(x), bits(y)) == (bits([1.5, 3.0]), bits([2.0, -0.0]))
 
 
 def test_float_only_tokens_take_the_row_loop():

@@ -24,6 +24,7 @@ from fractalmark.fif import (
     endpoint_chord,
     evaluate_fif_fixed_point,
     generate_attractor_points,
+    plot_fixed_point,
     uniform_partition,
     _operator,
     verify_interpolation,
@@ -483,6 +484,27 @@ class TestFixedPoint:
         with pytest.raises(InputError, match="needs equal intervals"):
             build_eval_grid(data, 1001)
 
+    def test_grid_under_ten_steps_per_interval_refused(self):
+        with pytest.raises(InputError) as refused:
+            evaluate_fif_fixed_point(build_fif_model(AAR, 0.5), grid_size=5)
+        assert str(refused.value) == "grid_size must be at least 10 * P = 100, got 5"
+
+    @pytest.mark.parametrize(
+        "y, rounds",
+        [([0.0, 1e-12, -1e-12, 5e-13], 8), ([0.0, 1e-320, 0.0, 0.0], 7), ([0.0] * 4, 0)],
+        ids=["picometre", "subnormal", "zero"],
+    )
+    def test_plot_tolerance_scales_with_the_data(self, y, rounds):
+        # an absolute 1e-9 takes no round on these nodes and plots the germ,
+        # 3.3e-12 off the picometre curve's 6.7e-12 range; a tolerance that
+        # underflows to 0 is raised to the least positive float
+        model = build_fif_model(uniform_data(y), 0.9)
+        plot = plot_fixed_point(model)
+        assert plot.generation == rounds
+        assert plot.max_error_bound <= max(fif.DEFAULT_TOL * max(map(abs, y)), 5e-324)
+        fine = evaluate_fif_fixed_point(model, tol=5e-324)
+        assert np.max(np.abs(plot.y - fine.y)) <= plot.max_error_bound
+
     def test_knots_within_node_tol_accepted(self):
         x = np.arange(11) / 10
         x[5] += 0.5 * fif.NODE_TOL
@@ -696,6 +718,32 @@ def test_attractor_agrees_with_fixed_point_within_its_bound(case, shift):
     assert np.max(np.abs(fixed.x[twin] - attractor.x)) <= 1e-12
     gap = np.max(np.abs(fixed.y[twin] - attractor.y))
     assert gap <= fixed.max_error_bound + 1e-12 * np.max(np.abs(attractor.y))
+
+
+@st.composite
+def scaled_uniform_models(draw):
+    """Uniform partitions (P 2..12) with ordinates on a 1e-6 step in [-1, 1],
+    scaled by 10^k for k in -14..6, signed scaling and either base."""
+    p_count = draw(st.integers(2, 12))
+    steps = draw(st.lists(st.integers(-10**6, 10**6), min_size=p_count + 1, max_size=p_count + 1))
+    y = np.array(steps) * 1e-6 * 10.0 ** draw(st.integers(-14, 6))
+    alpha = draw(st.lists(st.floats(-0.95, 0.95), min_size=p_count, max_size=p_count))
+    return build_fif_model(uniform_data(y), alpha, draw(st.sampled_from(["square", "chord"])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=scaled_uniform_models())
+def test_plot_grid_and_tolerance_follow_the_data(model):
+    # the plot's tolerance is relative to the nodes' largest |y|, so a curve
+    # of any size is solved to the same relative accuracy
+    scale = np.max(np.abs(model.data.y)) or 1.0
+    tol = fif.DEFAULT_TOL * scale
+    plot = plot_fixed_point(model)
+    assert plot.max_error_bound <= tol
+    assert len(plot) - 1 >= 10 * model.data.intervals
+    fine = evaluate_fif_fixed_point(model, grid_size=len(plot), tol=1e-30 * scale)
+    assert np.array_equal(fine.x, plot.x)
+    assert np.max(np.abs(plot.y - fine.y)) <= tol
 
 
 class TestSelfReferentialIdentity:
